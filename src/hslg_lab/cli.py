@@ -352,7 +352,10 @@ def _simulate(o, action: str) -> int:
         report = StatReport("simulate_endpoint", echo, ("r", "probability"), rows)
     elif action == "path":
         count = o["count"] if o["count"] is not None else 100
-        codes = sample_path_codes(partition_table(env), count, o["seed"], o["stream"])
+        try:
+            codes = sample_path_codes(partition_table(env), count, o["seed"], o["stream"])
+        except ValueError as exc:
+            raise UsageError(f"simulate path: {exc}") from None
         echo["count"] = count
         rows = [(i, int(c)) for i, c in enumerate(codes)]
         report = StatReport("simulate_path", echo, ("index", "code"), rows)

@@ -108,6 +108,10 @@ class Environment:
     def weight(self, i, j) -> float:
         return float(self.w[self.index(i, j)])
 
+    def weights(self, i, j) -> np.ndarray:
+        """Vectorized `weight` over index arrays of wedge sites (unchecked)."""
+        return self.w[self._offsets[np.asarray(i) - 1] + (np.asarray(j) - 1)]
+
     def weight_fraction(self, i, j) -> Fraction:
         # binary64 values are dyadic rationals; this conversion is exact
         return Fraction(self.weight(i, j))
@@ -150,8 +154,15 @@ class SymmetrizedEnvironment:
             i, j = j, i
         return Fraction(self.env.weight(i, j))
 
-    def log_weight(self, i, j) -> float:
-        return float(np.log(self.weight(i, j)))
+    def weights(self, i, j) -> np.ndarray:
+        """Vectorized `weight` over index arrays of quadrant sites.
+
+        Halving a normal binary64 value is exact, so Fractions of these
+        values equal `weight_fraction`.
+        """
+        i, j = np.asarray(i), np.asarray(j)
+        w = self.env.weights(np.maximum(i, j), np.minimum(i, j))
+        return np.where(i == j, w / 2.0, w)
 
 
 def symmetrize(env: Environment) -> SymmetrizedEnvironment:
@@ -164,7 +175,7 @@ def generate_environment(params: ModelParams, n: int, flavor: str = "standard",
     """Sample a full environment; weights are 1/Gamma(shape) per site class."""
     ij = np.array(list(wedge_sites(n)), dtype=np.int64)
     shapes = site_shapes(params, flavor, ij[:, 0], ij[:, 1], stationary_origin)
-    lanes = (ij[:, 0] - 1) * ij[:, 0] // 2 + (ij[:, 1] - 1)
+    lanes = site_code(ij[:, 0], ij[:, 1])
     keys = rng.lane_keys(seed, stream, lanes.astype(np.uint64))
     w = np.exp(-rng.log_gamma_draws(shapes, keys))
     return Environment(params, n, flavor, w, seed=seed, stream=stream)
@@ -173,7 +184,7 @@ def generate_environment(params: ModelParams, n: int, flavor: str = "standard",
 def generate_dyadic_environment(params: ModelParams, n: int,
                                 seed: int = 0, stream: int = 0) -> Environment:
     ij = np.array(list(wedge_sites(n)), dtype=np.int64)
-    lanes = (ij[:, 0] - 1) * ij[:, 0] // 2 + (ij[:, 1] - 1)
+    lanes = site_code(ij[:, 0], ij[:, 1])
     keys = rng.lane_keys(seed, stream, lanes.astype(np.uint64))
     w = rng.dyadic_units(keys)
     return Environment(params, n, "standard", w, seed=seed, stream=stream, dyadic=True)
@@ -192,7 +203,7 @@ def stream_log_weights(params: ModelParams, n: int, flavor: str,
     for s in range(2, 2 * n + 1):
         i, j = diag_sites(n, s)
         shapes = site_shapes(params, flavor, i, j, stationary_origin)
-        lanes = ((i - 1) * i // 2 + (j - 1)).astype(np.uint64)
+        lanes = site_code(i, j).astype(np.uint64)
         keys = rng.lane_keys(seed, streams[:, None], lanes[None, :])
         logw = -rng.log_gamma_draws(shapes[None, :], keys)
         yield s, j, logw

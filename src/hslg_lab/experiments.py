@@ -30,11 +30,13 @@ from .multilayer import batch_diag_avoiding_profiles, line_ensemble
 from .polymer import batch_final_profiles, increment_vector, partition_table
 from .rng import LANE_BOOTSTRAP, lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
-from .stats import Interval, bootstrap_ci, chi2_independence, ks_test, normal_cdf
+from .stats import (RESAMPLES, Interval, bootstrap_ci, chi2_independence, ks_test,
+                    normal_cdf)
 from .walk import increment_cdf, walk_increment_matrix
 
 STREAM_BLOCK = 256          # environments per work item
 CI_STRIDE = 1 << 28         # bootstrap lane namespace per interval
+MAX_BOOTSTRAP_VALUES = CI_STRIDE // RESAMPLES   # an interval uses RESAMPLES lanes per value
 R0_LANE = (1 << 49) - 1     # one reserved lane per stream for boundary draws
 
 
@@ -68,6 +70,9 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if min(self.samples, self.walk_samples, self.small_samples) < 1:
             raise ValueError("sample counts must be positive")
+        if max(self.samples, self.small_samples) > MAX_BOOTSTRAP_VALUES:
+            raise ValueError(f"samples and small_samples must be <= {MAX_BOOTSTRAP_VALUES}, "
+                             "or bootstrap intervals would share lanes")
         if not 0.0 < self.significance < 1.0:
             raise ValueError("significance must lie in (0, 1)")
         if self.threads < 1:
@@ -304,7 +309,7 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
             if r == 1:
                 d_first.append(res.statistic)
                 d_cis.append(bootstrap_ci(
-                    x, lambda v, axis: _ks_distance_rows(v, cdf),
+                    x, _ks_distance_rows(x, cdf),
                     seed=config.seed, stream=config.stream,
                     lane_base=lanes()))
         if config.flavor == "stationary" and r_hi >= 2 and prof.shape[0] >= 640:
@@ -328,15 +333,24 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
     return rep
 
 
-def _ks_distance_rows(mat: np.ndarray, cdf) -> np.ndarray:
-    """Row-wise one-sample KS distances for (R, n) matrices (bootstrap stat)."""
-    mat = np.atleast_2d(mat)
-    s = np.sort(mat, axis=1)
-    f = cdf(s)
-    n = mat.shape[1]
-    up = np.max(np.arange(1, n + 1) / n - f, axis=1)
-    dn = np.max(f - np.arange(0, n) / n, axis=1)
-    return np.maximum(up, dn)
+def _ks_distance_rows(x: np.ndarray, cdf):
+    """Bootstrap statistic: row-wise one-sample KS distances of resamples of x.
+
+    Resamples hold only values of x, so the CDF is evaluated once on the
+    sorted sample and looked up.
+    """
+    xs = np.sort(x)
+    fx = cdf(xs)
+
+    def stat(mat: np.ndarray, axis) -> np.ndarray:
+        s = np.sort(np.atleast_2d(mat), axis=1)
+        f = fx[np.searchsorted(xs, s)]
+        n = s.shape[1]
+        up = np.max(np.arange(1, n + 1) / n - f, axis=1)
+        dn = np.max(f - np.arange(0, n) / n, axis=1)
+        return np.maximum(up, dn)
+
+    return stat
 
 
 def run_quenched_limit(config: ExperimentConfig) -> StatReport:

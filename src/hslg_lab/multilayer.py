@@ -11,6 +11,10 @@ enumeration (small instances, exact arithmetic) and the determinant of
 single-path values (Lindstrom-Gessel-Viennot).  The line ensemble stacks
 log-ratios of consecutive layer counts along the staircase
 (N + floor(p/2), N - ceil(p/2) + 1).
+
+Every single-path table here (quadrant values from a start column, and the
+diagonal-avoiding values strictly below the diagonal) is `polymer.sweep`,
+the package's one up/left recurrence, run over that region's cells.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .environment import SymmetrizedEnvironment, stream_log_weights
-from .polymer import NEG_INF, _advance
+from .polymer import EXACT, LOG, NEG_INF, final, lift, sweep
 from .special import ModelParams
 
 # Exhaustive enumeration guard: r paths of m+n-r sites each.
@@ -116,46 +120,58 @@ def multilayer_brute(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fr
     return total
 
 
+def _sweep_cells(senv: SymmetrizedEnvironment, ring, first: int, bounds):
+    """`sweep` over the symmetrized weights; yields (i, j, z) per diagonal.
+
+    Diagonal s = first, first + 1, ... covers the columns bounds(s) = (lo,
+    hi).  The sweep stops at the first empty diagonal and at the wedge
+    boundary i + j = 2n: cells past it carry no weight and could only feed
+    other cells past it.
+    """
+    def diagonals():
+        for s in range(first, 2 * senv.n + 1):
+            lo, hi = bounds(s)
+            if lo > hi:
+                return
+            j = np.arange(lo, hi + 1)
+            yield lo, lift(senv.weights(s - j, j), ring)
+
+    for s, (lo, z) in enumerate(sweep(diagonals(), ring), first):
+        j = np.arange(lo, lo + z.shape[-1])
+        yield s - j, j, z
+
+
+def _collect(cells, ring, imax: int, jmax: int):
+    """Float cells as an [i, j] array (-inf elsewhere), exact ones as a dict."""
+    if ring is LOG:
+        t = np.full((imax + 1, jmax + 1), NEG_INF)
+        for i, j, z in cells:
+            t[i, j] = z
+        return t
+    return {(a, b): v for i, j, z in cells
+            for a, b, v in zip(i.tolist(), j.tolist(), z)}
+
+
+def _quadrant_table(senv, start_col, imax, jmax, ring):
+    def bounds(s):
+        return max(start_col, s - imax), min(jmax, s - 1)
+    return _collect(_sweep_cells(senv, ring, start_col + 1, bounds), ring, imax, jmax)
+
+
 def quadrant_log_table(senv: SymmetrizedEnvironment, start_col: int,
                        imax: int, jmax: int) -> np.ndarray:
     """log Zq((1, start_col) -> (i, j)) on [1..imax] x [1..jmax] (float path).
 
-    Index [i, j]; unreachable sites stay at -inf.  Cells past the wedge
-    boundary i + j = 2n have no weight and stay at -inf; they can only
-    feed other out-of-bound cells, so skipping them is exact.
+    Index [i, j]; unreachable sites and sites past the wedge boundary
+    i + j = 2n stay at -inf.
     """
-    bound = 2 * senv.n
-    t = np.full((imax + 1, jmax + 1), NEG_INF)
-    if start_col <= min(jmax, bound - 1):
-        t[1, start_col] = senv.log_weight(1, start_col)
-    for j in range(start_col + 1, min(jmax, bound - 1) + 1):
-        t[1, j] = senv.log_weight(1, j) + t[1, j - 1]
-    for i in range(2, imax + 1):
-        # the left neighbour is in the same row, so the scan is sequential
-        for j in range(1, min(jmax, bound - i) + 1):
-            left = t[i, j - 1] if j > 1 else NEG_INF
-            prev = np.logaddexp(t[i - 1, j], left)
-            if prev > NEG_INF:
-                t[i, j] = senv.log_weight(i, j) + prev
-    return t
+    return _quadrant_table(senv, start_col, imax, jmax, LOG)
 
 
 def quadrant_exact_table(senv: SymmetrizedEnvironment, start_col: int,
                          imax: int, jmax: int) -> dict[tuple[int, int], Fraction]:
-    bound = 2 * senv.n
-    z: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, imax + 1):
-        for j in range(1, min(jmax, bound - i) + 1):
-            w = senv.weight_fraction(i, j)
-            if i == 1 and j == start_col:
-                z[i, j] = w
-            else:
-                up = z.get((i - 1, j), Fraction(0))
-                left = z.get((i, j - 1), Fraction(0)) if j > start_col else Fraction(0)
-                if up == 0 and left == 0:
-                    continue
-                z[i, j] = w * (up + left)
-    return z
+    """Fraction values of `quadrant_log_table`, keyed (i, j), reachable sites only."""
+    return _quadrant_table(senv, start_col, imax, jmax, EXACT)
 
 
 def _perm_sign(perm) -> int:
@@ -227,6 +243,18 @@ def single_symmetrized(senv: SymmetrizedEnvironment, m: int, n: int, mode: str =
     return multilayer_lgv(senv, m, n, 1, mode=mode)
 
 
+def _diag_avoiding_table(senv, imax, jmax, ring):
+    """Diagonal-avoiding values on the strict lower triangle i > j.
+
+    The source is (1,1) with its halved symmetrized weight; it is no table
+    cell, and the diagonal cells are outside the region.
+    """
+    def bounds(s):
+        return (1, 1) if s == 2 else (max(1, s - imax), min(jmax, (s - 1) // 2))
+    cells = itertools.islice(_sweep_cells(senv, ring, 2, bounds), 1, None)
+    return _collect(cells, ring, imax, jmax)
+
+
 def diag_avoiding_exact(senv: SymmetrizedEnvironment, m: int, n: int) -> Fraction:
     """Paths (1,1)->(m,n), m != n, meeting the diagonal only at (1,1).
 
@@ -237,38 +265,12 @@ def diag_avoiding_exact(senv: SymmetrizedEnvironment, m: int, n: int) -> Fractio
         raise ValueError("diagonal-avoiding value needs m != n")
     if n > m:
         m, n = n, m
-    bound = 2 * senv.n
-    z: dict[tuple[int, int], Fraction] = {}
-    w11 = senv.weight_fraction(1, 1)
-    for i in range(2, m + 1):
-        for j in range(1, min(i - 1, n, bound - i) + 1):
-            w = senv.weight_fraction(i, j)
-            if (i, j) == (2, 1):
-                z[i, j] = w * w11
-                continue
-            up = z.get((i - 1, j), Fraction(0)) if i - 1 > j else Fraction(0)
-            left = z.get((i, j - 1), Fraction(0))
-            z[i, j] = w * (up + left)
-    return z.get((m, n), Fraction(0))
+    return _diag_avoiding_table(senv, m, n, EXACT).get((m, n), Fraction(0))
 
 
 def diag_avoiding_log_table(senv: SymmetrizedEnvironment, imax: int, jmax: int) -> np.ndarray:
     """log of the diagonal-avoiding values on the strict lower triangle."""
-    bound = 2 * senv.n
-    t = np.full((imax + 1, jmax + 1), NEG_INF)
-    if imax < 2:
-        return t
-    w11 = senv.log_weight(1, 1)
-    for i in range(2, imax + 1):
-        for j in range(1, min(i - 1, jmax, bound - i) + 1):
-            w = senv.log_weight(i, j)
-            if (i, j) == (2, 1):
-                t[i, j] = w + w11
-                continue
-            up = t[i - 1, j] if i - 1 > j else NEG_INF
-            left = t[i, j - 1] if j > 1 else NEG_INF
-            t[i, j] = w + np.logaddexp(up, left)
-    return t
+    return _diag_avoiding_table(senv, imax, jmax, LOG)
 
 
 def vq_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:
@@ -286,9 +288,10 @@ def vq_tilde_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:
     """Diagonal-avoiding analog of V_q over strict-wedge sites of i+j = q."""
     if q < 3:
         raise ValueError("q must be >= 3")
+    table = _diag_avoiding_table(senv, q - 1, (q - 1) // 2, EXACT)
     total = Fraction(0)
     for j in range(1, (q - 1) // 2 + 1):
-        total += _diag_avoiding_exact_cached(senv, q - j, j)
+        total += table.get((q - j, j), Fraction(0))
     return total
 
 
@@ -307,26 +310,6 @@ def vq_tilde_log(senv: SymmetrizedEnvironment, q: int) -> float:
     table = diag_avoiding_log_table(senv, q - 1, (q - 1) // 2)
     vals = [table[q - j, j] for j in range(1, (q - 1) // 2 + 1)]
     return float(np.logaddexp.reduce(vals))
-
-
-def _diag_avoiding_exact_cached(senv, m, n):
-    cache = getattr(senv, "_davoid_cache", None)
-    if cache is None or cache[0] < m:
-        bound = 2 * senv.n
-        z: dict[tuple[int, int], Fraction] = {}
-        w11 = senv.weight_fraction(1, 1)
-        for i in range(2, m + 1):
-            for j in range(1, min(i - 1, bound - i) + 1):
-                w = senv.weight_fraction(i, j)
-                if (i, j) == (2, 1):
-                    z[i, j] = w * w11
-                    continue
-                up = z.get((i - 1, j), Fraction(0)) if i - 1 > j else Fraction(0)
-                left = z.get((i, j - 1), Fraction(0))
-                z[i, j] = w * (up + left)
-        senv._davoid_cache = (m, z)
-        cache = senv._davoid_cache
-    return cache[1].get((m, n), Fraction(0))
 
 
 @dataclass
@@ -419,28 +402,14 @@ def batch_diag_avoiding_profiles(params: ModelParams, n: int, flavor: str,
                                  seed: int, streams) -> np.ndarray:
     """log of diagonal-avoiding values at (n+p, n-p), p = 1..n-1, batched.
 
-    Streams the strict-lower-wedge recurrence the same way the polymer
-    batch does; the (1,1) weight enters once, halved, at the (2,1) seed.
+    Streams `sweep` below the diagonal the same way the polymer batch
+    does; the (1,1) weight enters once, halved, as the source.
     """
     if n < 2:
         raise ValueError("diagonal-avoiding profile needs n >= 2")
-    prev = None
-    w11 = None
-    for s, j, logw in stream_log_weights(params, n, flavor, seed, streams):
-        cols = (s - 1) // 2  # strict lower triangle on this line
-        if s == 2:
-            w11 = logw[:, 0] - math.log(2.0)
-            prev = None
-            continue
-        cur = np.full((logw.shape[0], cols), NEG_INF)
-        if s == 3:
-            cur[:, 0] = logw[:, 0] + w11
-        else:
-            up = np.full_like(cur, NEG_INF)
-            take = min(prev.shape[1], cols)  # up-step legal while i-1 > j
-            up[:, :take] = prev[:, :take]
-            left = np.full_like(cur, NEG_INF)
-            left[:, 1:] = prev[:, : cols - 1]
-            cur = logw[:, :cols] + np.logaddexp(up, left)
-        prev = cur
-    return prev[:, ::-1].copy()
+
+    def diagonals():
+        for s, _, logw in stream_log_weights(params, n, flavor, seed, streams):
+            yield 1, (logw - math.log(2.0) if s == 2 else logw[:, : (s - 1) // 2])
+
+    return final(sweep(diagonals(), LOG))[:, ::-1].copy()

@@ -7,8 +7,12 @@ The recurrence, with W the environment weights:
     Z(i,j) = W(i,j) * (Z(i-1,j) + Z(i,j-1))          for i > j >= 1
 
 Z(i, j) sums weight products over upright paths from (1,1) confined to
-j <= i.  log Z grows linearly in the size, so the float path works in the
-log domain throughout (raw products overflow binary64 around size 150).
+j <= i.  `sweep` is the one implementation of this up/left recurrence in
+the package: it streams anti-diagonals over any region whose cells on each
+line i + j = s form one run of columns, in one of two semirings.  Here it
+runs on the wedge; `multilayer` runs it on symmetrized quadrants and below
+the diagonal.  log Z grows linearly in the size, so the float path works in
+the log domain throughout (raw products overflow binary64 around size 150).
 The exact path carries Fractions and is meant for small verification
 instances only.
 """
@@ -21,22 +25,65 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng
-from .environment import Environment, stream_log_weights
+from .environment import Environment, diag_sites, stream_log_weights
 from .special import ModelParams
 
 NEG_INF = -np.inf
 
+# Semirings for `sweep`: (plus, times, zero, dtype).  LOG runs on log
+# weights, EXACT on numpy object arrays of Fractions.
+LOG = (np.logaddexp, np.add, NEG_INF, float)
+EXACT = (np.add, np.multiply, Fraction(0), object)
 
-def _advance(prev, logw):
-    """One anti-diagonal step; prev has length (s-1)//2, logw length s//2."""
-    length = logw.shape[-1]
-    shape = logw.shape[:-1]
-    up = np.full(shape + (length,), NEG_INF)
-    left = np.full(shape + (length,), NEG_INF)
-    take = min(prev.shape[-1], length)
-    up[..., :take] = prev[..., :take]
-    left[..., 1:] = prev[..., : length - 1]
-    return logw + np.logaddexp(up, left)
+# Path codes pack 2n - 2 moves into int64 bits.
+MAX_CODE_N = 32
+
+
+def sweep(diagonals, ring):
+    """Stream Z = W * (Z_up + Z_left) over anti-diagonals; yields (lo, z).
+
+    `diagonals` yields (lo, w) per anti-diagonal s, where w[..., t] is the
+    weight of cell (s - lo - t, lo + t); leading axes batch independent
+    environments.  The first diagonal is the source, where z = w.  Cells
+    outside the previous diagonal's j-range count as ring zero.
+    """
+    plus, times, zero, dtype = ring
+    prev = prev_lo = None
+    for lo, w in diagonals:
+        if prev is None:
+            z = w
+        else:
+            # ext[..., k] is the previous diagonal at column lo - 1 + k, so
+            # the left neighbours are ext[..., :-1] and the up ones ext[..., 1:]
+            width = w.shape[-1]
+            ext = np.full(w.shape[:-1] + (width + 1,), zero, dtype=dtype)
+            shift = prev_lo - lo + 1
+            a, b = max(shift, 0), min(shift + prev.shape[-1], width + 1)
+            if a < b:
+                ext[..., a:b] = prev[..., a - shift:b - shift]
+            z = times(w, plus(ext[..., 1:], ext[..., :-1]))
+        yield lo, z
+        prev, prev_lo = z, lo
+
+
+def lift(w: np.ndarray, ring):
+    """Positive float weights as elements of `ring` (exact: binary64 is dyadic)."""
+    if ring is LOG:
+        return np.log(w)
+    return np.array([Fraction(x) for x in w], dtype=object)
+
+
+def final(swept) -> np.ndarray:
+    """The last diagonal of a sweep."""
+    for _, z in swept:
+        pass
+    return z
+
+
+def _wedge(env: Environment, ring):
+    """Diagonals s = 2..2n of the wedge: columns 1..s//2, source (1,1)."""
+    for s in range(2, 2 * env.n + 1):
+        yield 1, lift(env.weights(*diag_sites(env.n, s)), ring)
 
 
 class PartitionTable:
@@ -45,18 +92,7 @@ class PartitionTable:
     def __init__(self, env: Environment):
         self.env = env
         self.n = env.n
-        self.diags: list[np.ndarray] = []
-        logw_flat = np.log(env.w)
-        prev = None
-        for s in range(2, 2 * self.n + 1):
-            j = np.arange(1, s // 2 + 1)
-            logw = np.array([logw_flat[env.index(s - jj, jj)] for jj in j])
-            if prev is None:
-                cur = logw  # single site (1,1)
-            else:
-                cur = _advance(prev, logw)
-            self.diags.append(cur)
-            prev = cur
+        self.diags: list[np.ndarray] = [z for _, z in sweep(_wedge(env, LOG), LOG)]
 
     def log_z(self, i, j) -> float:
         if not (1 <= j <= i and i + j <= 2 * self.n):
@@ -75,16 +111,9 @@ def partition_table(env: Environment) -> PartitionTable:
 def exact_partition_table(env: Environment) -> dict[tuple[int, int], Fraction]:
     """Fraction-valued table; exact because binary64 weights are dyadic."""
     z: dict[tuple[int, int], Fraction] = {}
-    for i, j in env.sites():
-        w = env.weight_fraction(i, j)
-        if (i, j) == (1, 1):
-            z[i, j] = w
-        elif i == j:
-            z[i, j] = w * z[i, j - 1]
-        elif j == 1:
-            z[i, j] = w * z[i - 1, j]
-        else:
-            z[i, j] = w * (z[i - 1, j] + z[i, j - 1])
+    for s, (_, diag) in enumerate(sweep(_wedge(env, EXACT), EXACT), 2):
+        for j, value in enumerate(diag, 1):
+            z[s - j, j] = value
     return z
 
 
@@ -110,38 +139,6 @@ def increment_vector(table: PartitionTable, kmax: int) -> np.ndarray:
     return profile[0] - profile[: kmax + 1]
 
 
-def sample_path(table: PartitionTable, stream: rng.SequentialStream) -> list[tuple[int, int]]:
-    """One path draw from the quenched polymer measure.
-
-    The endpoint is drawn from `endpoint_pmf`, then the path is walked
-    backwards, picking the predecessor of (i, j) with probability
-    proportional to Z(i-1, j) versus Z(i, j-1).  The site weight W(i, j)
-    is common to both branches and cancels.
-    """
-    pmf = endpoint_pmf(table)
-    u = stream.uniform()
-    p = int(np.searchsorted(np.cumsum(pmf), u))
-    p = min(p, table.n - 1)
-    i, j = table.n + p, table.n - p
-    out = [(i, j)]
-    while (i, j) != (1, 1):
-        if j == 1:
-            i -= 1
-        elif i == j:
-            j -= 1
-        else:
-            up = table.log_z(i - 1, j)
-            left = table.log_z(i, j - 1)
-            p_up = 1.0 / (1.0 + np.exp(left - up))
-            if stream.uniform() < p_up:
-                i -= 1
-            else:
-                j -= 1
-        out.append((i, j))
-    out.reverse()
-    return out
-
-
 def path_code(path: list[tuple[int, int]]) -> int:
     """Bit-encode a path by its moves (up = i+1 = 1), first move = lowest bit."""
     code = 0
@@ -158,6 +155,8 @@ def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int)
     batching.  Step q of every draw uses draw index q of its lane.
     """
     n = table.n
+    if n > MAX_CODE_N:
+        raise ValueError(f"path codes pack 2n-2 moves into int64; need n <= {MAX_CODE_N}")
     lanes = rng.LANE_CHAIN + np.arange(count, dtype=np.uint64)
     keys = rng.lane_keys(seed, stream, lanes)
     cum = np.cumsum(endpoint_pmf(table))
@@ -168,8 +167,9 @@ def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int)
     codes = np.zeros(count, dtype=np.int64)
     # log Z lookup grid (wedge sites only; -inf elsewhere never consulted)
     grid = np.full((2 * n + 1, n + 1), NEG_INF)
-    for si, sj in table.env.sites():
-        grid[si, sj] = table.log_z(si, sj)
+    for s, diag in enumerate(table.diags, 2):
+        col = np.arange(1, diag.size + 1)
+        grid[s - col, col] = diag
     for step in range(2 * n - 2):
         bit = 2 * n - 3 - step  # moves recorded from the endpoint backwards
         u = rng.uniforms(keys, np.uint64(1 + step))
@@ -190,13 +190,11 @@ def batch_final_profiles(params: ModelParams, n: int, flavor: str, seed: int,
                          streams, *, stationary_origin: str = "diagonal") -> np.ndarray:
     """log Z(n+p, n-p), p = 0..n-1, for a batch of streams at once.
 
-    Streams the anti-diagonal recurrence without materializing the n^2
-    weight field; row b of the result matches
-    PartitionTable(generate_environment(..., stream=streams[b])) to
-    rounding.  This is the workhorse of the large experiments.
+    Streams `sweep` without materializing the n^2 weight field; row b of
+    the result matches PartitionTable(generate_environment(..., stream=
+    streams[b])) to rounding.  This is the workhorse of the large
+    experiments.
     """
-    prev = None
-    for s, j, logw in stream_log_weights(params, n, flavor, seed, streams,
-                                         stationary_origin=stationary_origin):
-        prev = logw if prev is None else _advance(prev, logw)
-    return prev[:, ::-1].copy()
+    diagonals = ((1, logw) for _, _, logw in stream_log_weights(
+        params, n, flavor, seed, streams, stationary_origin=stationary_origin))
+    return final(sweep(diagonals, LOG))[:, ::-1].copy()

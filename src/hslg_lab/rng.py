@@ -136,57 +136,3 @@ def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
         ub = uniforms(bk, q0)
         out[boosted] += np.log(ub) / shape_arr[boosted]
     return out
-
-
-def gamma_draws(shape, keys, q_base=0):
-    return np.exp(log_gamma_draws(shape, keys, q_base=q_base))
-
-
-class SequentialStream:
-    """Sequential uniform source over one lane (for Markov chains etc.).
-
-    Deterministic: the n-th draw is word(seed, stream, lane, n); state is
-    just the draw counter.
-    """
-
-    def __init__(self, seed, stream, lane):
-        self._key = lane_keys(seed, stream, _u64(lane))
-        self._q = 0
-
-    def uniforms(self, n):
-        q = np.arange(self._q, self._q + n, dtype=np.uint64)
-        self._q += n
-        return uniforms(self._key, q)
-
-    def uniform(self):
-        return float(self.uniforms(1)[0])
-
-    def integers(self, upper, n):
-        """n draws uniform on {0, ..., upper-1} (for bootstrap resampling)."""
-        return np.minimum((self.uniforms(n) * upper).astype(np.int64), upper - 1)
-
-
-class VectorStream:
-    """One lane per chain, advancing a shared draw counter.
-
-    `uniforms()` returns one value per chain; `block(k)` returns a (k, n)
-    array.  Chains with distinct lanes are independent subsequences.
-    """
-
-    def __init__(self, seed, stream, lanes):
-        self._keys = lane_keys(seed, stream, np.asarray(lanes, dtype=np.uint64))
-        self._q = 0
-
-    @property
-    def size(self):
-        return self._keys.size
-
-    def uniforms(self):
-        u = uniforms(self._keys, np.uint64(self._q))
-        self._q += 1
-        return u
-
-    def block(self, k):
-        q = np.arange(self._q, self._q + k, dtype=np.uint64)
-        self._q += k
-        return uniforms(self._keys[None, :], q[:, None])

@@ -1,8 +1,8 @@
 """Statistical machinery for the experiment drivers.
 
 Kolmogorov-Smirnov one- and two-sample tests (asymptotic p-values with the
-Stephens small-sample factor), chi-square goodness of fit and independence
-on quantile-discretized pairs, and percentile bootstrap intervals drawn from
+Stephens small-sample factor), chi-square independence on
+quantile-discretized pairs, and percentile bootstrap intervals drawn from
 the bootstrap lane namespace so every interval is reproducible.
 """
 
@@ -15,6 +15,8 @@ import numpy as np
 from scipy.special import erfc, gammaincc
 
 from .rng import LANE_BOOTSTRAP, lane_keys, uniforms
+
+RESAMPLES = 1000            # bootstrap resamples per interval
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,6 @@ def chi2_sf(x: float, df: float) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def chi2_gof(observed, expected, ddof: int = 0) -> TestResult:
-    """Pearson goodness of fit; dof = cells - 1 - ddof."""
-    o = np.asarray(observed, dtype=float)
-    e = np.asarray(expected, dtype=float)
-    if o.shape != e.shape:
-        raise ValueError("count vectors must have equal shape")
-    if np.any(e <= 0.0):
-        raise ValueError("expected counts must be positive")
-    stat = float(np.sum((o - e) ** 2 / e))
-    return TestResult(stat, chi2_sf(stat, o.size - 1 - ddof))
-
-
 def _quantile_edges(v: np.ndarray, bins: int) -> np.ndarray:
     edges = np.quantile(v, np.linspace(0.0, 1.0, bins + 1))
     edges[0], edges[-1] = -np.inf, np.inf
@@ -126,7 +116,7 @@ def normal_cdf(x):
     return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def bootstrap_ci(values, stat=np.median, *, resamples: int = 1000,
+def bootstrap_ci(values, stat=np.median, *, resamples: int = RESAMPLES,
                  level: float = 0.99, seed: int = 0, stream: int = 0,
                  lane_base: int = 0) -> Interval:
     """Percentile bootstrap interval; `stat` must accept an axis argument.

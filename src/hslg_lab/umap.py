@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .environment import SymmetrizedEnvironment
-from .multilayer import vq_exact, vq_tilde_exact, multilayer_lgv
+from .multilayer import enumerate_quadrant_paths, multilayer_lgv, vq_exact, vq_tilde_exact
 
 Site = tuple[int, int]
 Path = tuple[Site, ...]
@@ -188,30 +188,6 @@ def apply_umap_2k(paths) -> list[Path]:
     for i in range(0, len(paths), 2):
         a, b = apply_umap(paths[i], paths[i + 1])
         out.extend([a, b])
-    return out
-
-
-def enumerate_quadrant_paths(start: Site, end: Site) -> list[Path]:
-    si, sj = start
-    ei, ej = end
-    if ei < si or ej < sj:
-        return []
-    out: list[Path] = []
-
-    def walk(i, j, acc):
-        if (i, j) == (ei, ej):
-            out.append(tuple(acc))
-            return
-        if i < ei:
-            acc.append((i + 1, j))
-            walk(i + 1, j, acc)
-            acc.pop()
-        if j < ej:
-            acc.append((i, j + 1))
-            walk(i, j + 1, acc)
-            acc.pop()
-
-    walk(si, sj, [(si, sj)])
     return out
 
 

@@ -1,0 +1,40 @@
+"""Exit statuses of the command-line front end for inputs it must refuse."""
+import pytest
+
+from hslg_lab import cli
+from hslg_lab.experiments import CI_STRIDE, ExperimentConfig
+from hslg_lab.special import ModelParams
+from hslg_lab.stats import RESAMPLES
+
+
+class TestPathCodeWidth:
+    def test_largest_size_prints_codes(self, capsys):
+        assert cli.main(["simulate", "path", "--n", "32", "--count", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5
+        assert all(int(r.split(",")[1]) >= 0 for r in rows)
+
+    def test_overflowing_size_is_a_usage_error(self, capsys):
+        assert cli.main(["simulate", "path", "--n", "33", "--count", "5"]) == 2
+        assert "n <= 32" in capsys.readouterr().err
+
+
+class TestBootstrapLanes:
+    LIMIT = CI_STRIDE // RESAMPLES
+
+    @pytest.mark.parametrize("field", ["samples", "small_samples"])
+    def test_config_rejects_overlapping_lanes(self, field):
+        params = ModelParams(1.0, -0.5)
+        kwargs = {"samples": 10, field: self.LIMIT}
+        ExperimentConfig(params, (5,), **kwargs)
+        kwargs[field] = self.LIMIT + 1
+        with pytest.raises(ValueError):
+            ExperimentConfig(params, (5,), **kwargs)
+
+    def test_cli_exit_status(self, tmp_path, capsys):
+        out = tmp_path / "pinning.csv"
+        argv = ["experiment", "pinning", "--sizes", "5", "--samples",
+                str(self.LIMIT + 1), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "268435" in capsys.readouterr().err
+        assert not out.exists()

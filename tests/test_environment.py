@@ -126,6 +126,16 @@ class TestSymmetrize:
         for i, j in wedge_sites(4):
             assert float(senv.weight_fraction(i, j)) == senv.weight(i, j)
 
+    def test_vector_gather_matches_scalar_lookup(self, params):
+        env = generate_environment(params, 5, seed=12)
+        senv = symmetrize(env)
+        i, j = np.meshgrid(np.arange(1, 10), np.arange(1, 10), indexing="ij")
+        inside = i + j <= 10
+        got = senv.weights(i[inside], j[inside])
+        for a, b, w in zip(i[inside], j[inside], got):
+            assert w == senv.weight(a, b)
+            assert Fraction(w) == senv.weight_fraction(a, b)
+
 
 class TestDyadic:
     def test_values_are_dyadic(self, params):

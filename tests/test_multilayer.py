@@ -158,6 +158,24 @@ class TestVq:
         for q in range(3, 9):
             assert vq_tilde_exact(senv, q) <= vq_exact(senv, q)
 
+    def test_vq_tilde_matches_path_sum(self, params):
+        # descending then ascending q: each call must build its own table
+        senv = senv_of(params, 4, seed=22)
+        want = {}
+        for q in range(3, 9):
+            total = Fraction(0)
+            for j in range(1, (q - 1) // 2 + 1):
+                for path in enumerate_quadrant_paths((1, 1), (q - j, j)):
+                    if any(a == b for a, b in path[1:]):
+                        continue
+                    prod = Fraction(1)
+                    for site in path:
+                        prod *= senv.weight_fraction(*site)
+                    total += prod
+            want[q] = total
+        for q in list(range(8, 2, -1)) + list(range(3, 9)):
+            assert vq_tilde_exact(senv, q) == want[q]
+
     def test_float_routes(self, params):
         senv = senv_of(params, 4, seed=15, dyadic=False)
         for q in range(3, 9):

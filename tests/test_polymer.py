@@ -7,13 +7,12 @@ import pytest
 import scipy.stats
 
 import oracles
-from hslg_lab import rng
 from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment)
 from hslg_lab.polymer import (batch_final_profiles, endpoint_pmf,
                               exact_partition_table, increment_vector,
                               partition_table, path_code, point_to_line,
-                              sample_path, sample_path_codes)
+                              sample_path_codes)
 
 
 class TestExactTable:
@@ -110,33 +109,42 @@ def exact_path_pmf(env):
     return {code: w / total for code, w in weights.items()}
 
 
+def decode_path(code, n):
+    """Sites of the path from (1,1) whose 2n-2 move bits are `code`."""
+    i, j = 1, 1
+    path = [(i, j)]
+    for k in range(2 * n - 2):
+        if code >> k & 1:
+            i += 1
+        else:
+            j += 1
+        path.append((i, j))
+    return path
+
+
 class TestPathSampling:
     def test_sample_path_shape(self, params):
         table = partition_table(generate_environment(params, 7, seed=9))
-        stream = rng.SequentialStream(9, 0, rng.LANE_CHAIN)
-        for _ in range(20):
-            path = sample_path(table, stream)
-            assert path[0] == (1, 1)
+        codes = sample_path_codes(table, 20, seed=9, stream=0)
+        assert np.all((codes >= 0) & (codes < 1 << 12))
+        for code in codes:
+            path = decode_path(int(code), 7)
+            assert path_code(path) == code
             assert sum(path[-1]) == 14
-            for (a, b), (c, d) in zip(path, path[1:]):
-                assert (c - a, d - b) in [(1, 0), (0, 1)]
-                assert 1 <= d <= c
+            assert all(1 <= j <= i for i, j in path)
 
-    def test_sample_path_law(self, params):
-        env = generate_environment(params, 3, seed=10)
-        table = partition_table(env)
-        pmf = exact_path_pmf(env)
-        stream = rng.SequentialStream(10, 0, rng.LANE_CHAIN)
-        draws = 20000
-        counts = {}
-        for _ in range(draws):
-            code = path_code(sample_path(table, stream))
-            counts[code] = counts.get(code, 0) + 1
-        assert set(counts) <= set(pmf)
-        observed = [counts.get(c, 0) for c in pmf]
-        expected = [float(q) * draws for q in pmf.values()]
-        res = scipy.stats.chisquare(observed, expected)
-        assert res.pvalue > 1e-3
+    def test_code_width_limit(self, params):
+        # 2n - 2 move bits fill int64 up to the sign bit at n = 33
+        big = partition_table(generate_environment(params, 33, seed=0))
+        with pytest.raises(ValueError):
+            sample_path_codes(big, 200, seed=0, stream=0)
+        table = partition_table(generate_environment(params, 32, seed=0))
+        codes = sample_path_codes(table, 200, seed=0, stream=0)
+        assert np.all(codes >= 0)
+        for code in codes[:20]:
+            path = decode_path(int(code), 32)
+            assert sum(path[-1]) == 64
+            assert all(1 <= j <= i for i, j in path)
 
     def test_vectorized_code_law(self, params):
         env = generate_environment(params, 3, seed=11)

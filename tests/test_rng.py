@@ -143,29 +143,3 @@ class TestGammaDraws:
         keys = rng.lane_keys(0, 0, np.arange(4, dtype=np.uint64))
         with pytest.raises(ValueError):
             rng.log_gamma_draws(0.0, keys)
-
-
-class TestStreams:
-    def test_sequential_matches_words(self):
-        s = rng.SequentialStream(2, 4, 6)
-        u = s.uniforms(5)
-        for q in range(5):
-            want = (word_int(2, 4, 6, q) >> 11) * 2.0**-53 + 2.0**-54
-            assert u[q] == pytest.approx(want, abs=0)
-        # counter advances across calls
-        u2 = s.uniforms(3)
-        assert u2[0] == pytest.approx(
-            (word_int(2, 4, 6, 5) >> 11) * 2.0**-53 + 2.0**-54, abs=0)
-
-    def test_integers_cover_range(self):
-        s = rng.SequentialStream(0, 0, 9)
-        draws = s.integers(7, 10_000)
-        assert draws.min() == 0 and draws.max() == 6
-
-    def test_vector_stream_block(self):
-        vs = rng.VectorStream(1, 0, np.arange(8, dtype=np.uint64))
-        blk = vs.block(3)
-        assert blk.shape == (3, 8)
-        vs2 = rng.VectorStream(1, 0, np.arange(8, dtype=np.uint64))
-        u0 = vs2.uniforms()
-        np.testing.assert_array_equal(blk[0], u0)
