@@ -140,13 +140,6 @@ class SymmetrizedEnvironment:
         self.n = env.n
         self.params = env.params
 
-    def weight(self, i, j) -> float:
-        if i == j:
-            return self.env.weight(i, i) / 2.0
-        if j > i:
-            i, j = j, i
-        return self.env.weight(i, j)
-
     def weight_fraction(self, i, j) -> Fraction:
         if i == j:
             return Fraction(self.env.weight(i, i)) / 2
@@ -155,7 +148,7 @@ class SymmetrizedEnvironment:
         return Fraction(self.env.weight(i, j))
 
     def weights(self, i, j) -> np.ndarray:
-        """Vectorized `weight` over index arrays of quadrant sites.
+        """Symmetrized weights over index arrays of quadrant sites.
 
         Halving a normal binary64 value is exact, so Fractions of these
         values equal `weight_fraction`.

@@ -10,7 +10,10 @@ Two independent routes are kept separate on purpose: exhaustive tuple
 enumeration (small instances, exact arithmetic) and the determinant of
 single-path values (Lindstrom-Gessel-Viennot).  The line ensemble stacks
 log-ratios of consecutive layer counts along the staircase
-(N + floor(p/2), N - ceil(p/2) + 1).
+(N + floor(p/2), N - ceil(p/2) + 1).  Its float determinants fall back to
+exact ones when they cancel; exact determinants are fraction-free Bareiss
+elimination over integers, O(k^3) per k x k matrix, so exact mode is not
+limited to small sizes.
 
 Every single-path table here (quadrant values from a start column, and the
 diagonal-avoiding values strictly below the diagonal) is `polymer.sweep`,
@@ -174,26 +177,34 @@ def quadrant_exact_table(senv: SymmetrizedEnvironment, start_col: int,
     return _quadrant_table(senv, start_col, imax, jmax, EXACT)
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def exact_det(matrix: list[list[Fraction]]) -> Fraction:
-    r = len(matrix)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(r)):
-        term = Fraction(_perm_sign(perm))
-        for a in range(r):
-            term *= matrix[a][perm[a]]
-            if term == 0:
-                break
-        total += term
-    return total
+    """Exact determinant by fraction-free Bareiss elimination, O(k^3).
+
+    Each row is scaled to integers by the lcm of its denominators (powers
+    of two for dyadic weights).  Every elimination step then divides
+    exactly by the previous pivot, so entries stay integers; a zero pivot
+    swaps in a later row and flips the sign.
+    """
+    rows, scale = [], 1
+    for row in matrix:
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    k, sign, prev = len(rows), 1, 1
+    for c in range(k):
+        if rows[c][c] == 0:
+            swap = next((r for r in range(c + 1, k) if rows[r][c] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            rows[c], rows[swap] = rows[swap], rows[c]
+            sign = -sign
+        pivot, top = rows[c][c], rows[c]
+        for row in rows[c + 1:]:
+            lead = row[c]
+            for j in range(c + 1, k):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * prev, scale)
 
 
 def log_det_scaled(log_matrix: np.ndarray) -> float:
@@ -345,8 +356,11 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
     order needs an environment one size larger; by default the order is the
     environment size minus one.
 
-    Float mode assembles k x k determinants from per-start quadrant tables;
-    exact mode uses Fractions (small sizes only).
+    Float mode assembles k x k determinants from per-start quadrant tables
+    and redoes a layer in exact arithmetic when its determinant cancels;
+    exact mode uses Fractions throughout.  An exact layer costs the
+    Fraction quadrant tables once per start column plus an O(k^3) integer
+    elimination (`exact_det`) per determinant.
     """
     n = order if order is not None else senv.n - 1
     if n < 1:
@@ -370,7 +384,10 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
                 etables[c] = quadrant_exact_table(senv, c, imax, jmax)
         matrix = [[etables[k - a].get(e, Fraction(0)) for e in ends] for a in range(k)]
         det = exact_det(matrix)
-        return fraction_log(det) if det > 0 else NEG_INF
+        # staircase layers always hold disjoint tuples, so the sum is positive
+        if det <= 0:
+            raise FloatingPointError("non-positive determinant in exact mode")
+        return fraction_log(det)
 
     def layer_log(k: int, m: int, ncol: int) -> float:
         if k == 0:

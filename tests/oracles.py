@@ -1,9 +1,11 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is written from the definitions, not from the library
-internals: partition functions are literal sums over enumerated paths,
-so they share no code with the recurrences under test.
+internals: partition functions are literal sums over enumerated paths and
+determinants are signed sums over permutations, so they share no code with
+the recurrences and the elimination under test.
 """
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,3 +41,16 @@ def brute_partition(env: Environment, i: int, j: int) -> Fraction:
 
 def brute_table(env: Environment) -> dict[tuple[int, int], Fraction]:
     return {(i, j): brute_partition(env, i, j) for i, j in env.sites()}
+
+
+def permutation_det(matrix) -> Fraction:
+    """Leibniz expansion: the signed sum over all k! permutations."""
+    k = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for a in range(k):
+            term *= matrix[a][perm[a]]
+        total += term
+    return total

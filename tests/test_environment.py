@@ -116,15 +116,17 @@ class TestSymmetrize:
     def test_reflection_and_halving(self, params):
         env = generate_environment(params, 5, seed=11)
         senv = symmetrize(env)
-        assert senv.weight(2, 3) == env.weight(3, 2)
-        assert senv.weight(3, 3) == env.weight(3, 3) / 2
+        assert senv.weights(2, 3) == env.weight(3, 2)
+        assert senv.weights(3, 3) == env.weight(3, 3) / 2
+        assert senv.weight_fraction(2, 3) == Fraction(env.weight(3, 2))
         assert senv.weight_fraction(4, 4) == Fraction(env.weight(4, 4)) / 2
 
     def test_fraction_lossless(self, params):
         env = generate_dyadic_environment(params, 4, seed=1)
         senv = symmetrize(env)
-        for i, j in wedge_sites(4):
-            assert float(senv.weight_fraction(i, j)) == senv.weight(i, j)
+        i, j = np.array(list(wedge_sites(4))).T
+        for a, b, w in zip(i, j, senv.weights(i, j)):
+            assert float(senv.weight_fraction(a, b)) == w
 
     def test_vector_gather_matches_scalar_lookup(self, params):
         env = generate_environment(params, 5, seed=12)
@@ -133,7 +135,9 @@ class TestSymmetrize:
         inside = i + j <= 10
         got = senv.weights(i[inside], j[inside])
         for a, b, w in zip(i[inside], j[inside], got):
-            assert w == senv.weight(a, b)
+            lo, hi = min(a, b), max(a, b)
+            assert w == (env.weight(a, a) / 2 if a == b else env.weight(hi, lo))
+            assert w == senv.weights(b, a)
             assert Fraction(w) == senv.weight_fraction(a, b)
 
 

@@ -1,10 +1,12 @@
 """Symmetrized multilayer values, V_q aggregates, and the line ensemble."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hslg_lab import multilayer
 from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment, symmetrize)
 from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
@@ -15,6 +17,8 @@ from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
                                  staircase_site, vq_exact, vq_log,
                                  vq_tilde_exact, vq_tilde_log)
 from hslg_lab.polymer import exact_partition_table, partition_table
+from hslg_lab.special import ModelParams
+from oracles import permutation_det
 
 
 def senv_of(params, n, seed, dyadic=True):
@@ -252,6 +256,24 @@ class TestBatchDiagAvoiding:
             np.testing.assert_allclose(batch[b], want, rtol=0, atol=1e-10)
 
 
+LATTICE_PARAMS = ModelParams(1.0, -0.3)
+
+
+def lattice_senv(order):
+    """Stream 0 of seed 0 at the lattice point, sized for an ensemble of `order`."""
+    return symmetrize(generate_environment(LATTICE_PARAMS, order + 1, seed=0))
+
+
+def staircase_matrices(senv, order, k):
+    """The k x k LGV matrices `line_ensemble` builds along its staircase."""
+    tables = {c: multilayer.quadrant_exact_table(senv, c, 2 * order, order + 1)
+              for c in range(1, k + 1)}
+    for p in range(1, 2 * order - 2 * k + 3):
+        m, ncol = staircase_site(order, p)
+        ends = [(m, ncol - b) for b in range(k)]
+        yield [[tables[k - a].get(e, Fraction(0)) for e in ends] for a in range(k)]
+
+
 class TestExactDet:
     def test_two_by_two(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
@@ -262,3 +284,79 @@ class TestExactDet:
              [Fraction(0), Fraction(0), Fraction(1)],
              [Fraction(1), Fraction(0), Fraction(0)]]
         assert exact_det(m) == Fraction(1)  # even permutation
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_random_matches_leibniz(self, k):
+        rnd = random.Random(k)
+        entries = [0, 1, -3, Fraction(1, 3), Fraction(-1, 7), Fraction(5, 8)]
+        for _ in range(40):
+            m = [[rnd.choice(entries) if rnd.random() < 0.3
+                  else Fraction(rnd.randint(-20, 20), rnd.choice([1, 3, 7, 16, 21]))
+                  for _ in range(k)] for _ in range(k)]
+            det = exact_det(m)
+            assert isinstance(det, Fraction)
+            assert det == permutation_det(m)
+
+    def test_empty_matrix(self):
+        assert exact_det([]) == Fraction(1) == permutation_det([])
+
+    def test_zero_pivot_swaps_rows(self):
+        m = [[Fraction(0), Fraction(2), Fraction(1, 3)],
+             [Fraction(1, 7), Fraction(1), Fraction(0)],
+             [Fraction(-1), Fraction(0), Fraction(5)]]
+        assert exact_det(m) == permutation_det(m) != 0
+        # a zero pivot after the first elimination step
+        m = [[1, 2, 3], [2, 4, 7], [1, 5, 2]]
+        assert exact_det(m) == permutation_det(m) == -3
+
+    def test_singular(self):
+        zero_col = [[Fraction(1, 3), 0, Fraction(2)], [Fraction(-1), 0, Fraction(1, 7)],
+                    [Fraction(4), 0, Fraction(1)]]
+        equal_rows = [[Fraction(1, 3), Fraction(-2), Fraction(1, 7)],
+                      [Fraction(5), Fraction(1), Fraction(0)],
+                      [Fraction(1, 3), Fraction(-2), Fraction(1, 7)]]
+        for m in (zero_col, equal_rows):
+            assert exact_det(m) == permutation_det(m) == 0
+
+    def test_staircase_matrices_match_leibniz(self):
+        senv = lattice_senv(7)
+        mats = list(staircase_matrices(senv, 7, 6))
+        assert len(mats) == 4
+        for m in mats:
+            det = exact_det(m)
+            assert det > 0
+            assert det == permutation_det(m)
+
+
+class TestEnsembleFallback:
+    def test_fallback_curves_bitwise_equal_to_oracle(self, monkeypatch):
+        senv = lattice_senv(7)
+        calls = {"library": 0, "oracle": 0}
+
+        def counted(name, det):
+            def wrapper(matrix):
+                calls[name] += 1
+                return det(matrix)
+            return wrapper
+
+        monkeypatch.setattr(multilayer, "exact_det", counted("library", exact_det))
+        ours = line_ensemble(senv, 6, order=7)
+        monkeypatch.setattr(multilayer, "exact_det", counted("oracle", permutation_det))
+        ref = line_ensemble(senv, 6, order=7)
+        assert calls["library"] > 0
+        assert calls["library"] == calls["oracle"]
+        for a, b in zip(ours.curves, ref.curves, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1)])
+    def test_non_positive_exact_layer_raises(self, monkeypatch, params, bad):
+        def cancelled(log_matrix):
+            raise FloatingPointError("forced fallback")
+
+        senv = senv_of(params, 4, seed=3)
+        monkeypatch.setattr(multilayer, "log_det_scaled", cancelled)
+        monkeypatch.setattr(multilayer, "exact_det", lambda matrix: bad)
+        with pytest.raises(FloatingPointError):
+            line_ensemble(senv, 2)
+        with pytest.raises(FloatingPointError):
+            line_ensemble(senv, 2, mode="exact")
