@@ -9,7 +9,7 @@ Groups and actions:
 
 Exit status: 0 when every check passes, 1 when an assertion or statistical
 check fails, 2 on usage errors (bad flags, bad config file, missing
-required flag).
+required flag, settings an experiment driver refuses).
 
 Every parameter resolves with the same precedence: command-line flag, then
 config-file entry, then the HSLG_LAB_SEED environment variable (seed only),
@@ -33,10 +33,10 @@ import numpy as np
 from .environment import (EnvFormatError, generate_dyadic_environment,
                           generate_environment, read_environment, symmetrize,
                           wedge_count, write_environment)
-from .experiments import (ExperimentConfig, StatReport, run_gaussian_fluct,
-                          run_lln_profile, run_pinning, run_quenched_limit,
-                          run_walk_attractor)
-from .multilayer import line_ensemble, multilayer_brute, multilayer_lgv, single_symmetrized
+from .experiments import (ConfigError, ExperimentConfig, StatReport,
+                          run_gaussian_fluct, run_lln_profile, run_pinning,
+                          run_quenched_limit, run_walk_attractor)
+from .multilayer import line_ensemble, multilayer_brute, multilayer_lgv
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
 from .special import ModelParams
 from .umap import check_sbd_inequality, enumerate_disjoint_pairs, property_violations
@@ -400,7 +400,7 @@ def _verify_identity(o) -> int:
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
         senv = symmetrize(env)
         for (i, j), z in sorted(exact_partition_table(env).items()):
-            zsym = single_symmetrized(senv, i, j, mode="exact")
+            zsym = multilayer_lgv(senv, i, j, 1, mode="exact")
             if 2 * zsym != z:
                 print(f"FAIL: environment {e} (seed={o['seed']}, "
                       f"stream={o['stream'] + e}), site ({i},{j}): "
@@ -491,7 +491,10 @@ def _experiment(o, action: str) -> int:
                                   out=str(out), theorem=action, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report = _DRIVERS[action](config)
+    try:
+        report = _DRIVERS[action](config)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
     emit_csv(report, out)
     for c in report.checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")

@@ -30,14 +30,18 @@ from .multilayer import batch_diag_avoiding_profiles, line_ensemble
 from .polymer import batch_final_profiles, increment_vector, partition_table
 from .rng import LANE_BOOTSTRAP, lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
-from .stats import (RESAMPLES, Interval, bootstrap_ci, chi2_independence, ks_test,
-                    normal_cdf)
+from .stats import (KS_MIN_SAMPLES, RESAMPLES, Interval, bootstrap_ci,
+                    chi2_independence, ks_test, normal_cdf)
 from .walk import increment_cdf, walk_increment_matrix
 
 STREAM_BLOCK = 256          # environments per work item
 CI_STRIDE = 1 << 28         # bootstrap lane namespace per interval
 MAX_BOOTSTRAP_VALUES = CI_STRIDE // RESAMPLES   # an interval uses RESAMPLES lanes per value
 R0_LANE = (1 << 49) - 1     # one reserved lane per stream for boundary draws
+
+
+class ConfigError(ValueError):
+    """A setting a driver refuses before it starts any work."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,14 @@ class ExperimentConfig:
                            tuple(int(n) for n in self.small_sizes))
         if not self.sizes or min(self.sizes) < 1:
             raise ValueError("sizes must be positive")
-        if min(self.samples, self.walk_samples, self.small_samples) < 1:
-            raise ValueError("sample counts must be positive")
+        if min(self.samples, self.walk_samples) < KS_MIN_SAMPLES:
+            raise ValueError(f"samples and walk_samples must be >= {KS_MIN_SAMPLES}, "
+                             "the fewest a KS test takes")
+        if self.small_samples < 2:
+            raise ValueError("small_samples must be >= 2, the fewest a bootstrap "
+                             "interval takes")
+        if not self.small_sizes:
+            raise ValueError("small_sizes must not be empty")
         if max(self.samples, self.small_samples) > MAX_BOOTSTRAP_VALUES:
             raise ValueError(f"samples and small_samples must be <= {MAX_BOOTSTRAP_VALUES}, "
                              "or bootstrap intervals would share lanes")
@@ -453,6 +463,11 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
     t0 = time.perf_counter()
     rep = StatReport("lln_profile", config.echo(),
                      ("N", "statistic", "median", "ci_lo", "ci_hi"))
+    k = k_star(config.params)
+    for order in config.small_sizes:
+        if order < 2 * k + 1:
+            raise ConfigError(f"small size {order} is below 2k*+1 = {2 * k + 1}, "
+                              "too small for the top-curve average")
     lanes = _LaneAlloc()
     c = constants(config.params)
     rate = c.free_energy_rate
@@ -488,14 +503,11 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
                                  gaps, gap_cis))
 
     # sup over positions of the averaged top curves, small orders only
-    k = k_star(config.params)
     dk = delta_k(config.params, k)
     rep.checks.append(Check("delta_k_positive_at_k_star", dk > 0.0,
                             f"k*={k} delta={dk:.4f}"))
     margins, margin_cis = [], []
     for order in config.small_sizes:
-        if order < 2 * k + 1:
-            raise ValueError("small size too small for the top-curve average")
         vals = np.empty(config.small_samples)
         for i in range(config.small_samples):
             env = generate_environment(config.params, order + 1, "standard",

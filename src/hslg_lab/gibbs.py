@@ -1,4 +1,4 @@
-"""Gibbs measures on diamond-lattice domains and the two-row interacting walk.
+"""Gibbs measures on diamond-lattice domains of the half-space line ensemble.
 
 The diamond lattice of order n has rows i = 1..n with 2n - 2i + 2 positions
 each.  Directed colored edges are placed by parity: an odd position j sends
@@ -15,17 +15,13 @@ black edges.  The unnormalized log-density of a value assignment over a
 region is the sum over edges meeting the region.
 
 Single-site conditionals all have the log-concave form
-a*u - b*exp(u) - c*exp(-u), so the samplers run slice sampling (stepping-out
+a*u - b*exp(u) - c*exp(-u), so the sampler runs slice sampling (stepping-out
 width 2, unlimited shrink) over a two-color checkerboard: every edge joins an
 odd position to an even one, hence sites of equal position parity never
 interact and update in one vectorized batch.
 
-The interacting walk is a two-row chain (top row pinned to a at position
-2T - 1, bottom row pinned to b at position 2T) with log-gamma increment
-factors of alternating shape and a repulsion term exp(-exp(bottom - top)) at
-each even bottom position against its two odd top neighbours.  Its sampler
-mixes prefix-shift Metropolis moves into the sweeps because single-site
-updates alone relax the walk's long diffusive modes too slowly.
+The curve-ordering check counts how often sampled line ensembles break the
+four slack ordering inequalities between neighbouring curves.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .multilayer import LineEnsemble
-from .rng import LANE_CHAIN, lane_keys, log_gamma_draws, uniforms
+from .rng import LANE_CHAIN, lane_keys, uniforms
 from .special import ModelParams
 
 Site = tuple[int, int]
@@ -390,7 +386,7 @@ def _site_system(params: ModelParams, domain: DiamondDomain,
 def mcmc_sample_gibbs(params: ModelParams, domain: DiamondDomain,
                       boundary: Mapping[Site, float], *, samples: int = 200,
                       chains: int = 2, burn_in: int = 1000, thin: int = 10,
-                      seed: int = 0, stream: int = 0, init=None,
+                      seed: int = 0, stream: int = 0,
                       ess_floor: float = 50.0) -> GibbsSample:
     """Slice-sampling sweeps over the domain, checkerboard order.
 
@@ -407,7 +403,7 @@ def mcmc_sample_gibbs(params: ModelParams, domain: DiamondDomain,
     finite = bvals[np.isfinite(bvals)]
     start = float(finite.mean()) if finite.size else 0.0
     vals = np.empty((chains, ni + bvals.size + 2))
-    vals[:, :ni] = start if init is None else np.asarray(init, dtype=float)
+    vals[:, :ni] = start
     vals[:, ni:ni + bvals.size] = bvals
     vals[:, ni + bvals.size] = math.inf    # pad slot for the exp(u) side
     vals[:, ni + bvals.size + 1] = -math.inf
@@ -437,240 +433,6 @@ def mcmc_sample_gibbs(params: ModelParams, domain: DiamondDomain,
             f"effective sample size {ess.min():.1f} at site {worst} "
             f"below floor {ess_floor}", RuntimeWarning, stacklevel=2)
     return GibbsSample(domain, sites, out, ess)
-
-
-# ---------------------------------------------------------------------------
-# interacting random walk
-
-
-@dataclass(frozen=True)
-class IRWSample:
-    """Thinned draws of the two-row walk.
-
-    `L1[s, c, j-1]` is the top row at position j = 1..2T-2 and
-    `L2[s, c, j-1]` the bottom row at j = 1..2T-1; the pinned values a (top,
-    position 2T-1) and b (bottom, position 2T) are not stored.  `ess` holds
-    effective sample sizes of four monitored coordinates (each row's first
-    and middle position).
-    """
-
-    T: int
-    a: float
-    b: float
-    L1: np.ndarray
-    L2: np.ndarray
-    interacting: bool
-    ess: np.ndarray
-
-    @property
-    def top(self) -> np.ndarray:
-        """Top row including the pinned endpoint, positions 1..2T-1."""
-        pin = np.full(self.L1.shape[:-1] + (1,), self.a)
-        return np.concatenate([self.L1, pin], axis=-1)
-
-    @property
-    def bottom(self) -> np.ndarray:
-        """Bottom row including the pinned endpoint, positions 1..2T."""
-        pin = np.full(self.L2.shape[:-1] + (1,), self.b)
-        return np.concatenate([self.L2, pin], axis=-1)
-
-
-def irw_log_density(params: ModelParams, T: int, a: float, b: float,
-                    u1, u2, interacting: bool = True):
-    """Log-density of the two-row walk, up to the pinning normalization.
-
-    `u1` has the free top positions 1..2T-2 on its last axis, `u2` the free
-    bottom positions 1..2T-1; leading axes broadcast.  Increment factors
-    include their log-gamma normalizers; the constant factor tied to the
-    dummy position 2T of the top row is dropped.
-    """
-    th, al = params.theta, params.alpha
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if u1.shape[-1] != 2 * T - 2 or u2.shape[-1] != 2 * T - 1:
-        raise ValueError("row lengths must be 2T-2 and 2T-1")
-    ue1 = np.concatenate([u1, np.full(u1.shape[:-1] + (1,), a)], axis=-1)
-    ue2 = np.concatenate([u2, np.full(u2.shape[:-1] + (1,), b)], axis=-1)
-
-    j1 = np.arange(1, 2 * T - 1)
-    sign1 = np.where(j1 % 2 == 1, 1.0, -1.0)
-    shape1 = np.where(j1 % 2 == 1, th + al, th - al)
-    x1 = sign1 * (ue1[..., :-1] - ue1[..., 1:])
-    j2 = np.arange(1, 2 * T)
-    sign2 = np.where(j2 % 2 == 1, 1.0, -1.0)
-    shape2 = np.where(j2 % 2 == 1, th - al, th + al)
-    x2 = sign2 * (ue2[..., :-1] - ue2[..., 1:])
-
-    with np.errstate(over="ignore"):
-        total = (shape1 * x1 - np.exp(np.minimum(x1, _EXP_CAP))).sum(axis=-1)
-        total = total + (shape2 * x2 - np.exp(np.minimum(x2, _EXP_CAP))).sum(axis=-1)
-        if interacting:
-            mid = np.arange(1, T)           # bottom position 2m, m = 1..T-1
-            gap_l = ue2[..., 2 * mid - 1] - ue1[..., 2 * mid - 2]
-            gap_r = ue2[..., 2 * mid - 1] - ue1[..., 2 * mid]
-            total = total - np.exp(np.minimum(gap_l, _EXP_CAP)).sum(axis=-1)
-            total = total - np.exp(np.minimum(gap_r, _EXP_CAP)).sum(axis=-1)
-    total = total - (math.lgamma(th + al) + math.lgamma(th - al)) * (2 * T - 2)
-    # row 2 has one more odd factor than even: one extra lgamma(th - al)
-    total = total - math.lgamma(th - al)
-    return total
-
-
-def _free_irw(params: ModelParams, T: int, a: float, b: float, count: int,
-              seed: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact draws of the non-interacting walk pair, one lane per increment."""
-    th, al = params.theta, params.alpha
-    m1, m2 = 2 * T - 2, 2 * T - 1
-    lanes = LANE_CHAIN + np.arange(count * (m1 + m2), dtype=np.uint64)
-    keys = lane_keys(seed, stream, lanes).reshape(count, m1 + m2)
-
-    j1 = np.arange(1, m1 + 1)
-    shape1 = np.where(j1 % 2 == 1, th + al, th - al)
-    sign1 = np.where(j1 % 2 == 1, 1.0, -1.0)
-    j2 = np.arange(1, m2 + 1)
-    shape2 = np.where(j2 % 2 == 1, th - al, th + al)
-    sign2 = np.where(j2 % 2 == 1, 1.0, -1.0)
-
-    d1 = sign1 * log_gamma_draws(np.broadcast_to(shape1, (count, m1)),
-                                 keys[:, :m1])
-    d2 = sign2 * log_gamma_draws(np.broadcast_to(shape2, (count, m2)),
-                                 keys[:, m1:])
-    u1 = a + np.cumsum(d1[:, ::-1], axis=1)[:, ::-1]
-    u2 = b + np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
-    return u1, u2
-
-
-def _irw_sweep(params: ModelParams, T: int, a: float, b: float,
-               u1: np.ndarray, u2: np.ndarray, field: _UniformField) -> None:
-    """One checkerboard sweep of single-site slice updates, in place."""
-    th, al = params.theta, params.alpha
-    chains, m1 = u1.shape
-    m2 = u2.shape[1]
-
-    def stats(parity):
-        ue1 = np.concatenate([u1, np.full((chains, 1), a)], axis=1)
-        ue2 = np.concatenate([u2, np.full((chains, 1), b)], axis=1)
-        if parity == 1:
-            e1 = np.arange(0, m1, 2)        # top positions 1, 3, ..
-            has_left = e1 >= 2
-            a1 = (th + al) + (th - al) * has_left
-            b1 = np.exp(-ue1[:, e1 + 1]) + np.where(
-                has_left, np.exp(-ue1[:, np.maximum(e1 - 1, 0)]), 0.0)
-            c1 = np.exp(ue2[:, e1 + 1]) + np.where(
-                has_left, np.exp(ue2[:, np.maximum(e1 - 1, 0)]), 0.0)
-            e2 = np.arange(0, m2, 2)        # bottom positions 1, 3, ..
-            has_left = e2 >= 2
-            a2 = (th - al) + (th + al) * has_left
-            b2 = np.exp(-ue2[:, e2 + 1]) + np.where(
-                has_left, np.exp(-ue2[:, np.maximum(e2 - 1, 0)]), 0.0)
-            c2 = np.zeros_like(b2)
-        else:
-            e1 = np.arange(1, m1, 2)        # top positions 2, 4, ..
-            a1 = np.full(e1.size, -2.0 * th)
-            b1 = np.zeros((chains, e1.size))
-            c1 = np.exp(ue1[:, e1 - 1]) + np.exp(ue1[:, e1 + 1])
-            e2 = np.arange(1, m2 - 1, 2)    # bottom positions 2, 4, .., 2T-2
-            a2 = np.full(e2.size, -2.0 * th)
-            b2 = np.exp(-ue1[:, e2 - 1]) + np.exp(-ue1[:, e2 + 1])
-            c2 = np.exp(ue2[:, e2 - 1]) + np.exp(ue2[:, e2 + 1])
-        av = np.concatenate([np.broadcast_to(a1, (1, e1.size)).ravel(),
-                             np.broadcast_to(a2, (1, e2.size)).ravel()])
-        bv = np.concatenate([b1, b2], axis=1)
-        cv = np.concatenate([c1, c2], axis=1)
-        return e1, e2, av, bv, cv
-
-    for parity in (1, 0):
-        with np.errstate(over="ignore"):
-            e1, e2, av, bv, cv = stats(parity)
-        split = e1.size
-        cols = np.concatenate([e1, m1 + e2])
-        cur = np.concatenate([u1[:, e1], u2[:, e2]], axis=1)
-        new = _slice_update(av, bv, cv, cur, lambda: field.draw(cols))
-        u1[:, e1] = new[:, :split]
-        u2[:, e2] = new[:, split:]
-
-
-def _irw_prefix_move(params: ModelParams, T: int, a: float, b: float,
-                     u1: np.ndarray, u2: np.ndarray, field: _UniformField,
-                     scale: float) -> None:
-    """Metropolis shift of both rows' prefixes by one normal step, in place."""
-    chains, m1 = u1.shape
-    m2 = u2.shape[1]
-    u = field.draw(np.arange(4))
-    j0 = 1 + np.floor(u[:, 0] * (m2 - 1)).astype(np.int64)  # in [1, 2T-2]
-    delta = scale * np.sqrt(-2.0 * np.log(u[:, 1])) * np.cos(2.0 * math.pi * u[:, 2])
-    mask1 = np.arange(m1)[None, :] < j0[:, None]
-    mask2 = np.arange(m2)[None, :] < j0[:, None]
-    prop1 = u1 + delta[:, None] * mask1
-    prop2 = u2 + delta[:, None] * mask2
-    before = irw_log_density(params, T, a, b, u1, u2)
-    after = irw_log_density(params, T, a, b, prop1, prop2)
-    accept = np.log(u[:, 3]) < after - before
-    u1[accept] = prop1[accept]
-    u2[accept] = prop2[accept]
-
-
-def sample_irw(params: ModelParams, T: int, a: float, b: float, *,
-               samples: int = 200, chains: int = 2, burn_in: int = 1000,
-               thin: int = 10, seed: int = 0, stream: int = 0,
-               interacting: bool = True, prefix_moves: int = 4,
-               ess_floor: float = 50.0) -> IRWSample:
-    """Draws of the two-row walk with pinned boundary (a, b).
-
-    Interacting mode runs slice-sampling sweeps with `prefix_moves`
-    prefix-shift Metropolis proposals per sweep; the non-interacting
-    diagnostic mode samples the two pinned log-gamma walks exactly, so
-    burn-in and thinning do not apply there.
-    """
-    if T < 2:
-        raise ValueError("walk length T must be >= 2")
-    if samples < 1 or chains < 1 or burn_in < 0 or thin < 1:
-        raise ValueError("invalid sampling schedule")
-    m1, m2 = 2 * T - 2, 2 * T - 1
-
-    if not interacting:
-        u1, u2 = _free_irw(params, T, a, b, samples * chains, seed, stream)
-        L1 = u1.reshape(samples, chains, m1)
-        L2 = u2.reshape(samples, chains, m2)
-        ess = np.full(4, float(samples * chains))
-        return IRWSample(T, float(a), float(b), L1, L2, False, ess)
-
-    # flat start at the pins: the interacting walk equilibrates near-flat, and
-    # a far-from-flat start can open astronomically wide first slices on the
-    # linear tail side of a conditional
-    u1 = np.full((chains, m1), float(a))
-    u2 = np.full((chains, m2), min(float(a), float(b)) - 0.5)
-    field = _UniformField(seed, stream, chains, m1 + m2)
-    # alternate O(1)-scale and diffusive-scale prefix shifts
-    scales = [1.0, max(1.0, 0.5 * math.sqrt(T))]
-
-    move = 0
-
-    def advance():
-        nonlocal move
-        _irw_sweep(params, T, a, b, u1, u2, field)
-        for _ in range(prefix_moves):
-            _irw_prefix_move(params, T, a, b, u1, u2, field,
-                             scales[move % len(scales)])
-            move += 1
-
-    for _ in range(burn_in):
-        advance()
-    L1 = np.empty((samples, chains, m1))
-    L2 = np.empty((samples, chains, m2))
-    for s in range(samples):
-        for _ in range(thin):
-            advance()
-        L1[s] = u1
-        L2[s] = u2
-
-    monitored = [L1[:, :, 0], L1[:, :, m1 // 2], L2[:, :, 0], L2[:, :, m2 // 2]]
-    ess = np.array([effective_sample_size(tr) for tr in monitored])
-    if ess.min() < ess_floor:
-        warnings.warn(
-            f"effective sample size {ess.min():.1f} below floor {ess_floor}",
-            RuntimeWarning, stacklevel=2)
-    return IRWSample(T, float(a), float(b), L1, L2, True, ess)
 
 
 # ---------------------------------------------------------------------------

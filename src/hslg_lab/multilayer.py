@@ -250,10 +250,6 @@ def multilayer_lgv(senv: SymmetrizedEnvironment, m: int, n: int, r: int,
     return log_det_scaled(logm)
 
 
-def single_symmetrized(senv: SymmetrizedEnvironment, m: int, n: int, mode: str = "float"):
-    return multilayer_lgv(senv, m, n, 1, mode=mode)
-
-
 def _diag_avoiding_table(senv, imax, jmax, ring):
     """Diagonal-avoiding values on the strict lower triangle i > j.
 
@@ -304,23 +300,6 @@ def vq_tilde_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:
     for j in range(1, (q - 1) // 2 + 1):
         total += table.get((q - j, j), Fraction(0))
     return total
-
-
-def vq_log(senv: SymmetrizedEnvironment, q: int) -> float:
-    """log V_q (float route)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    table = quadrant_log_table(senv, 1, q - 1, q // 2)
-    vals = [table[q - j, j] for j in range(1, q // 2 + 1)]
-    return float(np.logaddexp.reduce(vals))
-
-
-def vq_tilde_log(senv: SymmetrizedEnvironment, q: int) -> float:
-    if q < 3:
-        raise ValueError("q must be >= 3")
-    table = diag_avoiding_log_table(senv, q - 1, (q - 1) // 2)
-    vals = [table[q - j, j] for j in range(1, (q - 1) // 2 + 1)]
-    return float(np.logaddexp.reduce(vals))
 
 
 @dataclass

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EULER_GAMMA = 0.5772156649015328606
-
 # Shift threshold for the asymptotic series.  At x >= 10 the truncation
 # error of the tails below is ~1e-15, comfortably inside the 1e-12 target.
 _SHIFT = 10.0

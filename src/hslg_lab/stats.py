@@ -17,6 +17,7 @@ from scipy.special import erfc, gammaincc
 from .rng import LANE_BOOTSTRAP, lane_keys, uniforms
 
 RESAMPLES = 1000            # bootstrap resamples per interval
+KS_MIN_SAMPLES = 8          # fewest values a KS sample may hold
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,6 @@ class TestResult:
 class Interval:
     lo: float
     hi: float
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
 
 def kolmogorov_sf(t: float) -> float:
@@ -60,8 +58,8 @@ def ks_test(samples, reference) -> TestResult:
     """KS of `samples` against a CDF callable or a second sample."""
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
-    if n < 8:
-        raise ValueError("KS needs at least 8 samples")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples")
     if callable(reference):
         f = np.asarray(reference(x), dtype=float)
         d_plus = np.max(np.arange(1, n + 1) / n - f)
@@ -71,8 +69,8 @@ def ks_test(samples, reference) -> TestResult:
     else:
         y = np.sort(np.asarray(reference, dtype=float).ravel())
         m = y.size
-        if m < 8:
-            raise ValueError("KS needs at least 8 samples")
+        if m < KS_MIN_SAMPLES:
+            raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples")
         pooled = np.concatenate([x, y])
         f1 = np.searchsorted(x, pooled, side="right") / n
         f2 = np.searchsorted(y, pooled, side="right") / m

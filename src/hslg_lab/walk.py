@@ -10,12 +10,10 @@ k consumes the two lanes LANE_CHAIN + 2k and LANE_CHAIN + 2k + 1, so a walk
 can be extended deterministically (bit for bit) and batches reproduce
 regardless of threading.
 
-The increment CDF is the closed form I_{sigma(x)}(theta - alpha, theta + alpha),
-sigma the logistic function, since e^X is a ratio of independent Gammas.
-The increment density is still evaluated by adaptive quadrature of the
-Gamma-type integral obtained from the convolution by substituting t = e^y
-(integrated here in the log variable w = log t, windowed around the
-integrand's peak); its elementary closed form is reserved for tests.
+Since e^X is a ratio of independent Gammas, sigma(X) (sigma the logistic
+function) is Beta(theta - alpha, theta + alpha).  The increment density and
+CDF are therefore closed forms: the Beta density carried over to x, and
+I_{sigma(x)}(theta - alpha, theta + alpha).
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, expit
+from scipy.special import betainc, betaln, expit
 
 from .rng import LANE_CHAIN, lane_keys, log_gamma_draws
 from .special import ModelParams, constants
@@ -106,37 +103,19 @@ def extend_walk(walk: WalkSample, n: int) -> WalkSample:
 # increment law
 
 
-def _density_scalar(theta: float, alpha: float, x: float) -> float:
-    two_t = 2.0 * theta
-    big = np.logaddexp(0.0, x)                 # log(1 + e^x)
-    wstar = math.log(two_t) - big              # peak of the integrand
-    shift = two_t * wstar - two_t              # integrand value at the peak
-    left = max(60.0, 80.0 / two_t)             # slow e^{2 theta w} left tail
-
-    def integrand(w):
-        expo = two_t * w - math.exp(min(w + big, 700.0)) - shift
-        return math.exp(min(expo, 700.0))
-
-    res = quad(integrand, wstar - left, wstar + 60.0, epsabs=0.0,
-               epsrel=1e-10, limit=200, full_output=1)
-    if len(res) > 3:
-        raise RuntimeError(f"density quadrature failed at x={x}: {res[3]}")
-    val = res[0]
-    if val <= 0.0:
-        return 0.0
-    logp = ((theta - alpha) * x - math.lgamma(theta + alpha)
-            - math.lgamma(theta - alpha) + shift + math.log(val))
-    return math.exp(logp)
-
-
 def increment_density(params: ModelParams, x):
-    """Density of one walk increment at x, by quadrature; scalar or array."""
-    th, al = params.theta, params.alpha
-    arr = np.asarray(x, dtype=float)
-    out = np.array([_density_scalar(th, al, float(v)) for v in arr.ravel()])
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    """Density of one walk increment, in log space; scalar or array.
+
+    p(x) = e^{(theta-alpha) x} (1 + e^x)^{-2 theta} / B(theta-alpha, theta+alpha)
+    """
+    a, b = params.theta - params.alpha, params.theta + params.alpha
+    v = np.asarray(x, dtype=float)
+    logp = a * v - (a + b) * np.logaddexp(0.0, v) - betaln(a, b)
+    with np.errstate(under="ignore"):
+        out = np.exp(logp)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
 @lru_cache(maxsize=8)

@@ -1,13 +1,19 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is written from the definitions, not from the library
-internals: partition functions are literal sums over enumerated paths and
-determinants are signed sums over permutations, so they share no code with
-the recurrences and the elimination under test.
+internals: partition functions are literal sums over enumerated paths,
+determinants are signed sums over permutations, and the walk increment
+density is the convolution integral of its two log-gamma terms, so they
+share no code with the recurrences, the elimination and the closed form
+under test.
 """
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+from scipy.integrate import quad
 
 from hslg_lab.environment import Environment
 
@@ -54,3 +60,32 @@ def permutation_det(matrix) -> Fraction:
             term *= matrix[a][perm[a]]
         total += term
     return total
+
+
+def quadrature_density(theta: float, alpha: float, x: float) -> float:
+    """Increment density at x by adaptive quadrature of the convolution.
+
+    X = log Y2 - log Y1 gives a Gamma-type integral once t = e^y is
+    substituted; it is integrated in the log variable w = log t, windowed
+    around the integrand's peak.
+    """
+    two_t = 2.0 * theta
+    big = np.logaddexp(0.0, x)                 # log(1 + e^x)
+    wstar = math.log(two_t) - big              # peak of the integrand
+    shift = two_t * wstar - two_t              # integrand value at the peak
+    left = max(60.0, 80.0 / two_t)             # slow e^{2 theta w} left tail
+
+    def integrand(w):
+        expo = two_t * w - math.exp(min(w + big, 700.0)) - shift
+        return math.exp(min(expo, 700.0))
+
+    res = quad(integrand, wstar - left, wstar + 60.0, epsabs=0.0,
+               epsrel=1e-10, limit=200, full_output=1)
+    if len(res) > 3:
+        raise RuntimeError(f"density quadrature failed at x={x}: {res[3]}")
+    val = res[0]
+    if val <= 0.0:
+        return 0.0
+    logp = ((theta - alpha) * x - math.lgamma(theta + alpha)
+            - math.lgamma(theta - alpha) + shift + math.log(val))
+    return math.exp(logp)

@@ -1,10 +1,10 @@
 """Exit statuses of the command-line front end for inputs it must refuse."""
 import pytest
 
-from hslg_lab import cli
+from hslg_lab import cli, experiments
 from hslg_lab.experiments import CI_STRIDE, ExperimentConfig
 from hslg_lab.special import ModelParams
-from hslg_lab.stats import RESAMPLES
+from hslg_lab.stats import KS_MIN_SAMPLES, RESAMPLES
 
 
 class TestPathCodeWidth:
@@ -37,4 +37,38 @@ class TestBootstrapLanes:
                 str(self.LIMIT + 1), "--out", str(out)]
         assert cli.main(argv) == 2
         assert "268435" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRefusedBeforeWork:
+    @pytest.mark.parametrize("field, low, ok", [
+        ("samples", KS_MIN_SAMPLES - 1, KS_MIN_SAMPLES),
+        ("walk_samples", KS_MIN_SAMPLES - 1, KS_MIN_SAMPLES),
+        ("small_samples", 1, 2),
+        ("small_sizes", (), (5,)),
+    ])
+    def test_config_lower_limits(self, field, low, ok):
+        params = ModelParams(1.0, -0.5)
+        kwargs = {"samples": 10, field: ok}
+        ExperimentConfig(params, (5,), **kwargs)
+        kwargs[field] = low
+        with pytest.raises(ValueError):
+            ExperimentConfig(params, (5,), **kwargs)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lln", "--small-sizes", ""], "small_sizes"),
+        (["lln", "--small-sizes", "2"], "small size 2"),
+        (["walk", "--samples", "5"], "samples and walk_samples"),
+        (["pinning", "--samples", "1"], "samples and walk_samples"),
+    ])
+    def test_cli_exit_status(self, argv, message, tmp_path, capsys,
+                             monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a profile was built before the refusal")
+
+        monkeypatch.setattr(experiments, "_profiles", no_work)
+        out = tmp_path / "refused.csv"
+        argv = ["experiment"] + argv + ["--sizes", "5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()

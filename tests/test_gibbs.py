@@ -1,5 +1,5 @@
-"""Diamond-lattice Gibbs densities, the slice sampler, and the
-two-row interacting walk."""
+"""Diamond-lattice Gibbs densities, the slice sampler, and the curve-ordering
+check."""
 import math
 
 import numpy as np
@@ -9,9 +9,8 @@ import scipy.stats
 from hslg_lab.gibbs import (BLACK, BLUE, RED, ColoredEdge, DiamondDomain,
                             colored_edges, diamond_domain, edge_shape,
                             effective_sample_size, gibbs_log_density,
-                            gibbs_region, irw_log_density, lattice_sites,
-                            mcmc_sample_gibbs, ordering_check, row_length,
-                            sample_irw)
+                            gibbs_region, lattice_sites, mcmc_sample_gibbs,
+                            ordering_check, row_length)
 from hslg_lab.environment import generate_environment, symmetrize
 from hslg_lab.multilayer import line_ensemble
 
@@ -122,39 +121,6 @@ class TestLogDensity:
         with pytest.raises(KeyError):
             gibbs_log_density(params, dom, {(1, 1): 0.0}, {})
 
-    def test_two_row_window_matches_walk_density(self, params):
-        # local two-row window for T=2: top row (2,1),(2,2) free with the
-        # pin at (2,3), bottom row (3,1),(3,2),(3,3) free with the pin at
-        # (3,4); edges transcribed from the placement rules
-        T = 2
-        a, b = 0.35, -0.6
-        edges = (
-            ColoredEdge((2, 1), (2, 2), RED),
-            ColoredEdge((2, 3), (2, 2), BLUE),
-            ColoredEdge((3, 1), (3, 2), BLUE),
-            ColoredEdge((3, 3), (3, 2), RED),
-            ColoredEdge((3, 3), (3, 4), BLUE),
-            ColoredEdge((3, 2), (2, 1), BLACK),
-            ColoredEdge((3, 2), (2, 3), BLACK),
-        )
-        dom = DiamondDomain(4, ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3)),
-                            ((2, 3), (3, 4)), edges)
-        # the walk density carries the increment normalizers; the edge
-        # weights are unnormalized
-        offset = (2 * T - 2) * math.lgamma(params.theta + params.alpha) \
-            + (2 * T - 1) * math.lgamma(params.theta - params.alpha)
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            u1 = rng.normal(size=2)
-            u2 = rng.normal(size=3)
-            lhs = gibbs_log_density(
-                params, dom,
-                {(2, 1): u1[0], (2, 2): u1[1],
-                 (3, 1): u2[0], (3, 2): u2[1], (3, 3): u2[2]},
-                {(2, 3): a, (3, 4): b})
-            rhs = irw_log_density(params, T, a, b, u1, u2) + offset
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
 
 class TestSliceSampler:
     def test_single_edge_conditional_is_exact_law(self, params):
@@ -264,63 +230,6 @@ class TestDetailedBalance:
             dens /= dens.sum()
             l1 = np.abs(hist - dens).sum()
         assert l1 <= 0.02
-
-
-def _loggamma_cdf(shape):
-    return scipy.stats.loggamma(shape).cdf
-
-
-class TestIrw:
-    def test_free_mode_increment_laws(self, params):
-        T = 3
-        out = sample_irw(params, T, 0.0, -1.0, samples=12500, chains=8,
-                         interacting=False, seed=9)
-        th, al = params.theta, params.alpha
-        top = out.top.reshape(-1, 2 * T - 1)
-        bottom = out.bottom.reshape(-1, 2 * T)
-        for j in range(1, 2 * T - 1):
-            x = (top[:, j - 1] - top[:, j]) * (1 if j % 2 == 1 else -1)
-            shape = th + al if j % 2 == 1 else th - al
-            res = scipy.stats.kstest(x, _loggamma_cdf(shape))
-            assert res.pvalue > 1e-3, f"top increment {j}"
-        for j in range(1, 2 * T):
-            x = (bottom[:, j - 1] - bottom[:, j]) * (1 if j % 2 == 1 else -1)
-            shape = th - al if j % 2 == 1 else th + al
-            res = scipy.stats.kstest(x, _loggamma_cdf(shape))
-            assert res.pvalue > 1e-3, f"bottom increment {j}"
-
-    def test_free_mode_pins(self, params):
-        out = sample_irw(params, 4, 0.25, -2.0, samples=10, chains=2,
-                         interacting=False)
-        assert np.all(out.top[..., -1] == 0.25)
-        assert np.all(out.bottom[..., -1] == -2.0)
-
-    def test_interaction_terms_only_lower_density(self, params):
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            u1 = rng.normal(size=6)
-            u2 = rng.normal(size=7)
-            on = irw_log_density(params, 4, 0.0, -2.0, u1, u2)
-            off = irw_log_density(params, 4, 0.0, -2.0, u1, u2,
-                                  interacting=False)
-            assert on < off
-
-    def test_density_shape_errors(self, params):
-        with pytest.raises(ValueError):
-            irw_log_density(params, 3, 0.0, 0.0, np.zeros(3), np.zeros(5))
-
-    def test_interacting_sampler_runs_and_separates(self, params):
-        out = sample_irw(params, 4, 0.0, -2.0, samples=60, chains=2,
-                         burn_in=300, thin=4, seed=12, ess_floor=1.0)
-        assert out.L1.shape == (60, 2, 6)
-        assert out.L2.shape == (60, 2, 7)
-        # repulsion keeps the bottom row typically below the top row
-        gap = out.top[..., 2:7:2] - out.bottom[..., 1:6:2]
-        assert np.mean(gap > 0) > 0.8
-
-    def test_t_guard(self, params):
-        with pytest.raises(ValueError):
-            sample_irw(params, 1, 0.0, 0.0)
 
 
 class TestEss:

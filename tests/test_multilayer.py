@@ -13,9 +13,8 @@ from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
                                  diag_avoiding_exact, diag_avoiding_log_table,
                                  enumerate_quadrant_paths, exact_det,
                                  fraction_log, line_ensemble, multilayer_brute,
-                                 multilayer_lgv, single_symmetrized,
-                                 staircase_site, vq_exact, vq_log,
-                                 vq_tilde_exact, vq_tilde_log)
+                                 multilayer_lgv, staircase_site, vq_exact,
+                                 vq_tilde_exact)
 from hslg_lab.polymer import exact_partition_table, partition_table
 from hslg_lab.special import ModelParams
 from oracles import permutation_det
@@ -85,7 +84,7 @@ class TestLgv:
             table = exact_partition_table(env)
             senv = symmetrize(env)
             for (i, j), z in table.items():
-                assert 2 * single_symmetrized(senv, i, j, "exact") == z
+                assert 2 * multilayer_lgv(senv, i, j, 1, "exact") == z
 
 
 class TestDiagAvoiding:
@@ -122,7 +121,7 @@ class TestDiagAvoiding:
                         prod *= senv.weight_fraction(*site)
                     brute += prod
                 assert diag_avoiding_exact(senv, m, n) == brute
-                assert brute <= single_symmetrized(senv, m, n, "exact")
+                assert brute <= multilayer_lgv(senv, m, n, 1, "exact")
 
     def test_diagonal_endpoint_rejected(self, params):
         senv = senv_of(params, 3, seed=9)
@@ -147,7 +146,7 @@ class TestVq:
     def test_vq_sums_symmetrized_line(self, params):
         senv = senv_of(params, 4, seed=12)
         for q in range(2, 9):
-            expected = sum((single_symmetrized(senv, q - j, j, "exact")
+            expected = sum((multilayer_lgv(senv, q - j, j, 1, "exact")
                             for j in range(1, q // 2 + 1)), Fraction(0))
             assert vq_exact(senv, q) == expected
 
@@ -179,14 +178,6 @@ class TestVq:
             want[q] = total
         for q in list(range(8, 2, -1)) + list(range(3, 9)):
             assert vq_tilde_exact(senv, q) == want[q]
-
-    def test_float_routes(self, params):
-        senv = senv_of(params, 4, seed=15, dyadic=False)
-        for q in range(3, 9):
-            assert vq_log(senv, q) == pytest.approx(
-                fraction_log(vq_exact(senv, q)), abs=1e-10)
-            assert vq_tilde_log(senv, q) == pytest.approx(
-                fraction_log(vq_tilde_exact(senv, q)), abs=1e-10)
 
     def test_domain_errors(self, params):
         senv = senv_of(params, 3, seed=16)

@@ -7,10 +7,10 @@ The increment X = log Y2 - log Y1 has the classical closed form
 
 and CDF I_{sigma(x)}(theta-alpha, theta+alpha) with sigma the logistic
 function, because e^X is a ratio of independent Gammas.  The library
-evaluates the density by quadrature and the CDF by the betainc closed form,
-so each is checked against the other route: the elementary density is the
-oracle for the library density, and quadrature of that density is the
-oracle for the library CDF.
+evaluates both closed forms, so the oracles integrate instead: the density
+is checked against `oracles.quadrature_density`, quadrature of the
+convolution integral, and the CDF against quadrature of the library
+density, which that check ties to the convolution.
 """
 import math
 
@@ -19,7 +19,8 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from hslg_lab.special import ModelParams, constants
+import oracles
+from hslg_lab.special import constants
 from hslg_lab.walk import (DoubleLimitTable, drift_risk, double_limit_check,
                            extend_walk, increment_cdf, increment_density,
                            limiting_endpoint_pmf, maximal_inequality_check,
@@ -27,22 +28,19 @@ from hslg_lab.walk import (DoubleLimitTable, drift_risk, double_limit_check,
                            walk_increments)
 
 
-def closed_form_density(params, x):
-    th, al = params.theta, params.alpha
+def quadrature_density(params, x):
     x = np.asarray(x, dtype=float)
-    logp = (math.lgamma(2 * th) - math.lgamma(th + al) - math.lgamma(th - al)
-            + (th - al) * x - 2 * th * np.logaddexp(0.0, x))
-    with np.errstate(under="ignore"):
-        return np.exp(logp)
+    out = [oracles.quadrature_density(params.theta, params.alpha, float(v))
+           for v in x.ravel()]
+    return np.array(out).reshape(x.shape)
 
 
 def integrated_cdf(params, x):
-    """CDF by quadrature of `closed_form_density`, independent of betainc."""
-    def dens(v):
-        return float(closed_form_density(params, v))
+    """CDF by quadrature of the library density, independent of betainc."""
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
-        out = [scipy.integrate.quad(dens, -np.inf, v)[0] for v in x.ravel()]
+        out = [scipy.integrate.quad(lambda v: increment_density(params, v),
+                                    -np.inf, u)[0] for u in x.ravel()]
     return np.array(out).reshape(x.shape)
 
 
@@ -98,13 +96,13 @@ class TestIncrementLaw:
         x = np.linspace(-30.0, 30.0, 401)
         for p in params_grid:
             got = increment_density(p, x)
-            np.testing.assert_allclose(got, closed_form_density(p, x),
+            np.testing.assert_allclose(got, quadrature_density(p, x),
                                        atol=1e-8)
 
     def test_density_scalar_mode(self, params):
         v = increment_density(params, 0.0)
         assert isinstance(v, float)
-        assert v == pytest.approx(float(closed_form_density(params, 0.0)),
+        assert v == pytest.approx(float(quadrature_density(params, 0.0)),
                                   abs=1e-10)
 
     def test_normalization_and_mean(self, params_grid):
