@@ -4,12 +4,13 @@ Groups and actions:
 
     env gen | check             sample or validate environment files
     simulate endpoint | path | ensemble
-    verify umap | lgv | identity | sbd
+    verify umap | lgv | identity | sbd | gibbs
     experiment pinning | walk | quenched | fluct | lln
 
 Exit status: 0 when every check passes, 1 when an assertion or statistical
 check fails, 2 on usage errors (bad flags, bad config file, missing
-required flag, settings an experiment driver refuses).
+required flag, an integer option outside its range, settings an experiment
+driver refuses).
 
 Every parameter resolves with the same precedence: command-line flag, then
 config-file entry, then the HSLG_LAB_SEED environment variable (seed only),
@@ -36,9 +37,11 @@ from .environment import (EnvFormatError, generate_dyadic_environment,
 from .experiments import (ConfigError, ExperimentConfig, StatReport,
                           run_gaussian_fluct, run_lln_profile, run_pinning,
                           run_quenched_limit, run_walk_attractor)
+from .gibbs import conditional_cdf, gibbs_region, ordering_check, site_law
 from .multilayer import line_ensemble, multilayer_brute, multilayer_lgv
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
 from .special import ModelParams
+from .stats import KS_MIN_SAMPLES, ks_test
 from .umap import check_sbd_inequality, enumerate_disjoint_pairs, property_violations
 
 UMAP_CORNERS = ((2, 2), (3, 2), (4, 3), (4, 4))
@@ -153,11 +156,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="orders for the exact top-curve statistic (lln)")
     add("--small-samples", dest="small_samples", type=int,
         help="environments per small order (lln)")
-    add("--significance", type=float, help="p-value floor for exact identities")
+    add("--significance", type=float,
+        help="p-value floor for exact identities and verify gibbs")
     add("--envs", type=int, help="environment count for verify actions")
     add("--r", type=int, help="max layer count for verify lgv")
     add("--k", type=int, help="layer-pair count for verify sbd")
-    add("--kmax", type=int, help="curve count for simulate ensemble")
+    add("--kmax", type=int, help="curve count for simulate ensemble and verify gibbs")
     add("--count", type=int, help="path count for simulate path")
 
     parser = argparse.ArgumentParser(
@@ -182,12 +186,15 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(sim, "path", "sampled path codes as CSV index,code")
     leaf(sim, "ensemble", "line-ensemble curves as CSV k,p,h")
 
-    ver = groups.add_parser("verify", help="exact structural checks").add_subparsers(
+    ver = groups.add_parser(
+        "verify", help="exact structural checks and the Gibbs property").add_subparsers(
         dest="action", metavar="ACTION")
     leaf(ver, "umap", "exhaustive pair-rewiring contract sweep")
     leaf(ver, "lgv", "determinant vs exhaustive non-intersecting enumeration")
     leaf(ver, "identity", "doubled symmetrized value equals half-space value")
     leaf(ver, "sbd", "2k-layer anti-diagonal product bound")
+    leaf(ver, "gibbs", "line-ensemble values against their single-site "
+                       "conditional laws (KS of the PIT)")
 
     exp = groups.add_parser("experiment", help="statistical drivers").add_subparsers(
         dest="action", metavar="ACTION")
@@ -243,6 +250,16 @@ def _require(opts, key: str, flag: str):
     value = opts.get(key)
     if value is None:
         raise UsageError(f"missing required flag {flag}")
+    return value
+
+
+def _int_option(opts, key: str, default: int, minimum: int,
+                maximum: int | None = None) -> int:
+    """An integer option, or its default; exit 2 outside [minimum, maximum]."""
+    value = opts[key] if opts[key] is not None else default
+    if value < minimum or (maximum is not None and value > maximum):
+        span = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise UsageError(f"--{key.replace('_', '-')} must be {span}, got {value}")
     return value
 
 
@@ -343,6 +360,12 @@ def _env_check(o) -> int:
 def _simulate(o, action: str) -> int:
     params = _params(o)
     n = _require(o, "n", "--n")
+    if action == "path":
+        count = _int_option(o, "count", 100, 1)
+    elif action == "ensemble":
+        if n < 2:
+            raise UsageError("simulate ensemble needs --n >= 2")
+        kmax = _int_option(o, "kmax", min(2, n - 1), 1, n - 1)
     env = generate_environment(params, n, o["flavor"], o["seed"], o["stream"])
     echo = {"theta": params.theta, "alpha": params.alpha, "n": n,
             "flavor": o["flavor"], "seed": o["seed"], "stream": o["stream"]}
@@ -351,7 +374,6 @@ def _simulate(o, action: str) -> int:
         rows = [(r, float(p)) for r, p in enumerate(pmf)]
         report = StatReport("simulate_endpoint", echo, ("r", "probability"), rows)
     elif action == "path":
-        count = o["count"] if o["count"] is not None else 100
         try:
             codes = sample_path_codes(partition_table(env), count, o["seed"], o["stream"])
         except ValueError as exc:
@@ -360,9 +382,6 @@ def _simulate(o, action: str) -> int:
         rows = [(i, int(c)) for i, c in enumerate(codes)]
         report = StatReport("simulate_path", echo, ("index", "code"), rows)
     else:
-        if n < 2:
-            raise UsageError("simulate ensemble needs --n >= 2")
-        kmax = o["kmax"] if o["kmax"] is not None else min(2, n - 1)
         ens = line_ensemble(symmetrize(env), kmax)
         echo["kmax"] = kmax
         rows = [(k, p, ens.h(k, p))
@@ -393,8 +412,8 @@ def _verify_umap(o) -> int:
 
 def _verify_identity(o) -> int:
     params = _params(o)
-    n = o["n"] if o["n"] is not None else 5
-    envs = o["envs"] if o["envs"] is not None else 50
+    n = _int_option(o, "n", 5, 1)
+    envs = _int_option(o, "envs", 50, 1)
     sites = 0
     for e in range(envs):
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
@@ -414,9 +433,9 @@ def _verify_identity(o) -> int:
 
 def _verify_lgv(o) -> int:
     params = _params(o)
-    n = o["n"] if o["n"] is not None else 4
-    envs = o["envs"] if o["envs"] is not None else 25
-    r_top = o["r"] if o["r"] is not None else 2
+    n = _int_option(o, "n", 4, 1)
+    envs = _int_option(o, "envs", 25, 1)
+    r_top = _int_option(o, "r", 2, 1)
     checked = 0
     for e in range(envs):
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
@@ -440,9 +459,9 @@ def _verify_lgv(o) -> int:
 
 def _verify_sbd(o) -> int:
     params = _params(o)
-    n = o["n"] if o["n"] is not None else 6
-    envs = o["envs"] if o["envs"] is not None else 100
-    ks = (o["k"],) if o["k"] is not None else (1, 2)
+    n = _int_option(o, "n", 6, 1)
+    envs = _int_option(o, "envs", 100, 1)
+    ks = (1, 2) if o["k"] is None else (_int_option(o, "k", 1, 1),)
     m, site_n = n + 1, n - 1
     for k in ks:
         if 2 * k > site_n:
@@ -459,6 +478,38 @@ def _verify_sbd(o) -> int:
                 return 1
     print(f"PASS: 2k-layer value <= anti-diagonal product bound at "
           f"(m,n)=({m},{site_n}), k in {sorted(ks)}, {envs} dyadic environments")
+    return 0
+
+
+def _verify_gibbs(o) -> int:
+    params = _params(o)
+    n = _int_option(o, "n", 6, 2)
+    kmax = _int_option(o, "kmax", 4, 2, n)
+    envs = _int_option(o, "envs", 400, KS_MIN_SAMPLES)
+    significance = o["significance"] if o["significance"] is not None else 0.001
+    if not 0.0 < significance < 1.0:
+        raise UsageError(f"--significance must lie in (0, 1), got {significance}")
+    ensembles = [
+        line_ensemble(symmetrize(generate_environment(
+            params, n + 1, "standard", o["seed"], o["stream"] + e)), kmax, order=n)
+        for e in range(envs)]
+    sites = sorted(s for s in gibbs_region(n) if s[0] < kmax)
+    results = {s: ks_test(conditional_cdf(*site_law(params, ensembles, s)),
+                          lambda x: x) for s in sites}
+    worst = min(sites, key=lambda s: results[s].pvalue)
+    floor = significance / len(sites)
+    rates = ordering_check(ensembles, kmax - 1).rates
+    print(f"ordering violation rates (curves 1..{kmax}, slack log(n)^2): "
+          + ", ".join(f"{r:.4f}" for r in rates))
+    print(f"worst site {worst}: KS D = {results[worst].statistic:.4f}, "
+          f"p = {results[worst].pvalue:.3g} (floor {floor:.3g} = "
+          f"{significance:g} / {len(sites)} sites)")
+    if results[worst].pvalue < floor:
+        print(f"FAIL: conditional PIT of H{worst} is not uniform "
+              f"(seed={o['seed']}, streams {o['stream']}..{o['stream'] + envs - 1})")
+        return 1
+    print(f"PASS: single-site conditional PITs uniform at {len(sites)} sites "
+          f"({envs} gamma environments, order {n}, curves 1..{kmax})")
     return 0
 
 
@@ -519,7 +570,8 @@ def dispatch(inv: Invocation) -> int:
         return _simulate(o, inv.action)
     if inv.group == "verify":
         handler = {"umap": _verify_umap, "identity": _verify_identity,
-                   "lgv": _verify_lgv, "sbd": _verify_sbd}[inv.action]
+                   "lgv": _verify_lgv, "sbd": _verify_sbd,
+                   "gibbs": _verify_gibbs}[inv.action]
         return handler(o)
     if inv.group == "experiment":
         return _experiment(o, inv.action)

@@ -2,10 +2,11 @@
 
 Everything here is written from the definitions, not from the library
 internals: partition functions are literal sums over enumerated paths,
-determinants are signed sums over permutations, and the walk increment
-density is the convolution integral of its two log-gamma terms, so they
-share no code with the recurrences, the elimination and the closed form
-under test.
+determinants are signed sums over permutations, the walk increment
+density is the convolution integral of its two log-gamma terms, and the
+Gibbs log-density is the literal sum of log edge weights, so they share no
+code with the recurrences, the elimination, the closed form and the
+single-site rule under test.
 """
 import itertools
 import math
@@ -89,3 +90,34 @@ def quadrature_density(theta: float, alpha: float, x: float) -> float:
     logp = ((theta - alpha) * x - math.lgamma(theta + alpha)
             - math.lgamma(theta - alpha) + shift + math.log(val))
     return math.exp(logp)
+
+
+_EXP_CAP = 709.0  # exp overflows above this; caps only affect -inf tails
+_SHAPE = {"blue": lambda p: p.theta - p.alpha,
+          "red": lambda p: p.theta + p.alpha,
+          "black": lambda p: 0.0}
+
+
+def _edge_term(c: float, x: float) -> float:
+    if x == -math.inf:
+        return 0.0 if c == 0.0 else -math.inf
+    if x > _EXP_CAP:
+        return -math.inf
+    return c * x - math.exp(x)
+
+
+def gibbs_log_density(params, edges, values) -> float:
+    """Sum of log W(tail - head) over `edges`; unnormalized.
+
+    `edges` holds (tail, head, color) triples and `values` maps every edge
+    endpoint to its value; log W(x) = c*x - exp(x) with c = theta - alpha
+    on blue edges, theta + alpha on red ones and 0 on black ones.
+    """
+    total = 0.0
+    for tail, head, color in edges:
+        if tail not in values or head not in values:
+            missing = tail if tail not in values else head
+            raise KeyError(f"no value supplied for site {missing}")
+        total += _edge_term(_SHAPE[color](params),
+                            float(values[tail]) - float(values[head]))
+    return total

@@ -72,3 +72,38 @@ class TestRefusedBeforeWork:
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDegenerateInput:
+    """Options that would make a check vacuous or crash exit 2 before any
+    environment is drawn."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "identity", "--envs", "0"], "--envs must be >= 1"),
+        (["verify", "identity", "--n", "0"], "--n must be >= 1"),
+        (["verify", "sbd", "--envs", "0"], "--envs must be >= 1"),
+        (["verify", "sbd", "--k", "0"], "--k must be >= 1"),
+        (["verify", "lgv", "--r", "0"], "--r must be >= 1"),
+        (["verify", "lgv", "--n", "0"], "--n must be >= 1"),
+        (["verify", "lgv", "--envs", "0"], "--envs must be >= 1"),
+        (["simulate", "ensemble", "--n", "5", "--kmax", "9"],
+         "--kmax must be in [1, 4]"),
+        (["simulate", "ensemble", "--n", "5", "--kmax", "0"],
+         "--kmax must be in [1, 4]"),
+        (["simulate", "path", "--n", "5", "--count", "0"], "--count must be >= 1"),
+        (["verify", "gibbs", "--n", "1"], "--n must be >= 2"),
+        (["verify", "gibbs", "--kmax", "1"], "--kmax must be in [2, 6]"),
+        (["verify", "gibbs", "--kmax", "7"], "--kmax must be in [2, 6]"),
+        (["verify", "gibbs", "--envs", str(KS_MIN_SAMPLES - 1)],
+         f"--envs must be >= {KS_MIN_SAMPLES}"),
+        (["verify", "gibbs", "--significance", "0"], "--significance must lie"),
+        (["verify", "gibbs", "--significance", "1"], "--significance must lie"),
+    ])
+    def test_exit_status(self, argv, message, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an environment was drawn before the refusal")
+
+        monkeypatch.setattr(cli, "generate_environment", no_work)
+        monkeypatch.setattr(cli, "generate_dyadic_environment", no_work)
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err

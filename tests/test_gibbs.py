@@ -1,18 +1,23 @@
-"""Diamond-lattice Gibbs densities, the slice sampler, and the curve-ordering
-check."""
+"""The diamond lattice, the single-site conditional laws of the line
+ensemble, `verify gibbs`, and the curve-ordering check.
+
+The oracle for the site rule is `oracles.gibbs_log_density`, the literal sum
+of log edge weights; the oracles for the conditional CDF are scipy's
+generalized inverse Gaussian and gamma laws.
+"""
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from hslg_lab.gibbs import (BLACK, BLUE, RED, ColoredEdge, DiamondDomain,
-                            colored_edges, diamond_domain, edge_shape,
-                            effective_sample_size, gibbs_log_density,
-                            gibbs_region, lattice_sites, mcmc_sample_gibbs,
-                            ordering_check, row_length)
+from hslg_lab import cli, gibbs
+from hslg_lab.gibbs import (BLACK, BLUE, RED, colored_edges, conditional_cdf,
+                            edge_shape, gibbs_region, lattice_sites,
+                            ordering_check, row_length, site_law, site_rule)
 from hslg_lab.environment import generate_environment, symmetrize
-from hslg_lab.multilayer import line_ensemble
+from hslg_lab.multilayer import LineEnsemble, line_ensemble
+from oracles import gibbs_log_density
 
 # every edge of the order-4 lattice, transcribed by hand from the three
 # placement rules (rightward from odd positions, leftward from odd
@@ -59,195 +64,143 @@ class TestLattice:
             edge_shape(params, "green")
 
 
-class TestDomain:
-    def test_boundary_and_edges(self):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        assert dom.interior == ((1, 1), (1, 2))
-        assert set(dom.boundary) == {(1, 3), (2, 2)}
-        # the (2,2) -> (1,3) edge joins two boundary sites and is dropped
-        assert len(dom.edges) == 3
-
-    def test_membership_errors(self):
-        with pytest.raises(ValueError):
-            diamond_domain(2, [])
-        with pytest.raises(ValueError):
-            diamond_domain(2, [(3, 1)])
-        with pytest.raises(ValueError):
-            diamond_domain(2, [(2, 1)])  # outside the Gibbs region
-        diamond_domain(2, [(2, 1)], require_gibbs_region=False)
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            diamond_domain(3, [(1, 1), (1, 4)])
-
-
 class TestLogDensity:
+    """The oracle itself, on edges whose weights are known by hand."""
+
     def test_single_blue_edge_at_zero(self, params):
-        dom = DiamondDomain(2, ((1, 1),), ((1, 2),),
-                            (ColoredEdge((1, 1), (1, 2), BLUE),))
-        val = gibbs_log_density(params, dom, {(1, 1): 0.7}, {(1, 2): 0.7})
+        edges = [((1, 1), (1, 2), BLUE)]
+        val = gibbs_log_density(params, edges, {(1, 1): 0.7, (1, 2): 0.7})
         assert val == -1.0
 
     def test_black_edge_vanishes_at_large_negative_gap(self, params):
-        dom = DiamondDomain(2, ((1, 1),), ((2, 2),),
-                            (ColoredEdge((2, 2), (1, 1), BLACK),))
-        val = gibbs_log_density(params, dom, {(1, 1): 20.0}, {(2, 2): -20.0})
+        edges = [((2, 2), (1, 1), BLACK)]
+        val = gibbs_log_density(params, edges, {(1, 1): 20.0, (2, 2): -20.0})
         assert abs(val) < 1e-17
 
     def test_translation_invariance_exact(self, params):
         # values on a coarse dyadic grid so the shifted sums are exact and
         # the increments come out bit-identical
-        dom = diamond_domain(3, [(1, 1), (1, 2), (1, 3), (2, 2)])
         rng = np.random.default_rng(0)
         grid = 2.0 ** -20
-
-        def snap(v):
-            return float(np.round(v / grid) * grid)
-
-        inner = {s: snap(v) for s, v in
-                 zip(dom.interior, rng.normal(size=len(dom.interior)))}
-        outer = {s: snap(v) for s, v in
-                 zip(dom.boundary, rng.normal(size=len(dom.boundary)))}
-        base = gibbs_log_density(params, dom, inner, outer)
+        sites = lattice_sites(3)
+        values = {s: float(np.round(v / grid) * grid)
+                  for s, v in zip(sites, rng.normal(size=len(sites)))}
+        edges = [(e.tail, e.head, e.color) for e in colored_edges(3)]
+        base = gibbs_log_density(params, edges, values)
         for c in (1.0, -3.25, 0.125):
             shifted = gibbs_log_density(
-                params, dom,
-                {s: v + c for s, v in inner.items()},
-                {s: v + c for s, v in outer.items()})
+                params, edges, {s: v + c for s, v in values.items()})
             assert shifted == base
 
     def test_unvalued_vertex_rejected(self, params):
-        dom = diamond_domain(2, [(1, 1)])
         with pytest.raises(KeyError):
-            gibbs_log_density(params, dom, {(1, 1): 0.0}, {})
+            gibbs_log_density(params, [((1, 1), (1, 2), BLUE)], {(1, 1): 0.0})
 
 
-class TestSliceSampler:
-    def test_single_edge_conditional_is_exact_law(self, params):
-        # one interior site fed by a single blue edge from boundary value y:
-        # y - u is distributed as the log of a Gamma(theta - alpha) variable
-        y = 0.4
-        dom = diamond_domain(2, [(1, 4)], require_gibbs_region=False)
-        assert [e for e in dom.edges] == [ColoredEdge((1, 3), (1, 4), BLUE)]
-        out = mcmc_sample_gibbs(params, dom, {(1, 3): y}, samples=500,
-                                chains=40, burn_in=50, thin=2, seed=3)
-        draws = y - out.flat[:, 0]
-        res = scipy.stats.kstest(draws, scipy.stats.loggamma(
-            params.theta - params.alpha).cdf)
-        assert res.pvalue > 1e-3
+def random_ensembles(n: int, count: int, seed: int) -> list[LineEnsemble]:
+    """Ensembles whose curves are arbitrary values on every lattice row."""
+    rng = np.random.default_rng(seed)
+    return [LineEnsemble(n, n, [rng.normal(scale=2.0, size=row_length(n, i))
+                                for i in range(1, n + 1)])
+            for _ in range(count)]
 
-    def test_boundary_shift_moves_means(self, params):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        kw = dict(samples=400, chains=10, burn_in=200, thin=5, seed=4)
-        lo = mcmc_sample_gibbs(params, dom, {(1, 3): 0.0, (2, 2): 0.0}, **kw)
-        hi = mcmc_sample_gibbs(params, dom, {(1, 3): 1.0, (2, 2): 1.0}, **kw)
-        for t in range(2):
-            shift = hi.flat[:, t].mean() - lo.flat[:, t].mean()
-            se = math.hypot(scipy.stats.sem(hi.flat[:, t]),
-                            scipy.stats.sem(lo.flat[:, t]))
-            # MCMC autocorrelation inflates the naive error; allow 8x
-            assert shift == pytest.approx(1.0, abs=8 * se + 0.02)
 
-    def test_ordered_boundaries_give_ordered_quantiles(self, params):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        kw = dict(samples=400, chains=10, burn_in=200, thin=5, seed=5)
-        lo = mcmc_sample_gibbs(params, dom, {(1, 3): -0.5, (2, 2): -0.5}, **kw)
-        hi = mcmc_sample_gibbs(params, dom, {(1, 3): 0.5, (2, 2): 1.5}, **kw)
-        g = np.random.default_rng(6)
-        for t in range(2):
-            a, bvals = lo.flat[:, t], hi.flat[:, t]
-            for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-                diffs = [np.quantile(g.choice(bvals, bvals.size), q)
-                         - np.quantile(g.choice(a, a.size), q)
-                         for _ in range(300)]
-                assert np.quantile(diffs, 0.995) > 0.0
+class TestSiteRule:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_matches_single_site_differences_of_the_density(self, n,
+                                                            params_grid):
+        # order 4 uses the hand-transcribed edges, order 6 the library's
+        edges = (K4_EDGES if n == 4 else
+                 [(e.tail, e.head, e.color) for e in colored_edges(n)])
+        ensembles = random_ensembles(n, 3, seed=n)
+        shifts = np.array([-2.5, -0.3, 0.4, 1.7])
+        for p in params_grid:
+            for site in sorted(gibbs_region(n)):
+                a, b, c, u = site_law(p, ensembles, site)
+                for e, ens in enumerate(ensembles):
+                    values = {(i, j): ens.h(i, j) for i, j in lattice_sites(n)}
+                    base = gibbs_log_density(p, edges, values)
+                    for x in u[e] + shifts:
+                        values[site] = x
+                        got = gibbs_log_density(p, edges, values) - base
+                        want = (a * (x - u[e]) - b[e] * (math.exp(x) - math.exp(u[e]))
+                                - c[e] * (math.exp(-x) - math.exp(-u[e])))
+                        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    def test_infinite_boundary_only_on_black(self, params):
-        # (2,2) feeds (1,1) through a black edge; value -inf makes that
-        # edge weight one, the absent-edge convention
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        vals = {(1, 3): 0.0, (2, 2): -math.inf}
-        out = mcmc_sample_gibbs(params, dom, vals, samples=20, chains=2,
-                                burn_in=20, thin=1, seed=7, ess_floor=1.0)
-        assert np.isfinite(out.flat).all()
+    def test_alpha_enters_only_at_row_starts(self, params_grid):
+        n = 6
+        for p in params_grid:
+            for i, j in gibbs_region(n):
+                a, heads, tails = site_rule(p, n, (i, j))
+                if j == 1:
+                    want = p.theta - p.alpha if i % 2 == 1 else p.theta + p.alpha
+                else:
+                    want = 2 * p.theta if j % 2 == 1 else -2 * p.theta
+                assert a == pytest.approx(want, abs=1e-12)
+                if i == 1 and j % 2 == 0:
+                    assert heads == ()    # b = 0: no black edge leaves row 1
+
+    def test_refuses_sites_it_cannot_condition(self, params):
+        ensembles = random_ensembles(4, 2, seed=0)
         with pytest.raises(ValueError):
-            mcmc_sample_gibbs(params, dom, {(1, 3): math.inf, (2, 2): 0.0},
-                              samples=5, chains=1, burn_in=5, thin=1)
-
-    def test_missing_boundary_value(self, params):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
+            site_law(params, ensembles, (4, 1))      # last row
         with pytest.raises(ValueError):
-            mcmc_sample_gibbs(params, dom, {(1, 3): 0.0}, samples=5,
-                              chains=1, burn_in=5, thin=1)
-
-    def test_schedule_validation(self, params):
-        dom = diamond_domain(2, [(1, 1)])
+            site_law(params, ensembles, (1, 8))      # row end
+        short = [LineEnsemble(4, 2, ens.curves[:2]) for ens in ensembles]
+        site_law(params, short, (2, 2))              # reads rows 1 and 2
         with pytest.raises(ValueError):
-            mcmc_sample_gibbs(params, dom, {}, samples=0)
-
-    def test_low_ess_warns(self, params):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        vals = {(1, 3): 0.0, (2, 2): 0.0}
-        with pytest.warns(RuntimeWarning, match="effective sample size"):
-            mcmc_sample_gibbs(params, dom, vals, samples=10, chains=1,
-                              burn_in=5, thin=1, seed=2)
-
-    def test_deterministic_given_seed(self, params):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        vals = {(1, 3): 0.0, (2, 2): 0.0}
-        kw = dict(samples=30, chains=3, burn_in=10, thin=2, seed=11, stream=4,
-                  ess_floor=1.0)
-        a = mcmc_sample_gibbs(params, dom, vals, **kw)
-        b = mcmc_sample_gibbs(params, dom, vals, **kw)
-        np.testing.assert_array_equal(a.samples, b.samples)
+            site_law(params, short, (2, 1))          # reads row 3
 
 
-class TestDetailedBalance:
-    def test_two_site_histogram_matches_density(self, params):
-        dom = diamond_domain(2, [(1, 1), (1, 2)])
-        boundary = {(1, 3): 0.3, (2, 2): -0.4}
-        out = mcmc_sample_gibbs(params, dom, boundary, samples=10000,
-                                chains=400, burn_in=300, thin=1, seed=8)
-        pts = out.flat
-        lo = pts.mean(axis=0) - 4.5 * pts.std(axis=0)
-        hi = pts.mean(axis=0) + 4.5 * pts.std(axis=0)
-        bins = 100
-        hist, ex, ey = np.histogram2d(pts[:, 0], pts[:, 1], bins=bins,
-                                      range=[[lo[0], hi[0]], [lo[1], hi[1]]])
-        hist /= hist.sum()
-        # midpoint-rule normalization of the exact unnormalized density
-        cx = (ex[:-1] + ex[1:]) / 2
-        cy = (ey[:-1] + ey[1:]) / 2
-        gx, gy = np.meshgrid(cx, cy, indexing="ij")
-        logd = np.empty((bins, bins))
-        for i in range(bins):
-            for j in range(bins):
-                logd[i, j] = gibbs_log_density(
-                    params, dom, {(1, 1): gx[i, j], (1, 2): gy[i, j]},
-                    boundary)
-        with np.errstate(under="ignore"):
-            dens = np.exp(logd - logd.max())
-            dens /= dens.sum()
-            l1 = np.abs(hist - dens).sum()
-        assert l1 <= 0.02
+class TestConditionalCdf:
+    N = 2000
+
+    def test_matches_generalized_inverse_gaussian(self):
+        rng = np.random.default_rng(1)
+        a = rng.uniform(-3.0, 3.0, self.N)
+        b = np.exp(rng.normal(0.0, 3.0, self.N))
+        c = np.exp(rng.normal(0.0, 3.0, self.N))
+        # exp(U) ~ GIG: density y^(a-1) exp(-b y - c/y)
+        law = scipy.stats.geninvgauss(a, 2.0 * np.sqrt(b * c),
+                                      scale=np.sqrt(c / b))
+        with np.errstate(all="ignore"):
+            y = law.rvs(random_state=rng)
+            want = law.cdf(y)
+        err = np.abs(conditional_cdf(a, b, c, np.log(y)) - want)
+        steep = np.abs(a) >= 0.3             # curvature at the mode >= 0.3
+        assert err[steep].max() < 1e-7
+        assert err.max() < 1e-6
+
+    def test_no_row_below_is_a_gamma_law(self):
+        # b = 0: exp(-U) ~ Gamma(-a, rate c)
+        rng = np.random.default_rng(2)
+        shape = rng.uniform(0.3, 4.0, self.N)
+        c = np.exp(rng.normal(0.0, 3.0, self.N))
+        v = scipy.stats.gamma.ppf(rng.uniform(size=self.N), shape, scale=1 / c)
+        got = conditional_cdf(-shape, 0.0, c, -np.log(v))
+        want = scipy.stats.gamma.sf(v, shape, scale=1 / c)
+        assert np.abs(got - want).max() < 1e-7
+
+    def test_far_tails_and_broadcasting(self):
+        u = np.array([-200.0, -30.0, 30.0, 200.0])
+        got = conditional_cdf(2.0, 1.0, 1.0, u)
+        assert got.shape == (4,)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        assert 0.0 <= got[1] < 1e-12 and 1 - 1e-12 < got[2] <= 1.0
 
 
-class TestEss:
-    def test_iid_trace(self):
-        x = np.random.default_rng(13).normal(size=4000)
-        ess = effective_sample_size(x)
-        assert ess > 2000
+class TestVerifyGibbs:
+    def test_passes_at_the_defaults(self, capsys):
+        assert cli.main(["verify", "gibbs"]) == 0
+        out = capsys.readouterr().out
+        assert "27 sites" in out and "ordering violation rates" in out
 
-    def test_sticky_trace(self):
-        g = np.random.default_rng(14)
-        x = np.empty(4000)
-        x[0] = 0.0
-        for t in range(1, 4000):
-            x[t] = 0.98 * x[t - 1] + g.normal() * 0.02
-        assert effective_sample_size(x) < 400
-
-    def test_constant_trace(self):
-        assert effective_sample_size(np.ones(100)) == 100.0
+    def test_swapped_colors_fail_at_a_row_start(self, monkeypatch, capsys):
+        swap = {BLUE: RED, RED: BLUE, BLACK: BLACK}
+        monkeypatch.setattr(gibbs, "edge_shape",
+                            lambda p, color: edge_shape(p, swap[color]))
+        assert cli.main(["verify", "gibbs", "--envs", "100"]) == 1
+        assert "FAIL: conditional PIT of H(1, 1)" in capsys.readouterr().out
 
 
 class TestOrdering:

@@ -18,8 +18,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hslg_lab"
 
 UNREACHED = {
-    "gibbs": {"diamond_domain", "gibbs_log_density", "mcmc_sample_gibbs",
-              "ordering_check"},
     "multilayer": {"diag_avoiding_exact", "diag_avoiding_log_table"},
     "polymer": {"point_to_line", "path_code"},
     "umap": {"apply_umap_2k", "count_preimages"},

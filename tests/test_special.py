@@ -1,8 +1,9 @@
 """Digamma/trigamma accuracy and the derived model constants.
 
-The oracles are independent of the implementation: a zeta series around
-z = 1 extended by the recurrence for digamma, the Hurwitz zeta for
-trigamma, and hand-reduced closed forms at (theta, alpha) = (1, -1/2).
+`hslg_lab.special` takes digamma and polygamma from scipy.special; the
+oracles here do not: a zeta series around z = 1 extended by the recurrence
+for digamma, the Hurwitz zeta for trigamma, and hand-reduced closed forms
+at (theta, alpha) = (1, -1/2).
 """
 import math
 
