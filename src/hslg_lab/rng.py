@@ -15,7 +15,7 @@ key material, then walk a per-lane splitmix64 subsequence:
 Weight lanes are lattice site codes; path codes, walk increments and
 bootstrap draws use lanes offset by the namespace constants below so they
 can never collide.
-Three frozen test vectors are listed in the README and tests/test_rng.py.
+Three frozen test vectors are listed in tests/test_rng.py.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ ALGORITHM_ID = "sm64chain-1"
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = _U64(_GOLDEN_INT)
 _WHITEN = _U64(0x5851F42D4C957F2D)
 _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
@@ -38,15 +39,23 @@ _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 LANE_CHAIN = 1 << 48       # sequential streams (path codes, walk increments)
 LANE_BOOTSTRAP = 1 << 49
 
+_BLOCK_LANES = 1 << 16      # lanes per block of log_gamma_draws (speed only)
 
-def _mix(z):
-    """splitmix64 finalizer on uint64 values (wrapping is the point)."""
-    with np.errstate(over="ignore"):
-        z = z ^ (z >> _S30)
-        z = z * _M1
-        z = z ^ (z >> _S27)
-        z = z * _M2
-        return z ^ (z >> _S31)
+
+def _mix(z, tmp=None):
+    """splitmix64 finalizer, in place on the uint64 array `z` (wrapping is
+    the point); `tmp` is uint64 scratch of the same shape."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _M2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def _u64(x):
@@ -56,23 +65,29 @@ def _u64(x):
 def lane_keys(seed, stream, lanes):
     """Per-lane key array; broadcasts over `stream` and `lanes`."""
     h = _mix(np.atleast_1d(_u64(seed)) ^ _WHITEN)[0]
-    stream_arr = np.asarray(stream, dtype=np.uint64)
-    h2 = _mix(h ^ stream_arr)
-    lane_arr = np.asarray(lanes, dtype=np.uint64)
-    return _mix(np.asarray(h2 ^ lane_arr, dtype=np.uint64))
+    h2 = _mix(np.asarray(h ^ np.asarray(stream, dtype=np.uint64)))
+    return _mix(np.asarray(h2 ^ np.asarray(lanes, dtype=np.uint64)))[()]
 
 
 def words(keys, q):
     """q-th word of each lane subsequence (q scalar or array)."""
     q_arr = np.asarray(q, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix(keys + q_arr * _GOLDEN)
+        return _mix(np.asarray(keys + q_arr * _GOLDEN))[()]
+
+
+def _to_unit(w, out):
+    """((w >> 11) + 0.5) * 2**-53 into `out`; shifts the uint64 array `w` in place."""
+    w >>= _S11
+    np.add(w, 0.5, out=out)
+    out *= 2.0**-53
+    return out
 
 
 def uniforms(keys, q):
     """Uniform draws in the open interval (0, 1), one per key."""
-    w = words(keys, q)
-    return ((w >> _S11).astype(np.float64) + 0.5) * 2.0**-53
+    w = np.asarray(words(keys, q))
+    return _to_unit(w, np.empty(w.shape))[()]
 
 
 def dyadic_units(keys, q=0):
@@ -85,6 +100,107 @@ def dyadic_units(keys, q=0):
     return ((w >> _S11).astype(np.float64) + 1.0) * 2.0**-53
 
 
+def _squeeze(u3, z, gap=None):
+    """Marsaglia-Tsang squeeze ``u3 < 1 - 0.0331 * z**4``, lane by lane.
+
+    The bound is formed from products, 1 - 0.0331*(z2*z2) with z2 = z*z,
+    because numpy's float64 power takes a slow path for a negative base.
+    Uniforms are at least 2**-54, so |z| <= sqrt(108 ln 2) < 8.66 and
+    0.0331*z**4 <= 186: the product bound is within a few ulps of 186,
+    below 2e-13, of the ``z**4`` bound (8.5e-14 is the largest difference
+    seen).  Lanes whose u3 lies within 1e-12 of the product bound are
+    decided again with the ``z**4`` expression; on every other lane the
+    two bounds are on the same side of u3.  So each decision is the one
+    the power form gives.  `gap` is optional float scratch of z's shape.
+    """
+    gap = np.multiply(z, z, out=gap)
+    gap *= gap
+    gap *= 0.0331
+    np.subtract(1.0, gap, out=gap)
+    np.subtract(u3, gap, out=gap)
+    accept = gap < 0.0
+    near = np.abs(gap, out=gap) <= 1e-12
+    if near.any():
+        accept[near] = u3[near] < 1.0 - 0.0331 * z[near] ** 4
+    return accept
+
+
+def _mt_round(keys, d, c, q, out=None):
+    """One Marsaglia-Tsang round on every lane: (rejected, log(d*v)).
+
+    `d` and `c` broadcast against `keys`; the round reads slots q, q+1 and
+    q+2.  log(d*v) goes to `out` (new if None); rejected lanes hold 0.
+    """
+    # all scratch in one allocation; gap and u3 serve as word scratch
+    # until they are written
+    z, u3, gap = np.empty((3,) + keys.shape)
+    w, tmp = gap.view(np.uint64), u3.view(np.uint64)
+
+    def draw(slot, into):
+        np.add(keys, _u64(slot * _GOLDEN_INT), out=w)
+        return _to_unit(_mix(w, tmp), into)
+
+    z = draw(q, z)
+    np.log(z, out=z)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    v = draw(q + 1, np.empty(keys.shape) if out is None else out)
+    v *= 2.0 * math.pi
+    np.cos(v, out=v)
+    z *= v
+    np.multiply(c, z, out=v)
+    v += 1.0
+    np.power(v, 3.0, out=v)
+    draw(q + 2, u3)
+    accept = _squeeze(u3, z, gap)
+    ok = v > 0.0
+    accept &= ok
+    full = np.logical_and(ok, ~accept, out=ok)
+    if full.any():
+        vf = v[full]
+        zf = z[full]
+        df = np.broadcast_to(d, keys.shape)[full]
+        accept[full] = np.log(u3[full]) < 0.5 * zf * zf + df * (1.0 - vf + np.log(vf))
+    v *= d
+    rejected = np.logical_not(accept, out=accept)
+    v[rejected] = 1.0
+    return rejected, np.log(v, out=v)
+
+
+def _gather(a, shape, flat_index):
+    """Entries `flat_index` of `a` broadcast to `shape`; a scalar stays one."""
+    return a if a.ndim == 0 else np.broadcast_to(a, shape).flat[flat_index]
+
+
+def _draw_block(keys, shape, d, c, q0, max_rounds, out):
+    """`log_gamma_draws` on one block of keys, into the contiguous array
+    `out`; the other arrays broadcast against the keys."""
+    rejected, _ = _mt_round(keys, d, c, q0 + 1, out)
+    flat_out = out.reshape(-1)
+    todo = np.flatnonzero(rejected)
+    for r in range(1, max_rounds):
+        if todo.size == 0:
+            break
+        rejected, x = _mt_round(keys.reshape(-1)[todo], _gather(d, keys.shape, todo),
+                                _gather(c, keys.shape, todo), q0 + 1 + 3 * r)
+        accepted = ~rejected
+        flat_out[todo[accepted]] = x[accepted]
+        todo = todo[rejected]
+    if todo.size:
+        raise RuntimeError("gamma rejection sampler failed to terminate")
+
+    boosted = shape < 1.0
+    if boosted.all():
+        ub = uniforms(keys, q0)
+        np.log(ub, out=ub)
+        ub /= shape
+        out += ub
+    elif boosted.any():
+        todo = np.flatnonzero(np.broadcast_to(boosted, keys.shape))
+        ub = uniforms(keys.reshape(-1)[todo], q0)
+        flat_out[todo] += np.log(ub) / _gather(shape, keys.shape, todo)
+
+
 def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     """log of Gamma(shape, 1) draws, one per key, in the keys' shape.
 
@@ -95,45 +211,39 @@ def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     own subsequence (slot 0 reserved for the boost uniform, round r uses
     slots 1+3r..3+3r), hence batching and retries of other lanes never
     shift a lane's draws.
+
+    Round 0 runs densely over every lane, with no gather: the constants
+    d and c keep the shape's own broadcastable form, so a scalar shape
+    keeps them scalar.  Only the few lanes it rejects are gathered for
+    the later rounds.  In each round the squeeze decides almost every
+    lane (`_squeeze`: a product-form bound within 2e-13 of the ``z**4``
+    one, and a 1e-12 guard band re-decided with ``z**4``, so every
+    decision is that of ``z**4``), and the full log-acceptance test runs
+    only on the lanes the squeeze leaves open.  The boost
+    correction runs densely when every lane is boosted.  Large key arrays
+    go through in blocks of whole rows of about `_BLOCK_LANES` lanes, which
+    keeps the temporaries in cache.  Every lane goes through the same
+    float operations as in a lane-by-lane loop, so the draws are bit for
+    bit independent of batch shape.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    shape_arr = np.broadcast_to(np.asarray(shape, dtype=float), keys.shape)
-    if np.any(shape_arr <= 0.0):
+    keys = np.asarray(keys, dtype=np.uint64, order="C")
+    shape = np.asarray(shape, dtype=float)
+    np.broadcast_to(shape, keys.shape)      # the shapes must fit the keys
+    out_shape, keys = keys.shape, np.atleast_1d(keys)
+    if np.any(shape <= 0.0):
         raise ValueError("gamma shape must be positive")
-    boosted = shape_arr < 1.0
-    d = np.where(boosted, shape_arr + 1.0, shape_arr) - 1.0 / 3.0
+    d = np.where(shape < 1.0, shape + 1.0, shape) - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    q0 = _u64(q_base)
+    q0 = int(q_base) & _MASK64
 
-    out = np.empty(keys.shape, dtype=float)
-    flat_out = out.reshape(-1)
-    flat_keys = keys.reshape(-1)
-    flat_d = d.reshape(-1)
-    flat_c = c.reshape(-1)
-    pending = np.arange(flat_keys.size)
-    for r in range(max_rounds):
-        k = flat_keys[pending]
-        base = q0 + _U64(1 + 3 * r)
-        u1 = uniforms(k, base)
-        u2 = uniforms(k, base + _U64(1))
-        u3 = uniforms(k, base + _U64(2))
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        v = (1.0 + flat_c[pending] * z) ** 3
-        ok = v > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            squeeze = u3 < 1.0 - 0.0331 * z**4
-            full = np.log(u3) < 0.5 * z * z + flat_d[pending] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
-        accept = ok & (squeeze | full)
-        idx = pending[accept]
-        flat_out[idx] = np.log(flat_d[idx] * v[accept])
-        pending = pending[~accept]
-        if pending.size == 0:
-            break
-    else:
-        raise RuntimeError("gamma rejection sampler failed to terminate")
+    def rows(a, part):
+        # the part of `a` that broadcasts against keys[part]
+        return a[part] if a.ndim == keys.ndim and a.shape[0] > 1 else a
 
-    if boosted.any():
-        bk = keys[boosted]
-        ub = uniforms(bk, q0)
-        out[boosted] += np.log(ub) / shape_arr[boosted]
-    return out
+    out = np.empty(keys.shape)
+    step = max(1, _BLOCK_LANES // max(1, math.prod(keys.shape[1:])))
+    for lo in range(0, keys.shape[0], step):
+        part = slice(lo, lo + step)
+        _draw_block(keys[part], rows(shape, part), rows(d, part), rows(c, part),
+                    q0, max_rounds, out[part])
+    return out.reshape(out_shape)

@@ -3,10 +3,12 @@
 Everything here is written from the definitions, not from the library
 internals: partition functions are literal sums over enumerated paths,
 determinants are signed sums over permutations, the walk increment
-density is the convolution integral of its two log-gamma terms, and the
-Gibbs log-density is the literal sum of log edge weights, so they share no
-code with the recurrences, the elimination, the closed form and the
-single-site rule under test.
+density is the convolution integral of its two log-gamma terms, the
+Gibbs log-density is the literal sum of log edge weights, and the gamma
+sampler gathers the pending lanes and evaluates every test on each of
+them, round by round, so they share no code with the recurrences, the
+elimination, the closed form, the single-site rule and the lane-dense
+sampler under test.
 """
 import itertools
 import math
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from hslg_lab.environment import Environment
+from hslg_lab.rng import uniforms
 
 
 @lru_cache(maxsize=None)
@@ -121,3 +124,46 @@ def gibbs_log_density(params, edges, values) -> float:
         total += _edge_term(_SHAPE[color](params),
                             float(values[tail]) - float(values[head]))
     return total
+
+
+def gather_log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
+    """Marsaglia-Tsang log-gamma draws, one pending-lane gather per round.
+
+    Slot q_base holds the boost uniform and round r reads slots
+    q_base+1+3r .. q_base+3+3r, as in `rng.log_gamma_draws`; every lane
+    takes the squeeze ``u3 < 1 - 0.0331 z**4`` and the full log test.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    shape_arr = np.broadcast_to(np.asarray(shape, dtype=float), keys.shape)
+    boosted = shape_arr < 1.0
+    d = (np.where(boosted, shape_arr + 1.0, shape_arr) - 1.0 / 3.0).reshape(-1)
+    c = 1.0 / np.sqrt(9.0 * d)
+    q0 = np.uint64(int(q_base) & 0xFFFFFFFFFFFFFFFF)
+    flat_keys = keys.reshape(-1)
+    out = np.empty(keys.shape)
+    flat_out = out.reshape(-1)
+    pending = np.arange(flat_keys.size)
+    for r in range(max_rounds):
+        k = flat_keys[pending]
+        base = q0 + np.uint64(1 + 3 * r)
+        u1 = uniforms(k, base)
+        u2 = uniforms(k, base + np.uint64(1))
+        u3 = uniforms(k, base + np.uint64(2))
+        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        v = (1.0 + c[pending] * z) ** 3
+        ok = v > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            squeeze = u3 < 1.0 - 0.0331 * z**4
+            full = np.log(u3) < 0.5 * z * z + d[pending] * (
+                1.0 - v + np.log(np.where(ok, v, 1.0)))
+        accept = ok & (squeeze | full)
+        idx = pending[accept]
+        flat_out[idx] = np.log(d[idx] * v[accept])
+        pending = pending[~accept]
+        if pending.size == 0:
+            break
+    else:
+        raise RuntimeError("gamma rejection sampler failed to terminate")
+    if boosted.any():
+        out[boosted] += np.log(uniforms(keys[boosted], q0)) / shape_arr[boosted]
+    return out

@@ -2,8 +2,8 @@
 
 `hslg_lab.special` takes digamma and polygamma from scipy.special; the
 oracles here do not: a zeta series around z = 1 extended by the recurrence
-for digamma, the Hurwitz zeta for trigamma, and hand-reduced closed forms
-at (theta, alpha) = (1, -1/2).
+for digamma, a direct sum with an Euler-Maclaurin tail for trigamma, and
+hand-reduced closed forms at (theta, alpha) = (1, -1/2).
 """
 import math
 
@@ -43,6 +43,21 @@ def digamma_series(z: float) -> float:
     return total + shift
 
 
+def trigamma_sum(z: float, terms: int = 20) -> float:
+    """psi'(z) = sum_{k>=0} 1/(z+k)^2, summed directly for k < `terms`.
+
+    The tail sum_{k>=0} 1/(x+k)^2 at x = z + terms is the Euler-Maclaurin
+    series 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7) - 1/(30x^9);
+    it encloses the tail, so its error is below the first omitted term
+    5/(66 x^11), under 4e-16 for z > 0 and 20 terms.  What is left is the
+    rounding of the terms, a few ulps of the result.
+    """
+    x = z + terms
+    tail = (1 / x + 1 / (2 * x**2) + 1 / (6 * x**3) - 1 / (30 * x**5)
+            + 1 / (42 * x**7) - 1 / (30 * x**9))
+    return math.fsum([1.0 / (z + k) ** 2 for k in range(terms)] + [tail])
+
+
 class TestDigamma:
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9, 1.0, 1.5, 2.0, 3.7, 10.0,
                                    25.0, 123.456])
@@ -68,7 +83,9 @@ class TestDigamma:
 class TestTrigamma:
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 1.5, 2.0, 6.5, 40.0])
     def test_hurwitz_oracle(self, z):
-        assert polygamma(1, z) == pytest.approx(hurwitz_zeta(2, z), abs=1e-10)
+        # psi'(z) is the Hurwitz zeta(2, z), here summed directly; the
+        # oracle is within a few ulps of it, see trigamma_sum
+        assert polygamma(1, z) == pytest.approx(trigamma_sum(z), rel=1e-14)
 
     def test_half_closed_form(self):
         assert polygamma(1, 0.5) == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
