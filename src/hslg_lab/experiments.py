@@ -32,7 +32,9 @@ from .rng import LANE_BOOTSTRAP, lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
 from .stats import (KS_MIN_SAMPLES, RESAMPLES, Interval, bootstrap_ci,
                     chi2_independence, ks_test, normal_cdf)
-from .walk import increment_cdf, walk_increment_matrix
+# walk_increment_matrix has no caller here; bench/traced.py wraps it under
+# this module and probes it, so it stays importable from here
+from .walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
 
 STREAM_BLOCK = 256          # environments per work item
 CI_STRIDE = 1 << 28         # bootstrap lane namespace per interval
@@ -195,17 +197,6 @@ def _diag_avoiding(config: ExperimentConfig, n: int, flavor: str) -> np.ndarray:
     return np.vstack(parts)
 
 
-def _walk_sums(config: ExperimentConfig, length: int) -> np.ndarray:
-    """(walk_samples, length) partial sums S_1..S_length, chunked for memory."""
-    chunks = []
-    for lo in range(0, config.walk_samples, 10_000):
-        cnt = min(10_000, config.walk_samples - lo)
-        inc = walk_increment_matrix(config.params, cnt, length, config.seed,
-                                    config.stream + lo)
-        chunks.append(np.cumsum(inc, axis=1))
-    return np.vstack(chunks)
-
-
 # ---------------------------------------------------------------------------
 # trend checks
 
@@ -364,7 +355,13 @@ def _ks_distance_rows(x: np.ndarray, cdf):
 
 
 def run_quenched_limit(config: ExperimentConfig) -> StatReport:
-    """Quenched endpoint pmf against the normalized walk series weights."""
+    """Quenched endpoint pmf against the normalized walk series weights.
+
+    Each walk's weights e^{-S_r} / Q come from `limiting_endpoint_pmf` with
+    the tail of Q certified below 2^-53, half an ulp of Q >= 1; only Q and
+    the weights for r <= r_max are kept.  `walk_series_certified` fails
+    when any walk reaches the cap of the certificate uncertified.
+    """
     t0 = time.perf_counter()
     rep = StatReport("quenched_limit", config.echo(),
                      ("r", "ks_distance", "ks_pvalue", "polymer_mean",
@@ -378,12 +375,19 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
         "pmf_rows_sum_to_one", bool(np.allclose(pmf.sum(axis=1), 1.0, atol=1e-12)),
         f"max |sum - 1| = {np.max(np.abs(pmf.sum(axis=1) - 1.0)):.2e}"))
 
-    length = 400        # tail beyond is < exp(-tau*length/2) to machine zero
-    s = _walk_sums(config, length)
-    q = 1.0 + np.exp(-s).sum(axis=1)
     r_hi = min(config.r_max, n - 1)
+    streams = (np.asarray(config.stream, dtype=np.uint64)
+               + np.arange(config.walk_samples, dtype=np.uint64))
+    walk = limiting_endpoint_pmf(config.params, config.seed, streams, r_hi,
+                                 2.0**-53)
+    done = int(walk.converged.sum())
+    rep.checks.append(Check(
+        "walk_series_certified", done == streams.size,
+        f"{done}/{streams.size} walks certified to tail <= 2^-53, max M "
+        f"{int(walk.m.max())}, max tail bound {walk.tail_bound.max():.3g}, "
+        f"drift risk {walk.risk:.3g}"))
     for r in range(0, r_hi + 1):
-        wside = (1.0 / q) if r == 0 else np.exp(-s[:, r - 1]) / q
+        wside = walk.pmf[:, r]
         res = ks_test(pmf[:, r], wside)
         rep.rows.append((r, res.statistic, res.pvalue,
                          float(pmf[:, r].mean()), float(wside.mean()),
@@ -394,12 +398,10 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
             f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
 
     # boundary-weight product identity: Q R0 ~ inverse gamma of shape -2 alpha
-    streams = (np.asarray(config.stream, dtype=np.uint64)
-               + np.arange(config.walk_samples, dtype=np.uint64))
     keys = lane_keys(config.seed, streams, np.uint64(R0_LANE))
     r0 = np.exp(-log_gamma_draws(config.params.theta - config.params.alpha, keys))
     shape = -2.0 * config.params.alpha
-    res = ks_test(q * r0, lambda w: gammaincc(shape, 1.0 / w))
+    res = ks_test(walk.q * r0, lambda w: gammaincc(shape, 1.0 / w))
     rep.checks.append(Check("qr0_inverse_gamma", res.pvalue > sig,
                             f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
     rep.wall_seconds = time.perf_counter() - t0

@@ -1,4 +1,4 @@
-"""The log-gamma random walk and the random series it feeds.
+"""The log-gamma random walk and the random series Q it feeds.
 
 One increment is X = log Y2 - log Y1 with Y1 ~ Gamma(theta + alpha) and
 Y2 ~ Gamma(theta - alpha); in the bound phase its mean tau is positive, so
@@ -6,9 +6,18 @@ S_k = X_1 + .. + X_k drifts upward and Q = sum_{p >= 0} exp(-S_p) is a.s.
 finite.  Q normalizes the limiting endpoint weights exp(-S_r) / Q.
 
 Walk draws are counter-based: walk identity is (seed, stream) and increment
-k consumes the two lanes LANE_CHAIN + 2k and LANE_CHAIN + 2k + 1, so a walk
-can be extended deterministically (bit for bit) and batches reproduce
-regardless of threading.
+k consumes the two lanes LANE_CHAIN + 2k and LANE_CHAIN + 2k + 1, so any
+stretch of a walk can be drawn on its own (`walk_increment_matrix` with
+`start=`) and batches reproduce regardless of threading.
+
+Q is summed left to right up to a certified index M of its own for each
+walk: the first M where the walk stays above its half-drift line,
+S_{M+j} >= S_M + (tau/2) j for j = 1..window, and e^{-S_M} rho / (1 - rho)
+<= epsilon with rho = e^{-tau/2}, the geometric tail that line implies.
+`limiting_endpoint_pmf` certifies a batch of walks in row blocks of bounded
+size.  Each block first draws a stretch sized from tau and epsilon, and only
+the walks not yet certified draw more, so no walk is cut at a fixed length.
+A walk that reaches the cap uncertified is flagged, never truncated silently.
 
 Since e^X is a ratio of independent Gammas, sigma(X) (sigma the logistic
 function) is Beta(theta - alpha, theta + alpha).  The increment density and
@@ -29,74 +38,29 @@ from .rng import LANE_CHAIN, lane_keys, log_gamma_draws
 from .special import ModelParams, constants
 
 _U64 = np.uint64
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    """Partial sums S_0..S_n of one walk, with the key that extends it."""
-
-    params: ModelParams
-    values: np.ndarray
-    seed: int
-    stream: int
-
-    @property
-    def n(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-
-def walk_increments(params: ModelParams, n: int, seed: int = 0,
-                    stream: int = 0, start: int = 0) -> np.ndarray:
-    """Increments X_{start+1} .. X_{start+n} of the walk keyed (seed, stream)."""
-    if n < 0:
-        raise ValueError("increment count must be nonnegative")
-    idx = np.arange(start, start + n, dtype=np.uint64)
-    base = _U64(LANE_CHAIN) + _U64(2) * idx
-    k1 = lane_keys(seed, stream, base)
-    k2 = lane_keys(seed, stream, base + _U64(1))
-    y1 = log_gamma_draws(params.theta + params.alpha, k1)
-    y2 = log_gamma_draws(params.theta - params.alpha, k2)
-    return y2 - y1
+_ROW_LANES = 1 << 18        # steps per row block of limiting_endpoint_pmf (memory only)
 
 
 def walk_increment_matrix(params: ModelParams, samples: int, n: int,
-                          seed: int = 0, stream: int = 0) -> np.ndarray:
-    """(samples, n) increments; row s is the walk with stream `stream + s`."""
-    streams = np.asarray(stream, dtype=np.uint64) + np.arange(samples, dtype=np.uint64)
-    base = _U64(LANE_CHAIN) + _U64(2) * np.arange(n, dtype=np.uint64)
+                          seed: int = 0, stream=0, *, start: int = 0) -> np.ndarray:
+    """(samples, n) increments X_{start+1} .. X_{start+n}.
+
+    Row s is the walk with stream `stream + s`, or with stream `stream[s]`
+    when `stream` is an array of `samples` streams.
+    """
+    if n < 0:
+        raise ValueError("increment count must be nonnegative")
+    streams = np.asarray(stream, dtype=np.uint64)
+    if streams.ndim == 0:
+        streams = streams + np.arange(samples, dtype=np.uint64)
+    elif streams.shape != (samples,):
+        raise ValueError("need one stream per row")
+    base = _U64(LANE_CHAIN) + _U64(2) * np.arange(start, start + n, dtype=np.uint64)
     k1 = lane_keys(seed, streams[:, None], base[None, :])
     k2 = lane_keys(seed, streams[:, None], base[None, :] + _U64(1))
     y1 = log_gamma_draws(params.theta + params.alpha, k1)
     y2 = log_gamma_draws(params.theta - params.alpha, k2)
     return y2 - y1
-
-
-def sample_walk(params: ModelParams, n: int, seed: int = 0,
-                stream: int = 0) -> WalkSample:
-    """Walk S_0 = 0, S_1, .., S_n."""
-    inc = walk_increments(params, n, seed, stream)
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    return WalkSample(params, values, int(seed), int(stream))
-
-
-def extend_walk(walk: WalkSample, n: int) -> WalkSample:
-    """The same walk continued out to S_n (no-op when already long enough).
-
-    The result is bitwise equal to `sample_walk(params, n, seed, stream)`:
-    the new partial sums are accumulated left to right starting from the
-    last value, exactly as the single cumsum in `sample_walk` adds them.
-    """
-    if n <= walk.n:
-        return walk
-    inc = walk_increments(walk.params, n - walk.n, walk.seed, walk.stream,
-                          start=walk.n)
-    tail = np.cumsum(np.concatenate([walk.values[-1:], inc]))[1:]
-    values = np.concatenate([walk.values, tail])
-    return WalkSample(walk.params, values, walk.seed, walk.stream)
 
 
 # ---------------------------------------------------------------------------
@@ -139,30 +103,6 @@ def increment_cdf(params: ModelParams, x):
 # the series Q
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Partial sums Q_0..Q_M with a certified (or flagged) truncation bound.
-
-    `risk` is the Chebyshev bound on the chance that the drift line verified
-    over the lookahead window is ever violated beyond it (the only
-    non-deterministic part of the certificate); `converged` is False when no
-    index up to the cap passed the window check at the requested epsilon.
-    """
-
-    partials: np.ndarray
-    tail_bound: float
-    converged: bool
-    risk: float
-
-    @property
-    def q(self) -> float:
-        return float(self.partials[-1])
-
-    @property
-    def m(self) -> int:
-        return self.partials.size - 1
-
-
 def drift_risk(params: ModelParams, window: int) -> float:
     """Bound on P(S_k < S_0 + (tau/2) k for some k >= window).
 
@@ -179,74 +119,126 @@ def drift_risk(params: ModelParams, window: int) -> float:
     return min(1.0, 16.0 * gamma / (tau**2 * block))
 
 
-def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
-              window: int = 64, cap: int = 200_000) -> QSeries:
-    """Q_M with certified tail <= epsilon, or a flagged result at the cap.
-
-    The certificate at M requires the lookahead drift check
-    S_{M+j} >= S_M + (tau/2) j for j = 1..window together with the geometric
-    bound sum_{j>=1} e^{-S_M - (tau/2) j} <= epsilon it then implies.  The
-    walk is extended as needed; nothing is truncated silently.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    tau = constants(params).increment_drift
-    rho = math.exp(-0.5 * tau)
-    geom = rho / (1.0 - rho)
-
-    best_bound = math.inf
-    m_found = -1
-    lo = 0
-    while lo <= cap:
-        hi = min(max(2 * lo, 1024), cap)
-        walk = extend_walk(walk, hi + window)
-        s = walk.values
-        # drift line A_k = S_k - (tau/2) k: certificate at M is
-        # min_{M < k <= M+window} A_k >= A_M
-        a = s - 0.5 * tau * np.arange(s.size)
-        ahead = np.full(hi + 1 - lo, np.inf)
-        for j in range(1, window + 1):
-            ahead = np.minimum(ahead, a[lo + j: hi + 1 + j])
-        ok_drift = ahead >= a[lo: hi + 1]
-        # deep partial sums underflow harmlessly: the bound only shrinks
-        with np.errstate(under="ignore"):
-            bound = np.exp(-s[lo: hi + 1]) * geom
-        best_bound = min(best_bound, float(bound.min(initial=math.inf)))
-        good = np.flatnonzero(ok_drift & (bound <= epsilon))
-        if good.size:
-            m_found = lo + int(good[0])
-            break
-        lo = hi + 1
-
-    risk = drift_risk(params, window)
-    with np.errstate(under="ignore"):
-        if m_found < 0:
-            s = walk.values[: cap + 1]
-            partials = np.cumsum(np.exp(-s))
-            return QSeries(partials, best_bound, False, risk)
-        partials = np.cumsum(np.exp(-walk.values[: m_found + 1]))
-        tail = float(np.exp(-walk.values[m_found]) * geom)
-    return QSeries(partials, tail, True, risk)
-
-
 @dataclass(frozen=True)
 class LimitingPmf:
-    """Endpoint weights e^{-S_r} / Q for r = 0..kmax, one quenched draw."""
+    """Endpoint weights e^{-S_r} / Q for r = 0..kmax, one row per walk.
 
-    pmf: np.ndarray
-    qseries: QSeries
+    Q = e^{-S_0} + .. + e^{-S_M}, added left to right.  A converged row's M
+    is its first certified index and `tail_bound` = e^{-S_M} rho / (1 - rho)
+    bounds the rest of its series.  A row that reached the cap has M = cap,
+    the least bound seen over 0..cap, and `converged` False.  `risk` is
+    `drift_risk` of the window, the one non-deterministic part of the
+    certificate.
+    """
+
+    pmf: np.ndarray             # (walks, kmax + 1)
+    q: np.ndarray
+    m: np.ndarray
+    tail_bound: np.ndarray
+    converged: np.ndarray
+    risk: float
 
 
-def limiting_endpoint_pmf(params: ModelParams, walk: WalkSample, kmax: int,
-                          epsilon: float = 1e-10) -> LimitingPmf:
-    """The limiting random endpoint pmf on 0..kmax; flags ride on qseries."""
+def _first_block(tau: float, epsilon: float, window: int, cap: int) -> int:
+    # the window plus twice the M at which the mean walk's bound
+    # e^{-tau M} rho / (1 - rho) reaches epsilon; at most cap + window
+    rho = math.exp(-0.5 * tau)
+    m = max(0, math.ceil(2.0 * math.log(rho / (1.0 - rho) / epsilon) / tau))
+    return min(window + m, cap + window)
+
+
+def _sliding_min(a: np.ndarray, window: int) -> np.ndarray:
+    """out[:, i] = min(a[:, i : i + window]), by doubling spans."""
+    span = 1
+    while 2 * span <= window:
+        a = np.minimum(a[:, :-span], a[:, span:])
+        span *= 2
+    if span < window:
+        a = np.minimum(a[:, :span - window], a[:, window - span:])
+    return a
+
+
+def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
+                          epsilon: float, *, window: int = 64,
+                          cap: int = 200_000) -> LimitingPmf:
+    """The limiting random endpoint pmf on 0..kmax for the walks `streams`.
+
+    Walks go through in row blocks of about `_ROW_LANES` steps.  A block
+    draws `_first_block` steps (at least kmax) for every walk and checks
+    the certificate at each index the window covers; the walks still open
+    draw the next stretch, continuing their partial sums and Q from where
+    they stopped.  Every sum runs left to right as over one whole walk, so
+    no number depends on the blocking.
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    qs = q_partial(params, walk, epsilon)
-    walk = extend_walk(walk, kmax)
-    with np.errstate(under="ignore"):
-        pmf = np.exp(-walk.values[: kmax + 1]) / qs.q
-    return LimitingPmf(pmf, qs)
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    risk = drift_risk(params, window)
+    streams = np.atleast_1d(np.asarray(streams, dtype=np.uint64))
+    tau = constants(params).increment_drift
+    block = _first_block(tau, epsilon, window, cap)
+    first = max(kmax, block)
+    rows = max(1, _ROW_LANES // (first + 1))
+    parts = [_certify(params, seed, streams[lo: lo + rows], kmax, epsilon,
+                      window, cap, block, first)
+             for lo in range(0, streams.size, rows)]
+    pmf, q, m, tail, conv = (np.concatenate(f) for f in zip(*parts))
+    return LimitingPmf(pmf, q, m, tail, conv, risk)
+
+
+def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
+    """(pmf, Q, M, tail bound, converged) for one row block of walks."""
+    n = streams.size
+    half = 0.5 * constants(params).increment_drift
+    rho = math.exp(-half)
+    geom = rho / (1.0 - rho)
+    q, tail = np.empty(n), np.empty(n)
+    m, conv = np.empty(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    s = np.zeros((n, first + 1))
+    np.cumsum(walk_increment_matrix(params, n, first, seed, streams),
+              axis=1, out=s[:, 1:])
+    head = s[:, :kmax + 1].copy()
+    # open rows: their block indices, the Q partial sum and least bound so
+    # far; s holds S_lo .. S_{lo + width - 1} of each
+    idx, qsum, best = np.arange(n), np.zeros(n), np.full(n, np.inf)
+    lo = 0
+    with np.errstate(under="ignore"):       # deep partial sums: e^{-S} -> 0
+        while True:
+            width = s.shape[1]
+            cand = min(width - window, cap + 1 - lo)
+            # drift line A_k = S_k - (tau/2) k: M passes when A_M is at most
+            # min A_{M+1..M+window}
+            a = s - half * np.arange(lo, lo + width)
+            ok = _sliding_min(a[:, 1:], window)[:, :cand] >= a[:, :cand]
+            e = np.exp(-s[:, :cand])
+            bound = e * geom
+            best = np.minimum(best, bound.min(axis=1))
+            good = ok & (bound <= epsilon)
+            done = good.any(axis=1)
+            j = good.argmax(axis=1)[done]
+            csum = np.cumsum(np.concatenate([qsum[:, None], e], axis=1), axis=1)
+            hit = idx[done]
+            q[hit], m[hit] = csum[done, j + 1], lo + j
+            tail[hit], conv[hit] = bound[done, j], True
+            open_ = ~done
+            if lo + cand > cap:             # flagged: Q through the cap
+                rest = idx[open_]
+                q[rest], m[rest], tail[rest] = csum[open_, cand], cap, best[open_]
+                break
+            if not open_.any():
+                break
+            idx, qsum, best = idx[open_], csum[open_, cand], best[open_]
+            s = s[open_, cand:]
+            drawn = lo + width - 1
+            inc = walk_increment_matrix(params, idx.size,
+                                        min(block, cap + window - drawn), seed,
+                                        streams[idx], start=drawn)
+            inc[:, 0] += s[:, -1]
+            s = np.concatenate([s, np.cumsum(inc, axis=1)], axis=1)
+            lo += cand
+        pmf = np.exp(-head) / q[:, None]
+    return pmf, q, m, tail, conv
 
 
 # ---------------------------------------------------------------------------

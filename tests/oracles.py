@@ -4,14 +4,16 @@ Everything here is written from the definitions, not from the library
 internals: partition functions are literal sums over enumerated paths,
 determinants are signed sums over permutations, the walk increment
 density is the convolution integral of its two log-gamma terms, the
-Gibbs log-density is the literal sum of log edge weights, and the gamma
+Gibbs log-density is the literal sum of log edge weights, the gamma
 sampler gathers the pending lanes and evaluates every test on each of
-them, round by round, so they share no code with the recurrences, the
-elimination, the closed form, the single-site rule and the lane-dense
-sampler under test.
+them, round by round, and the series Q is certified one walk at a time by
+extending the walk in doubling chunks, so they share no code with the
+recurrences, the elimination, the closed form, the single-site rule, the
+lane-dense sampler and the row-blocked certificate under test.
 """
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +21,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from hslg_lab.environment import Environment
-from hslg_lab.rng import uniforms
+from hslg_lab.rng import LANE_CHAIN, lane_keys, log_gamma_draws, uniforms
+from hslg_lab.special import ModelParams, constants
+from hslg_lab.walk import drift_risk
+
+_U64 = np.uint64
 
 
 @lru_cache(maxsize=None)
@@ -167,3 +173,137 @@ def gather_log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     if boosted.any():
         out[boosted] += np.log(uniforms(keys[boosted], q0)) / shape_arr[boosted]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the scalar walk and its Q certificate, one walk at a time
+
+
+@dataclass(frozen=True)
+class WalkSample:
+    """Partial sums S_0..S_n of one walk, with the key that extends it."""
+
+    params: ModelParams
+    values: np.ndarray
+    seed: int
+    stream: int
+
+    @property
+    def n(self) -> int:
+        return self.values.size - 1
+
+    @property
+    def increments(self) -> np.ndarray:
+        return np.diff(self.values)
+
+
+def walk_increments(params: ModelParams, n: int, seed: int = 0,
+                    stream: int = 0, start: int = 0) -> np.ndarray:
+    """Increments X_{start+1} .. X_{start+n} of the walk keyed (seed, stream)."""
+    if n < 0:
+        raise ValueError("increment count must be nonnegative")
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    base = _U64(LANE_CHAIN) + _U64(2) * idx
+    k1 = lane_keys(seed, stream, base)
+    k2 = lane_keys(seed, stream, base + _U64(1))
+    y1 = log_gamma_draws(params.theta + params.alpha, k1)
+    y2 = log_gamma_draws(params.theta - params.alpha, k2)
+    return y2 - y1
+
+
+def sample_walk(params: ModelParams, n: int, seed: int = 0,
+                stream: int = 0) -> WalkSample:
+    """Walk S_0 = 0, S_1, .., S_n."""
+    inc = walk_increments(params, n, seed, stream)
+    values = np.concatenate([[0.0], np.cumsum(inc)])
+    return WalkSample(params, values, int(seed), int(stream))
+
+
+def extend_walk(walk: WalkSample, n: int) -> WalkSample:
+    """The same walk continued out to S_n (no-op when already long enough).
+
+    The result is bitwise equal to `sample_walk(params, n, seed, stream)`:
+    the new partial sums are accumulated left to right starting from the
+    last value, exactly as the single cumsum in `sample_walk` adds them.
+    """
+    if n <= walk.n:
+        return walk
+    inc = walk_increments(walk.params, n - walk.n, walk.seed, walk.stream,
+                          start=walk.n)
+    tail = np.cumsum(np.concatenate([walk.values[-1:], inc]))[1:]
+    values = np.concatenate([walk.values, tail])
+    return WalkSample(walk.params, values, walk.seed, walk.stream)
+
+
+@dataclass(frozen=True)
+class QSeries:
+    """Partial sums Q_0..Q_M with a certified (or flagged) truncation bound.
+
+    `risk` is the Chebyshev bound on the chance that the drift line verified
+    over the lookahead window is ever violated beyond it (the only
+    non-deterministic part of the certificate); `converged` is False when no
+    index up to the cap passed the window check at the requested epsilon.
+    """
+
+    partials: np.ndarray
+    tail_bound: float
+    converged: bool
+    risk: float
+
+    @property
+    def q(self) -> float:
+        return float(self.partials[-1])
+
+    @property
+    def m(self) -> int:
+        return self.partials.size - 1
+
+
+def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
+              window: int = 64, cap: int = 200_000) -> QSeries:
+    """Q_M with certified tail <= epsilon, or a flagged result at the cap.
+
+    The certificate at M requires the lookahead drift check
+    S_{M+j} >= S_M + (tau/2) j for j = 1..window together with the geometric
+    bound sum_{j>=1} e^{-S_M - (tau/2) j} <= epsilon it then implies.  The
+    walk is extended as needed; nothing is truncated silently.
+    """
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    tau = constants(params).increment_drift
+    rho = math.exp(-0.5 * tau)
+    geom = rho / (1.0 - rho)
+
+    best_bound = math.inf
+    m_found = -1
+    lo = 0
+    while lo <= cap:
+        hi = min(max(2 * lo, 1024), cap)
+        walk = extend_walk(walk, hi + window)
+        s = walk.values
+        # drift line A_k = S_k - (tau/2) k: certificate at M is
+        # min_{M < k <= M+window} A_k >= A_M
+        a = s - 0.5 * tau * np.arange(s.size)
+        ahead = np.full(hi + 1 - lo, np.inf)
+        for j in range(1, window + 1):
+            ahead = np.minimum(ahead, a[lo + j: hi + 1 + j])
+        ok_drift = ahead >= a[lo: hi + 1]
+        # deep partial sums underflow harmlessly: the bound only shrinks
+        with np.errstate(under="ignore"):
+            bound = np.exp(-s[lo: hi + 1]) * geom
+        best_bound = min(best_bound, float(bound.min(initial=math.inf)))
+        good = np.flatnonzero(ok_drift & (bound <= epsilon))
+        if good.size:
+            m_found = lo + int(good[0])
+            break
+        lo = hi + 1
+
+    risk = drift_risk(params, window)
+    with np.errstate(under="ignore"):
+        if m_found < 0:
+            s = walk.values[: cap + 1]
+            partials = np.cumsum(np.exp(-s))
+            return QSeries(partials, best_bound, False, risk)
+        partials = np.cumsum(np.exp(-walk.values[: m_found + 1]))
+        tail = float(np.exp(-walk.values[m_found]) * geom)
+    return QSeries(partials, tail, True, risk)

@@ -21,8 +21,8 @@ UNREACHED = {
     "multilayer": {"diag_avoiding_exact", "diag_avoiding_log_table"},
     "polymer": {"point_to_line", "path_code"},
     "umap": {"apply_umap_2k", "count_preimages"},
-    "walk": {"increment_density", "limiting_endpoint_pmf",
-             "maximal_inequality_check", "double_limit_check"},
+    "walk": {"increment_density", "maximal_inequality_check",
+             "double_limit_check"},
 }
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse",

@@ -11,6 +11,9 @@ evaluates both closed forms, so the oracles integrate instead: the density
 is checked against `oracles.quadrature_density`, quadrature of the
 convolution integral, and the CDF against quadrature of the library
 density, which that check ties to the convolution.
+
+The batched Q certificate `limiting_endpoint_pmf` is checked bit for bit
+against `oracles.q_partial`, which certifies one walk at a time.
 """
 import math
 
@@ -20,12 +23,14 @@ import scipy.integrate
 import scipy.stats
 
 import oracles
-from hslg_lab.special import constants
+from hslg_lab import walk
+from hslg_lab.rng import LANE_CHAIN
+from hslg_lab.special import ModelParams, constants
 from hslg_lab.walk import (DoubleLimitTable, drift_risk, double_limit_check,
-                           extend_walk, increment_cdf, increment_density,
+                           increment_cdf, increment_density,
                            limiting_endpoint_pmf, maximal_inequality_check,
-                           q_partial, sample_walk, walk_increment_matrix,
-                           walk_increments)
+                           walk_increment_matrix)
+from oracles import extend_walk, q_partial, sample_walk, walk_increments
 
 
 def quadrature_density(params, x):
@@ -69,6 +74,26 @@ class TestWalkDraws:
             np.testing.assert_array_equal(
                 mat[s], walk_increments(params, 25, seed=1, stream=7 + s))
 
+    def test_matrix_start_offsets_the_increments(self, params):
+        for start in (0, 1, 17, 400):
+            mat = walk_increment_matrix(params, 3, 9, seed=2, stream=5,
+                                        start=start)
+            for s in range(3):
+                np.testing.assert_array_equal(
+                    mat[s], walk_increments(params, 9, seed=2, stream=5 + s,
+                                            start=start))
+
+    def test_matrix_takes_a_stream_per_row(self, params):
+        streams = np.array([9, 2, 40], dtype=np.uint64)
+        mat = walk_increment_matrix(params, 3, 6, seed=1, stream=streams,
+                                    start=3)
+        for row, s in zip(mat, streams):
+            np.testing.assert_array_equal(
+                row, walk_increments(params, 6, seed=1, stream=int(s),
+                                     start=3))
+        with pytest.raises(ValueError):
+            walk_increment_matrix(params, 2, 6, stream=streams)
+
     def test_mean_drift(self, params):
         tau = constants(params).increment_drift
         mat = walk_increment_matrix(params, 10_000, 100, seed=2)
@@ -89,6 +114,8 @@ class TestWalkDraws:
     def test_negative_count_rejected(self, params):
         with pytest.raises(ValueError):
             walk_increments(params, -1)
+        with pytest.raises(ValueError):
+            walk_increment_matrix(params, 2, -1)
 
 
 class TestIncrementLaw:
@@ -128,64 +155,87 @@ class TestIncrementLaw:
         assert isinstance(increment_cdf(params, 0.5), float)
 
 
+HALF_ULP = 2.0**-53
+
+
+def oracle_rows(params, seed, streams, epsilon, **kw):
+    """(Q, M, tail bound, converged) of `oracles.q_partial`, one per stream."""
+    out = []
+    for s in streams:
+        qs = q_partial(params, sample_walk(params, 0, seed=seed, stream=int(s)),
+                       epsilon, **kw)
+        out.append((qs.q, qs.m, qs.tail_bound, qs.converged))
+    return out
+
+
+def batched_rows(out):
+    return [(float(q), int(m), float(t), bool(c)) for q, m, t, c in
+            zip(out.q, out.m, out.tail_bound, out.converged)]
+
+
+def assert_same(a, b):
+    np.testing.assert_array_equal(a.pmf, b.pmf)
+    assert batched_rows(a) == batched_rows(b)
+    assert a.risk == b.risk
+
+
 class TestQSeries:
     def test_q0_is_one_and_monotone(self, params):
-        qs = q_partial(params, sample_walk(params, 0, seed=5), 1e-8)
-        assert qs.partials[0] == 1.0
-        assert qs.converged
-        assert qs.tail_bound <= 1e-8
-        assert np.all(np.diff(qs.partials) > 0)
-        assert np.all(qs.partials >= 1.0)
+        out = limiting_endpoint_pmf(params, 5, np.arange(20), 3, 1e-8)
+        # Q = 1 + (positive terms), and every weight e^{-S_r} / Q is positive
+        assert np.all(out.pmf[:, 0] == 1.0 / out.q)
+        assert np.all(out.q > 1.0)
+        assert np.all(out.pmf > 0.0)
+        assert out.converged.all()
+        assert np.all(out.tail_bound <= 1e-8)
+        assert np.all(out.m >= 0)
 
     def test_certificate_covers_the_true_tail(self, params):
-        for stream in range(30):
-            walk = sample_walk(params, 0, seed=6, stream=stream)
-            qs = q_partial(params, walk, 1e-10)
-            assert qs.converged
-            far = extend_walk(sample_walk(params, 0, seed=6, stream=stream),
-                              qs.m + 3000)
-            with np.errstate(under="ignore"):
-                direct = np.exp(-far.values[qs.m + 1:]).sum()
-            assert 0.0 <= direct <= qs.tail_bound
+        out = limiting_endpoint_pmf(params, 6, np.arange(30), 0, 1e-10)
+        assert out.converged.all()
+        inc = walk_increment_matrix(params, 30, int(out.m.max()) + 3000, seed=6)
+        s = np.cumsum(inc, axis=1)          # column k - 1 holds S_k
+        with np.errstate(under="ignore"):
+            for row, m in enumerate(out.m):
+                direct = np.exp(-s[row, m:]).sum()
+                assert 0.0 <= direct <= out.tail_bound[row]
 
-    def test_start_length_does_not_change_q(self, params):
-        # q_partial extends the walk in chunks; the result must not depend
-        # on how much of the walk was drawn beforehand
-        window = 64
-        for stream in range(40):
-            qs = q_partial(params, sample_walk(params, 0, seed=17,
-                                               stream=stream), 1e-10,
-                           window=window)
-            pre = extend_walk(sample_walk(params, 1, seed=17, stream=stream),
-                              qs.m + window + 1)
-            again = q_partial(params, pre, 1e-10, window=window)
-            np.testing.assert_array_equal(again.partials, qs.partials)
-            assert again.tail_bound == qs.tail_bound
+    def test_start_length_does_not_change_q(self, params, monkeypatch):
+        # the walks draw a first stretch, then extend; no number may depend
+        # on how long the first stretch was
+        streams = np.arange(40)
+        ref = limiting_endpoint_pmf(params, 17, streams, 5, 1e-10)
+        for extra in (1, 700):
+            monkeypatch.setattr(walk, "_first_block",
+                                lambda tau, eps, window, cap: window + extra)
+            assert_same(limiting_endpoint_pmf(params, 17, streams, 5, 1e-10),
+                        ref)
 
     def test_risk_is_drift_risk_of_window(self, params):
-        qs = q_partial(params, sample_walk(params, 0, seed=7), 1e-8,
-                       window=32)
-        assert qs.risk == drift_risk(params, 32)
+        out = limiting_endpoint_pmf(params, 7, [0], 1, 1e-8, window=32)
+        assert out.risk == drift_risk(params, 32)
 
     def test_cap_flags_without_truncating_silently(self, params):
-        walk = sample_walk(params, 0, seed=8)
-        qs = q_partial(params, walk, 1e-300, window=8, cap=50)
-        assert not qs.converged
-        assert qs.m == 50
-        assert qs.tail_bound > 1e-300
-        assert 0.0 < qs.risk <= 1.0
+        out = limiting_endpoint_pmf(params, 8, [0, 1], 1, 1e-300, window=8,
+                                    cap=50)
+        assert not out.converged.any()
+        assert np.all(out.m == 50)
+        assert np.all(out.tail_bound > 1e-300)
+        assert 0.0 < out.risk <= 1.0
+        assert batched_rows(out) == oracle_rows(params, 8, [0, 1], 1e-300,
+                                                window=8, cap=50)
 
     def test_epsilon_guard(self, params):
         with pytest.raises(ValueError):
-            q_partial(params, sample_walk(params, 0), 0.0)
+            limiting_endpoint_pmf(params, 0, [0], 1, 0.0)
+        with pytest.raises(ValueError):
+            limiting_endpoint_pmf(params, 0, [0], 1, 1e-8, window=0)
 
     def test_q_times_r0_is_inverse_gamma(self, params):
         # e^{-S} series times an independent inverse-Gamma(theta - alpha)
         # front factor collapses to inverse-Gamma(-2 alpha)
         n = 4000
-        q = np.array([q_partial(params, sample_walk(params, 0, seed=9,
-                                                    stream=s), 1e-9).q
-                      for s in range(n)])
+        q = limiting_endpoint_pmf(params, 9, np.arange(n), 0, 1e-9).q
         r0 = 1.0 / np.random.default_rng(10).gamma(
             params.theta - params.alpha, size=n)
         res = scipy.stats.kstest(q * r0,
@@ -195,28 +245,79 @@ class TestQSeries:
 
 class TestLimitingPmf:
     def test_entry_zero_is_reciprocal_q(self, params):
-        out = limiting_endpoint_pmf(params, sample_walk(params, 0, seed=11),
-                                    kmax=6)
-        assert out.pmf[0] == 1.0 / out.qseries.q
+        out = limiting_endpoint_pmf(params, 11, np.arange(10), 6, 1e-10)
+        assert out.pmf.shape == (10, 7)
+        assert np.all(out.pmf[:, 0] == 1.0 / out.q)
 
     def test_truncation_accounting(self, params):
-        walk = sample_walk(params, 0, seed=12)
         eps = 1e-9
-        out = limiting_endpoint_pmf(params, walk, kmax=5, epsilon=eps)
-        qs = out.qseries
-        deficit = 1.0 - out.pmf.sum()
+        out = limiting_endpoint_pmf(params, 12, [0], 5, eps)
+        qs = q_partial(params, sample_walk(params, 0, seed=12), eps)
+        assert out.q[0] == qs.q
+        deficit = 1.0 - out.pmf[0].sum()
         assert deficit == pytest.approx(
             (qs.q - qs.partials[5]) / qs.q, abs=1e-15)
-        full = limiting_endpoint_pmf(params, walk, kmax=qs.m, epsilon=eps)
+        m = int(out.m[0])
+        full = limiting_endpoint_pmf(params, 12, [0], m, eps)
         assert full.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        beyond = limiting_endpoint_pmf(params, walk, kmax=qs.m + 50,
-                                       epsilon=eps)
+        beyond = limiting_endpoint_pmf(params, 12, [0], m + 50, eps)
+        assert beyond.q[0] == qs.q
         assert beyond.pmf.sum() <= 1.0 + eps
 
     def test_kmax_guard(self, params):
         with pytest.raises(ValueError):
-            limiting_endpoint_pmf(params, sample_walk(params, 0), -1)
+            limiting_endpoint_pmf(params, 0, [0], -1, 1e-10)
 
+
+class TestCertificateAgainstOracle:
+    @pytest.mark.parametrize("alpha", [-0.5, -0.2, -0.02])
+    def test_rows_match_q_partial_bitwise(self, alpha):
+        params = ModelParams(1.0, alpha)
+        streams = np.arange(40)
+        out = limiting_endpoint_pmf(params, 21, streams, 5, HALF_ULP)
+        assert batched_rows(out) == oracle_rows(params, 21, streams, HALF_ULP)
+        assert out.converged.all()
+        if alpha == -0.02:
+            # a fixed 400-step walk would have cut these series short
+            assert out.m.max() > 400
+        for row, s in enumerate(streams):
+            values = sample_walk(params, 5, seed=21, stream=int(s)).values
+            np.testing.assert_array_equal(out.pmf[row],
+                                          np.exp(-values) / out.q[row])
+
+    def test_rows_flagged_at_the_cap_report_the_least_bound_seen(self):
+        params = ModelParams(1.0, -0.02)
+        streams = np.arange(40)
+        out = limiting_endpoint_pmf(params, 22, streams, 5, HALF_ULP, cap=400)
+        assert 0 < out.converged.sum() < streams.size
+        assert np.all(out.m[~out.converged] == 400)
+        assert batched_rows(out) == oracle_rows(params, 22, streams, HALF_ULP,
+                                                cap=400)
+
+    def test_pmf_columns_are_the_fixed_length_walk_sums(self, params):
+        # S_1..S_5 are the first columns of the old (walks, 400) cumsum
+        old = np.cumsum(walk_increment_matrix(params, 50, 400, seed=3,
+                                              stream=100), axis=1)
+        out = limiting_endpoint_pmf(params, 3, 100 + np.arange(50), 5,
+                                    HALF_ULP)
+        np.testing.assert_array_equal(out.pmf[:, 0], 1.0 / out.q)
+        np.testing.assert_array_equal(out.pmf[:, 1:],
+                                      np.exp(-old[:, :5]) / out.q[:, None])
+
+    def test_blocking_does_not_change_rows(self, monkeypatch):
+        params = ModelParams(1.0, -0.2)
+        streams = np.arange(50, 90)
+        whole = limiting_endpoint_pmf(params, 23, streams, 5, HALF_ULP)
+        calls = [limiting_endpoint_pmf(params, 23, part, 5, HALF_ULP)
+                 for part in (streams[:1], streams[1:17], streams[17:])]
+        for name in ("pmf", "q", "m", "tail_bound", "converged"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(c, name) for c in calls]),
+                getattr(whole, name))
+        for lanes in (1, 700):              # one walk per block; a few walks
+            monkeypatch.setattr(walk, "_ROW_LANES", lanes)
+            assert_same(limiting_endpoint_pmf(params, 23, streams, 5, HALF_ULP),
+                        whole)
 
 class TestMaximalInequality:
     def test_huge_level_never_dips(self, params):
