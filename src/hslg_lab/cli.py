@@ -26,7 +26,7 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import metadata
 
 import numpy as np
@@ -75,23 +75,45 @@ def _precision(text: str) -> str:
     return text
 
 
-_CONVERTERS = {
-    "theta": float, "alpha": float, "significance": float,
-    "n": int, "samples": int, "seed": int, "stream": int, "threads": int,
-    "r_max": int, "walk_samples": int, "deep_m": int, "small_samples": int,
-    "envs": int, "r": int, "k": int, "kmax": int, "count": int,
-    "flavor": _flavor, "precision": _precision, "out": str,
-    "sizes": _int_tuple, "k_grid": _int_tuple, "small_sizes": _int_tuple,
-}
-
-_DEFAULTS = {
-    "theta": 1.0, "alpha": -0.5, "flavor": "standard", "precision": "float",
-    "samples": 200, "seed": 0, "stream": 0, "threads": 1,
-    "n": None, "out": None, "sizes": None, "k_grid": None, "r_max": None,
-    "walk_samples": None, "deep_m": None, "small_sizes": None,
-    "small_samples": None, "significance": None, "envs": None, "r": None,
-    "k": None, "kmax": None, "count": None,
-}
+# Every option once: (flag, dest, type, default, help).  The config-file
+# converters, the defaults and the parser are all read from this table; a
+# None default means "not set", and the handler picks its own default.
+_OPTIONS = (
+    ("--theta", "theta", float, 1.0, "bulk shape is 2*theta (default 1.0)"),
+    ("--alpha", "alpha", float, -0.5,
+     "diagonal shape offset, bound phase needs alpha < 0 (default -0.5)"),
+    ("--n", "n", int, None, "lattice size"),
+    ("--flavor", "flavor", _flavor, "standard",
+     "environment flavor: standard, stationary, alpha-zero-diagonal"),
+    ("--samples", "samples", int, 200, "environments per size (default 200)"),
+    ("--seed", "seed", int, 0, "RNG seed (default HSLG_LAB_SEED or 0)"),
+    ("--stream", "stream", int, 0, "RNG stream offset (default 0)"),
+    ("--threads", "threads", int, 1, "worker threads; never changes output"),
+    ("--out", "out", str, None, "output path (CSV or environment file)"),
+    ("--precision", "precision", _precision, "float",
+     "float or exact (dyadic weights)"),
+    ("--sizes", "sizes", _int_tuple, None, "comma-separated N grid for experiments"),
+    ("--k-grid", "k_grid", _int_tuple, None,
+     "comma-separated endpoint tail offsets (pinning)"),
+    ("--r-max", "r_max", int, None, "deepest increment index"),
+    ("--walk-samples", "walk_samples", int, None,
+     "random-walk sample count (quenched)"),
+    ("--deep-m", "deep_m", int, None, "deep-tail depth multiplier"),
+    ("--small-sizes", "small_sizes", _int_tuple, None,
+     "orders for the exact top-curve statistic (lln)"),
+    ("--small-samples", "small_samples", int, None,
+     "environments per small order (lln)"),
+    ("--significance", "significance", float, None,
+     "p-value floor for exact identities and verify gibbs"),
+    ("--envs", "envs", int, None, "environment count for verify actions"),
+    ("--r", "r", int, None, "max layer count for verify lgv"),
+    ("--k", "k", int, None, "layer-pair count for verify sbd"),
+    ("--kmax", "kmax", int, None,
+     "curve count for simulate ensemble and verify gibbs"),
+    ("--count", "count", int, None, "path count for simulate path"),
+)
+_CONVERTERS = {dest: conv for _, dest, conv, _, _ in _OPTIONS}
+_DEFAULTS = {dest: default for _, dest, _, default, _ in _OPTIONS}
 
 
 def read_config_file(path) -> dict:
@@ -131,38 +153,9 @@ class Invocation:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    add = common.add_argument
-    add("--theta", type=float, help="bulk shape is 2*theta (default 1.0)")
-    add("--alpha", type=float,
-        help="diagonal shape offset, bound phase needs alpha < 0 (default -0.5)")
-    add("--n", type=int, help="lattice size")
-    add("--flavor", type=_flavor,
-        help="environment flavor: standard, stationary, alpha-zero-diagonal")
-    add("--samples", type=int, help="environments per size (default 200)")
-    add("--seed", type=int, help="RNG seed (default HSLG_LAB_SEED or 0)")
-    add("--stream", type=int, help="RNG stream offset (default 0)")
-    add("--threads", type=int, help="worker threads; never changes output")
-    add("--out", help="output path (CSV or environment file)")
-    add("--config", help="flat key = value config file")
-    add("--precision", type=_precision, help="float or exact (dyadic weights)")
-    add("--sizes", type=_int_tuple, help="comma-separated N grid for experiments")
-    add("--k-grid", dest="k_grid", type=_int_tuple,
-        help="comma-separated endpoint tail offsets (pinning)")
-    add("--r-max", dest="r_max", type=int, help="deepest increment index")
-    add("--walk-samples", dest="walk_samples", type=int,
-        help="random-walk sample count (quenched)")
-    add("--deep-m", dest="deep_m", type=int, help="deep-tail depth multiplier")
-    add("--small-sizes", dest="small_sizes", type=_int_tuple,
-        help="orders for the exact top-curve statistic (lln)")
-    add("--small-samples", dest="small_samples", type=int,
-        help="environments per small order (lln)")
-    add("--significance", type=float,
-        help="p-value floor for exact identities and verify gibbs")
-    add("--envs", type=int, help="environment count for verify actions")
-    add("--r", type=int, help="max layer count for verify lgv")
-    add("--k", type=int, help="layer-pair count for verify sbd")
-    add("--kmax", type=int, help="curve count for simulate ensemble and verify gibbs")
-    add("--count", type=int, help="path count for simulate path")
+    for flag, dest, conv, _, text in _OPTIONS:
+        common.add_argument(flag, dest=dest, type=conv, help=text)
+    common.add_argument("--config", help="flat key = value config file")
 
     parser = argparse.ArgumentParser(
         prog="hslg-lab",
@@ -419,7 +412,7 @@ def _verify_identity(o) -> int:
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
         senv = symmetrize(env)
         for (i, j), z in sorted(exact_partition_table(env).items()):
-            zsym = multilayer_lgv(senv, i, j, 1, mode="exact")
+            zsym = multilayer_lgv(senv, i, j, 1)
             if 2 * zsym != z:
                 print(f"FAIL: environment {e} (seed={o['seed']}, "
                       f"stream={o['stream'] + e}), site ({i},{j}): "
@@ -443,7 +436,7 @@ def _verify_lgv(o) -> int:
         for i in range(1, 2 * n):
             for j in range(1, min(i, 2 * n - i) + 1):
                 for r in range(1, min(r_top, j) + 1):
-                    det = multilayer_lgv(senv, i, j, r, mode="exact")
+                    det = multilayer_lgv(senv, i, j, r)
                     brute = multilayer_brute(senv, i, j, r)
                     if det != brute:
                         print(f"FAIL: environment {e} (stream={o['stream'] + e}), "
@@ -513,6 +506,8 @@ def _verify_gibbs(o) -> int:
     return 0
 
 
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
 _DRIVERS = {
     "pinning": run_pinning,
     "walk": run_walk_attractor,
@@ -530,16 +525,12 @@ def _experiment(o, action: str) -> int:
         if o["n"] is None:
             raise UsageError("experiment requires --sizes (or --n for one size)")
         sizes = (o["n"],)
-    kwargs = {}
-    for key in ("significance", "k_grid", "r_max", "walk_samples", "deep_m",
-                "small_sizes", "small_samples"):
-        if o[key] is not None:
-            kwargs[key] = o[key]
+    # every set option that names a config field goes to the driver
+    kwargs = {dest: o[dest] for _, dest, _, _, _ in _OPTIONS
+              if dest in _CONFIG_FIELDS and o[dest] is not None}
+    kwargs.update(sizes=tuple(sizes), out=str(out), theorem=action)
     try:
-        config = ExperimentConfig(params, tuple(sizes), o["samples"],
-                                  seed=o["seed"], stream=o["stream"],
-                                  flavor=o["flavor"], threads=o["threads"],
-                                  out=str(out), theorem=action, **kwargs)
+        config = ExperimentConfig(params, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:

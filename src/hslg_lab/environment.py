@@ -55,7 +55,7 @@ def diag_sites(n: int, s: int):
     return s - j, j
 
 
-def site_shapes(params: ModelParams, flavor: str, i, j, stationary_origin="diagonal"):
+def site_shapes(params: ModelParams, flavor: str, i, j):
     """Gamma shape per site for the given flavor (arrays i, j broadcast)."""
     i = np.asarray(i)
     j = np.asarray(j)
@@ -65,10 +65,6 @@ def site_shapes(params: ModelParams, flavor: str, i, j, stationary_origin="diago
     if flavor == "stationary":
         first = (j == 1) & (i >= 2)
         shapes[first] = params.shape_boundary
-        if stationary_origin == "boundary":
-            shapes[(i == 1) & (j == 1)] = params.shape_boundary
-        elif stationary_origin != "diagonal":
-            raise ValueError("stationary_origin must be 'diagonal' or 'boundary'")
     elif flavor == "alpha-zero-diagonal":
         shapes[diag] = params.theta
     elif flavor != "standard":
@@ -163,11 +159,10 @@ def symmetrize(env: Environment) -> SymmetrizedEnvironment:
 
 
 def generate_environment(params: ModelParams, n: int, flavor: str = "standard",
-                         seed: int = 0, stream: int = 0, *,
-                         stationary_origin: str = "diagonal") -> Environment:
+                         seed: int = 0, stream: int = 0) -> Environment:
     """Sample a full environment; weights are 1/Gamma(shape) per site class."""
     ij = np.array(list(wedge_sites(n)), dtype=np.int64)
-    shapes = site_shapes(params, flavor, ij[:, 0], ij[:, 1], stationary_origin)
+    shapes = site_shapes(params, flavor, ij[:, 0], ij[:, 1])
     lanes = site_code(ij[:, 0], ij[:, 1])
     keys = rng.lane_keys(seed, stream, lanes.astype(np.uint64))
     w = np.exp(-rng.log_gamma_draws(shapes, keys))
@@ -184,7 +179,7 @@ def generate_dyadic_environment(params: ModelParams, n: int,
 
 
 def stream_log_weights(params: ModelParams, n: int, flavor: str,
-                       seed: int, streams, *, stationary_origin: str = "diagonal"):
+                       seed: int, streams):
     """Yield (s, j, logw) per anti-diagonal s = 2..2n, batched over streams.
 
     `logw` has shape (len(streams), s//2); column order follows j = 1..s//2.
@@ -195,7 +190,7 @@ def stream_log_weights(params: ModelParams, n: int, flavor: str,
     streams = np.asarray(streams, dtype=np.uint64)
     for s in range(2, 2 * n + 1):
         i, j = diag_sites(n, s)
-        shapes = site_shapes(params, flavor, i, j, stationary_origin)
+        shapes = site_shapes(params, flavor, i, j)
         lanes = site_code(i, j).astype(np.uint64)
         keys = rng.lane_keys(seed, streams[:, None], lanes[None, :])
         logw = -rng.log_gamma_draws(shapes[None, :], keys)

@@ -28,7 +28,7 @@ from scipy.special import gammaincc, logsumexp
 from .environment import generate_environment, symmetrize
 from .multilayer import batch_diag_avoiding_profiles, line_ensemble
 from .polymer import batch_final_profiles, increment_vector, partition_table
-from .rng import LANE_BOOTSTRAP, lane_keys, log_gamma_draws
+from .rng import lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
 from .stats import (KS_MIN_SAMPLES, RESAMPLES, Interval, bootstrap_ci,
                     chi2_independence, ks_test, normal_cdf)
@@ -174,24 +174,17 @@ def _stream_blocks(config: ExperimentConfig, total: int):
             for lo in range(0, total, STREAM_BLOCK)]
 
 
-def _profiles(config: ExperimentConfig, n: int, flavor: str) -> np.ndarray:
-    """(samples, n) final-line log partition profiles."""
+def _profiles(batch, config: ExperimentConfig, n: int, flavor: str) -> np.ndarray:
+    """(samples, width) rows of `batch`, one per environment stream.
+
+    `batch` is `batch_final_profiles` or `batch_diag_avoiding_profiles`;
+    drivers pass the module attribute when they run, so a wrapper put there
+    sees every stream block.
+    """
     def work(block):
         start, cnt = block
         streams = np.arange(start, start + cnt, dtype=np.uint64)
-        return batch_final_profiles(config.params, n, flavor, config.seed,
-                                    streams)
-    parts = _map_blocks(work, _stream_blocks(config, config.samples),
-                        config.threads)
-    return np.vstack(parts)
-
-
-def _diag_avoiding(config: ExperimentConfig, n: int, flavor: str) -> np.ndarray:
-    def work(block):
-        start, cnt = block
-        streams = np.arange(start, start + cnt, dtype=np.uint64)
-        return batch_diag_avoiding_profiles(config.params, n, flavor,
-                                            config.seed, streams)
+        return batch(config.params, n, flavor, config.seed, streams)
     parts = _map_blocks(work, _stream_blocks(config, config.samples),
                         config.threads)
     return np.vstack(parts)
@@ -247,7 +240,7 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
     tail_cis: dict[tuple[int, int], Interval] = {}
     medians: dict[tuple[int, int], float] = {}
     for n in config.sizes:
-        prof = _profiles(config, n, "standard")
+        prof = _profiles(batch_final_profiles, config, n, "standard")
         total = logsumexp(prof, axis=1)
         ks = [k for k in config.k_grid if k < n]
         for k in ks:
@@ -297,7 +290,7 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
     d_first: list[float] = []
     d_cis: list[Interval] = []
     for n in config.sizes:
-        prof = _profiles(config, n, config.flavor)
+        prof = _profiles(batch_final_profiles, config, n, config.flavor)
         r_hi = min(config.r_max, n - 1)
         for r in range(1, r_hi + 1):
             x = prof[:, r - 1] - prof[:, r]
@@ -368,7 +361,7 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
                       "walk_mean", "polymer_var", "walk_var"))
     sig = config.significance
     n = max(config.sizes)
-    prof = _profiles(config, n, "standard")
+    prof = _profiles(batch_final_profiles, config, n, "standard")
     total = logsumexp(prof, axis=1)
     pmf = np.exp(prof - total[:, None])
     rep.checks.append(Check(
@@ -420,7 +413,7 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     means, mean_cis, vars_, var_cis = [], [], [], []
     corr_last = mean_last = var_last = float("nan")
     for n in config.sizes:
-        prof = _profiles(config, n, "standard")
+        prof = _profiles(batch_final_profiles, config, n, "standard")
         g = max(1, int(n ** 0.25))
         z = (prof[:, 0] - rate * n) / (sigma * math.sqrt(n))
         z_line = ((logsumexp(prof[:, g:], axis=1) - rate * n + g * tau)
@@ -476,7 +469,7 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
 
     gaps, gap_cis = [], []
     for n in config.sizes:
-        prof = _profiles(config, n, "standard")
+        prof = _profiles(batch_final_profiles, config, n, "standard")
         v = logsumexp(prof[:, 1:], axis=1) / n
         med = float(np.median(v))
         ci = bootstrap_ci(v, np.median, seed=config.seed,
@@ -492,7 +485,8 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
     target = diagonal_rate_alpha_zero(config.params.theta)
     gaps, gap_cis = [], []
     for n in config.sizes:
-        prof = _diag_avoiding(config, n, "alpha-zero-diagonal")
+        prof = _profiles(batch_diag_avoiding_profiles, config, n,
+                         "alpha-zero-diagonal")
         v = logsumexp(prof, axis=1) / n            # (2/q) log at q = 2n
         med = float(np.median(v))
         ci = bootstrap_ci(v, np.median, seed=config.seed,

@@ -26,7 +26,8 @@ independent ensembles (Rosenblatt 1952), so the property is tested without
 sampling.
 
 The curve-ordering check counts how often sampled line ensembles break the
-four slack ordering inequalities between neighbouring curves.
+four ordering inequalities between neighbouring curves by more than the
+slack log(n)^2.
 """
 
 from __future__ import annotations
@@ -205,19 +206,18 @@ class OrderingReport:
 
     violations: np.ndarray
     trials: np.ndarray
-    slack: float | None
 
     @property
     def rates(self) -> np.ndarray:
         return self.violations / np.maximum(self.trials, 1)
 
 
-def ordering_check(ensembles, k: int, slack: float | None = None) -> OrderingReport:
+def ordering_check(ensembles, k: int) -> OrderingReport:
     """Empirical violation rates of the four ordering inequalities.
 
     Compares curves i = 1..k against curve i+1 at every even position, with
-    additive slack log(n)^2 by default (or the given override), aggregated
-    over one ensemble or an iterable of them.
+    additive slack log(n)^2, aggregated over one ensemble or an iterable of
+    them.
     """
     if isinstance(ensembles, LineEnsemble):
         ensembles = [ensembles]
@@ -229,7 +229,7 @@ def ordering_check(ensembles, k: int, slack: float | None = None) -> OrderingRep
         if ens.kmax < k + 1:
             raise ValueError(f"need curves up to {k + 1}, have {ens.kmax}")
         n = ens.n
-        s = math.log(n) ** 2 if slack is None else float(slack)
+        s = math.log(n) ** 2
         for i in range(1, k + 1):
             cur = ens.curves[i - 1]
             nxt = ens.curves[i]
@@ -246,4 +246,4 @@ def ordering_check(ensembles, k: int, slack: float | None = None) -> OrderingRep
                 trials[t] += bad.size
     if not seen:
         raise ValueError("no ensembles supplied")
-    return OrderingReport(violations, trials, slack)
+    return OrderingReport(violations, trials)

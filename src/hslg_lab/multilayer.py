@@ -228,26 +228,16 @@ def log_det_scaled(log_matrix: np.ndarray) -> float:
     return float(np.sum(rowmax) + np.log(det))
 
 
-def multilayer_lgv(senv: SymmetrizedEnvironment, m: int, n: int, r: int,
-                   mode: str = "float"):
-    """r-layer value via the determinant of single-path quadrant values.
-
-    Exact mode returns a Fraction, float mode the log value.
-    """
+def multilayer_lgv(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fraction:
+    """Exact r-layer value via the determinant of single-path quadrant values."""
     if r == 0:
-        return Fraction(1) if mode == "exact" else 0.0
+        return Fraction(1)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     ends = [(m, n - b) for b in range(r)]
-    if mode == "exact":
-        tables = [quadrant_exact_table(senv, r - a, m, n) for a in range(r)]
-        matrix = [[tables[a].get(end, Fraction(0)) for end in ends] for a in range(r)]
-        return exact_det(matrix)
-    if mode != "float":
-        raise ValueError("mode must be 'float' or 'exact'")
-    tables = [quadrant_log_table(senv, r - a, m, n) for a in range(r)]
-    logm = np.array([[tables[a][end] for end in ends] for a in range(r)])
-    return log_det_scaled(logm)
+    tables = [quadrant_exact_table(senv, r - a, m, n) for a in range(r)]
+    matrix = [[tables[a].get(end, Fraction(0)) for end in ends] for a in range(r)]
+    return exact_det(matrix)
 
 
 def _diag_avoiding_table(senv, imax, jmax, ring):
@@ -260,24 +250,6 @@ def _diag_avoiding_table(senv, imax, jmax, ring):
         return (1, 1) if s == 2 else (max(1, s - imax), min(jmax, (s - 1) // 2))
     cells = itertools.islice(_sweep_cells(senv, ring, 2, bounds), 1, None)
     return _collect(cells, ring, imax, jmax)
-
-
-def diag_avoiding_exact(senv: SymmetrizedEnvironment, m: int, n: int) -> Fraction:
-    """Paths (1,1)->(m,n), m != n, meeting the diagonal only at (1,1).
-
-    Such a path commits to one side at its first step; by reflection
-    symmetry of the weights we evaluate the below-diagonal side.
-    """
-    if m == n:
-        raise ValueError("diagonal-avoiding value needs m != n")
-    if n > m:
-        m, n = n, m
-    return _diag_avoiding_table(senv, m, n, EXACT).get((m, n), Fraction(0))
-
-
-def diag_avoiding_log_table(senv: SymmetrizedEnvironment, imax: int, jmax: int) -> np.ndarray:
-    """log of the diagonal-avoiding values on the strict lower triangle."""
-    return _diag_avoiding_table(senv, imax, jmax, LOG)
 
 
 def vq_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:

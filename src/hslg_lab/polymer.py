@@ -1,4 +1,4 @@
-"""Point-to-point and point-to-line partition functions on the wedge.
+"""Point-to-point partition functions on the wedge and the endpoint law.
 
 The recurrence, with W the environment weights:
 
@@ -117,14 +117,6 @@ def exact_partition_table(env: Environment) -> dict[tuple[int, int], Fraction]:
     return z
 
 
-def point_to_line(table: PartitionTable, m: int = 0) -> float:
-    """log of the tail sum  sum_{p >= m} Z(n+p, n-p)  over the last line."""
-    profile = table.final_profile()
-    if not 0 <= m < table.n:
-        raise ValueError("m must lie in [0, n)")
-    return float(logsumexp(profile[m:]))
-
-
 def endpoint_pmf(table: PartitionTable) -> np.ndarray:
     """P(endpoint = (n+p, n-p)) for p = 0..n-1 under the quenched measure."""
     profile = table.final_profile()
@@ -139,17 +131,11 @@ def increment_vector(table: PartitionTable, kmax: int) -> np.ndarray:
     return profile[0] - profile[: kmax + 1]
 
 
-def path_code(path: list[tuple[int, int]]) -> int:
-    """Bit-encode a path by its moves (up = i+1 = 1), first move = lowest bit."""
-    code = 0
-    for k in range(1, len(path)):
-        if path[k][0] == path[k - 1][0] + 1:
-            code |= 1 << (k - 1)
-    return code
-
-
 def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int) -> np.ndarray:
     """Vectorized path sampling; returns one move-code per draw.
+
+    A code packs the 2n - 2 moves of a path from (1,1), first move in the
+    lowest bit, 1 for a step up (i + 1) and 0 for a step right (j + 1).
 
     Draw d consumes lane LANE_CHAIN + d, so the result is independent of
     batching.  Step q of every draw uses draw index q of its lane.
@@ -187,7 +173,7 @@ def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int)
 
 
 def batch_final_profiles(params: ModelParams, n: int, flavor: str, seed: int,
-                         streams, *, stationary_origin: str = "diagonal") -> np.ndarray:
+                         streams) -> np.ndarray:
     """log Z(n+p, n-p), p = 0..n-1, for a batch of streams at once.
 
     Streams `sweep` without materializing the n^2 weight field; row b of
@@ -196,5 +182,5 @@ def batch_final_profiles(params: ModelParams, n: int, flavor: str, seed: int,
     experiments.
     """
     diagonals = ((1, logw) for _, _, logw in stream_log_weights(
-        params, n, flavor, seed, streams, stationary_origin=stationary_origin))
+        params, n, flavor, seed, streams))
     return final(sweep(diagonals, LOG))[:, ::-1].copy()

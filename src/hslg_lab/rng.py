@@ -40,6 +40,7 @@ LANE_CHAIN = 1 << 48       # sequential streams (path codes, walk increments)
 LANE_BOOTSTRAP = 1 << 49
 
 _BLOCK_LANES = 1 << 16      # lanes per block of log_gamma_draws (speed only)
+_MAX_ROUNDS = 128           # rejection rounds before log_gamma_draws gives up
 
 
 def _mix(z, tmp=None):
@@ -90,13 +91,13 @@ def uniforms(keys, q):
     return _to_unit(w, np.empty(w.shape))[()]
 
 
-def dyadic_units(keys, q=0):
-    """Exact dyadic rationals (k+1)/2**53 in (0, 1], one per key.
+def dyadic_units(keys):
+    """Exact dyadic rationals (k+1)/2**53 in (0, 1], one per key, from word 0.
 
     Used by the verification environments: every value has a 53-bit
     significand, so Fraction conversion downstream is lossless and cheap.
     """
-    w = words(keys, q)
+    w = words(keys, 0)
     return ((w >> _S11).astype(np.float64) + 1.0) * 2.0**-53
 
 
@@ -172,17 +173,17 @@ def _gather(a, shape, flat_index):
     return a if a.ndim == 0 else np.broadcast_to(a, shape).flat[flat_index]
 
 
-def _draw_block(keys, shape, d, c, q0, max_rounds, out):
+def _draw_block(keys, shape, d, c, out):
     """`log_gamma_draws` on one block of keys, into the contiguous array
     `out`; the other arrays broadcast against the keys."""
-    rejected, _ = _mt_round(keys, d, c, q0 + 1, out)
+    rejected, _ = _mt_round(keys, d, c, 1, out)
     flat_out = out.reshape(-1)
     todo = np.flatnonzero(rejected)
-    for r in range(1, max_rounds):
+    for r in range(1, _MAX_ROUNDS):
         if todo.size == 0:
             break
         rejected, x = _mt_round(keys.reshape(-1)[todo], _gather(d, keys.shape, todo),
-                                _gather(c, keys.shape, todo), q0 + 1 + 3 * r)
+                                _gather(c, keys.shape, todo), 1 + 3 * r)
         accepted = ~rejected
         flat_out[todo[accepted]] = x[accepted]
         todo = todo[rejected]
@@ -191,17 +192,17 @@ def _draw_block(keys, shape, d, c, q0, max_rounds, out):
 
     boosted = shape < 1.0
     if boosted.all():
-        ub = uniforms(keys, q0)
+        ub = uniforms(keys, 0)
         np.log(ub, out=ub)
         ub /= shape
         out += ub
     elif boosted.any():
         todo = np.flatnonzero(np.broadcast_to(boosted, keys.shape))
-        ub = uniforms(keys.reshape(-1)[todo], q0)
+        ub = uniforms(keys.reshape(-1)[todo], 0)
         flat_out[todo] += np.log(ub) / _gather(shape, keys.shape, todo)
 
 
-def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
+def log_gamma_draws(shape, keys):
     """log of Gamma(shape, 1) draws, one per key, in the keys' shape.
 
     Squeeze/accept-reject (Marsaglia-Tsang): per round draw a Box-Muller
@@ -209,8 +210,8 @@ def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     are boosted through shape+1 and corrected by u**(1/shape), applied in
     log space so tiny shapes cannot underflow.  Each lane consumes only its
     own subsequence (slot 0 reserved for the boost uniform, round r uses
-    slots 1+3r..3+3r), hence batching and retries of other lanes never
-    shift a lane's draws.
+    slots 1+3r..3+3r, for at most `_MAX_ROUNDS` rounds), hence batching and
+    retries of other lanes never shift a lane's draws.
 
     Round 0 runs densely over every lane, with no gather: the constants
     d and c keep the shape's own broadcastable form, so a scalar shape
@@ -234,7 +235,6 @@ def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
         raise ValueError("gamma shape must be positive")
     d = np.where(shape < 1.0, shape + 1.0, shape) - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    q0 = int(q_base) & _MASK64
 
     def rows(a, part):
         # the part of `a` that broadcasts against keys[part]
@@ -245,5 +245,5 @@ def log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     for lo in range(0, keys.shape[0], step):
         part = slice(lo, lo + step)
         _draw_block(keys[part], rows(shape, part), rows(d, part), rows(c, part),
-                    q0, max_rounds, out[part])
+                    out[part])
     return out.reshape(out_shape)

@@ -17,6 +17,8 @@ from scipy.special import erfc, gammaincc
 from .rng import LANE_BOOTSTRAP, lane_keys, uniforms
 
 RESAMPLES = 1000            # bootstrap resamples per interval
+CI_LEVEL = 0.99             # coverage of every bootstrap interval
+CHI2_BINS = 8               # quantile bins per margin of chi2_independence
 KS_MIN_SAMPLES = 8          # fewest values a KS sample may hold
 
 
@@ -91,8 +93,9 @@ def _quantile_edges(v: np.ndarray, bins: int) -> np.ndarray:
     return edges
 
 
-def chi2_independence(x, y, bins: int = 8) -> TestResult:
+def chi2_independence(x, y) -> TestResult:
     """Chi-square independence test on marginal-quantile-discretized pairs."""
+    bins = CHI2_BINS
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.size != y.size:
@@ -114,10 +117,10 @@ def normal_cdf(x):
     return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def bootstrap_ci(values, stat=np.median, *, resamples: int = RESAMPLES,
-                 level: float = 0.99, seed: int = 0, stream: int = 0,
+def bootstrap_ci(values, stat=np.median, *, seed: int = 0, stream: int = 0,
                  lane_base: int = 0) -> Interval:
-    """Percentile bootstrap interval; `stat` must accept an axis argument.
+    """`CI_LEVEL` percentile bootstrap interval from `RESAMPLES` resamples;
+    `stat` must accept an axis argument.
 
     Resample r, draw i consumes the dedicated lane
     LANE_BOOTSTRAP + lane_base + r*n + i, so intervals are independent of
@@ -128,16 +131,14 @@ def bootstrap_ci(values, stat=np.median, *, resamples: int = RESAMPLES,
     n = vals.size
     if n < 2:
         raise ValueError("bootstrap needs at least 2 values")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    out = np.empty(resamples)
+    out = np.empty(RESAMPLES)
     chunk = max(1, int(2e7) // n)
     base = np.uint64(LANE_BOOTSTRAP) + np.uint64(lane_base)
-    for r0 in range(0, resamples, chunk):
-        r1 = min(r0 + chunk, resamples)
+    for r0 in range(0, RESAMPLES, chunk):
+        r1 = min(r0 + chunk, RESAMPLES)
         lanes = base + np.arange(r0 * n, r1 * n, dtype=np.uint64)
         u = uniforms(lane_keys(seed, stream, lanes), 0).reshape(r1 - r0, n)
         idx = np.minimum((u * n).astype(np.int64), n - 1)
         out[r0:r1] = stat(vals[idx], axis=1)
-    a = (1.0 - level) / 2.0
+    a = (1.0 - CI_LEVEL) / 2.0
     return Interval(float(np.quantile(out, a)), float(np.quantile(out, 1.0 - a)))

@@ -179,32 +179,11 @@ def apply_umap(pi1, pi2) -> tuple[Path, Path]:
     return new1, new2
 
 
-def apply_umap_2k(paths) -> list[Path]:
-    """Pairwise rewiring of a 2k-tuple (paths ordered top start to bottom)."""
-    paths = [tuple(p) for p in paths]
-    if len(paths) % 2 != 0:
-        raise UMapError("need an even number of paths")
-    out: list[Path] = []
-    for i in range(0, len(paths), 2):
-        a, b = apply_umap(paths[i], paths[i + 1])
-        out.extend([a, b])
-    return out
-
-
 def enumerate_disjoint_pairs(m: int, n: int, x: int) -> list[tuple[Path, Path]]:
     """Full input domain for the rewiring at the given corner and offset."""
     p1s = enumerate_quadrant_paths((1, x + 1), (m, n))
     p2s = enumerate_quadrant_paths((1, x), (m, n - 1))
     return [(p1, p2) for p1 in p1s for p2 in p2s if not set(p1) & set(p2)]
-
-
-def count_preimages(m: int, n: int, x: int) -> dict[tuple[Path, Path], int]:
-    """Image multiplicity over the exhaustive domain."""
-    counts: dict[tuple[Path, Path], int] = {}
-    for p1, p2 in enumerate_disjoint_pairs(m, n, x):
-        image = apply_umap(p1, p2)
-        counts[image] = counts.get(image, 0) + 1
-    return counts
 
 
 def _canonical_sites(*paths: Path) -> list[Site]:
@@ -271,7 +250,7 @@ def check_sbd_inequality(senv: SymmetrizedEnvironment, m: int, n: int, k: int) -
     """
     if not (1 <= k and 2 * k <= n and n <= m):
         raise ValueError("need 1 <= k <= n/2 and n <= m")
-    lhs = multilayer_lgv(senv, m, n, 2 * k, mode="exact")
+    lhs = multilayer_lgv(senv, m, n, 2 * k)
     prefix = Fraction(1)
     for c in range(2, 2 * k + 1):
         for j in range(1, c):

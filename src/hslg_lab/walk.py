@@ -14,15 +14,18 @@ Q is summed left to right up to a certified index M of its own for each
 walk: the first M where the walk stays above its half-drift line,
 S_{M+j} >= S_M + (tau/2) j for j = 1..window, and e^{-S_M} rho / (1 - rho)
 <= epsilon with rho = e^{-tau/2}, the geometric tail that line implies.
+The window, `_window(params)`, covers the 4 gamma / tau^2 steps (gamma the
+increment variance) a walk takes for its drift to show above its spread,
+so a weakly drifting walk is not certified before it could still fall back.
 `limiting_endpoint_pmf` certifies a batch of walks in row blocks of bounded
 size.  Each block first draws a stretch sized from tau and epsilon, and only
 the walks not yet certified draw more, so no walk is cut at a fixed length.
-A walk that reaches the cap uncertified is flagged, never truncated silently.
+A walk that reaches `CAP` steps uncertified is flagged, never truncated
+silently.
 
 Since e^X is a ratio of independent Gammas, sigma(X) (sigma the logistic
-function) is Beta(theta - alpha, theta + alpha).  The increment density and
-CDF are therefore closed forms: the Beta density carried over to x, and
-I_{sigma(x)}(theta - alpha, theta + alpha).
+function) is Beta(theta - alpha, theta + alpha).  The increment CDF is
+therefore the closed form I_{sigma(x)}(theta - alpha, theta + alpha).
 """
 
 from __future__ import annotations
@@ -32,13 +35,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln, expit
+from scipy.special import betainc, expit
 
 from .rng import LANE_CHAIN, lane_keys, log_gamma_draws
 from .special import ModelParams, constants
 
 _U64 = np.uint64
 _ROW_LANES = 1 << 18        # steps per row block of limiting_endpoint_pmf (memory only)
+CAP = 200_000               # steps a walk may take before it is flagged uncertified
+_MIN_WINDOW = 64            # shortest drift-line window of the certificate
 
 
 def walk_increment_matrix(params: ModelParams, samples: int, n: int,
@@ -65,21 +70,6 @@ def walk_increment_matrix(params: ModelParams, samples: int, n: int,
 
 # ---------------------------------------------------------------------------
 # increment law
-
-
-def increment_density(params: ModelParams, x):
-    """Density of one walk increment, in log space; scalar or array.
-
-    p(x) = e^{(theta-alpha) x} (1 + e^x)^{-2 theta} / B(theta-alpha, theta+alpha)
-    """
-    a, b = params.theta - params.alpha, params.theta + params.alpha
-    v = np.asarray(x, dtype=float)
-    logp = a * v - (a + b) * np.logaddexp(0.0, v) - betaln(a, b)
-    with np.errstate(under="ignore"):
-        out = np.exp(logp)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -117,6 +107,19 @@ def drift_risk(params: ModelParams, window: int) -> float:
     tau, gamma = c.increment_drift, c.walk_increment_var
     block = 1 << max(0, math.ceil(math.log2(window)))
     return min(1.0, 16.0 * gamma / (tau**2 * block))
+
+
+def _window(params: ModelParams) -> int:
+    """Drift-line window of the certificate: 4 gamma / tau^2 rounded up to
+    a power of two, at least `_MIN_WINDOW` and at most `CAP`.
+
+    At k = 4 gamma / tau^2 the half-drift margin (tau/2) k equals the
+    spread sqrt(gamma k) of the centred walk; a shorter window lets a
+    weakly drifting walk pass while it can still fall back.
+    """
+    c = constants(params)
+    steps = 4.0 * c.walk_increment_var / c.increment_drift**2
+    return min(CAP, max(_MIN_WINDOW, 1 << max(0, math.ceil(math.log2(steps)))))
 
 
 @dataclass(frozen=True)
@@ -159,11 +162,12 @@ def _sliding_min(a: np.ndarray, window: int) -> np.ndarray:
 
 
 def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
-                          epsilon: float, *, window: int = 64,
-                          cap: int = 200_000) -> LimitingPmf:
+                          epsilon: float) -> LimitingPmf:
     """The limiting random endpoint pmf on 0..kmax for the walks `streams`.
 
-    Walks go through in row blocks of about `_ROW_LANES` steps.  A block
+    Each walk's Q is certified to a tail of at most `epsilon` with the
+    drift-line window `_window(params)`, or flagged at `CAP` steps.  Walks
+    go through in row blocks of about `_ROW_LANES` steps.  A block
     draws `_first_block` steps (at least kmax) for every walk and checks
     the certificate at each index the window covers; the walks still open
     draw the next stretch, continuing their partial sums and Q from where
@@ -174,14 +178,15 @@ def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
         raise ValueError("kmax must be nonnegative")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    window = _window(params)
     risk = drift_risk(params, window)
     streams = np.atleast_1d(np.asarray(streams, dtype=np.uint64))
     tau = constants(params).increment_drift
-    block = _first_block(tau, epsilon, window, cap)
+    block = _first_block(tau, epsilon, window, CAP)
     first = max(kmax, block)
     rows = max(1, _ROW_LANES // (first + 1))
     parts = [_certify(params, seed, streams[lo: lo + rows], kmax, epsilon,
-                      window, cap, block, first)
+                      window, CAP, block, first)
              for lo in range(0, streams.size, rows)]
     pmf, q, m, tail, conv = (np.concatenate(f) for f in zip(*parts))
     return LimitingPmf(pmf, q, m, tail, conv, risk)
@@ -239,77 +244,3 @@ def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
             lo += cand
         pmf = np.exp(-head) / q[:, None]
     return pmf, q, m, tail, conv
-
-
-# ---------------------------------------------------------------------------
-# appendix checks
-
-
-@dataclass(frozen=True)
-class MaximalBoundReport:
-    steps: int
-    empirical: float
-    bound: float
-    mc_sd: float
-
-    @property
-    def holds(self) -> bool:
-        return self.empirical <= self.bound + 3.0 * self.mc_sd
-
-
-def maximal_inequality_check(params: ModelParams, m: int, n: int, lam: float,
-                             samples: int, seed: int = 0,
-                             stream: int = 0) -> MaximalBoundReport:
-    """Empirical P(min_{k <= m sqrt(n)} S_k <= -lam) against m sqrt(n) gamma / lam^2."""
-    if m <= 0 or n <= 0 or lam <= 0.0 or samples <= 0:
-        raise ValueError("arguments must be positive")
-    steps = int(math.floor(m * math.sqrt(n)))
-    gamma = constants(params).walk_increment_var
-    bound = steps * gamma / lam**2
-    inc = walk_increment_matrix(params, samples, steps, seed, stream)
-    dips = np.cumsum(inc, axis=1).min(axis=1) <= -lam
-    p_hat = float(dips.mean())
-    mc_sd = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
-    return MaximalBoundReport(steps, p_hat, bound, mc_sd)
-
-
-@dataclass(frozen=True)
-class DoubleLimitTable:
-    """Tail-mass ratios sum_{r=k}^{n} e^{-S_r} / sum_{r=0}^{n} e^{-S_r}."""
-
-    k_grid: tuple[int, ...]
-    n_grid: tuple[int, ...]
-    ratios: np.ndarray         # (samples, len(k_grid), len(n_grid))
-
-    @property
-    def means(self) -> np.ndarray:
-        return self.ratios.mean(axis=0)
-
-    def fraction_below(self, threshold: float) -> np.ndarray:
-        return (self.ratios < threshold).mean(axis=0)
-
-
-def double_limit_check(params: ModelParams, k_grid, n_grid, samples: int,
-                       seed: int = 0, stream: int = 0) -> DoubleLimitTable:
-    """Monte Carlo table of the tail ratios over a (k, n) grid."""
-    k_grid = tuple(int(k) for k in k_grid)
-    n_grid = tuple(int(n) for n in n_grid)
-    if list(k_grid) != sorted(k_grid) or list(n_grid) != sorted(n_grid):
-        raise ValueError("grids must be increasing")
-    if min(k_grid) < 0 or min(n_grid) < 1 or max(k_grid) > max(n_grid):
-        raise ValueError("need 0 <= k <= n")
-    n_max = max(n_grid)
-    inc = walk_increment_matrix(params, samples, n_max, seed, stream)
-    s = np.concatenate([np.zeros((samples, 1)), np.cumsum(inc, axis=1)], axis=1)
-    w = np.exp(-s)
-    csum = np.cumsum(w, axis=1)
-    ratios = np.empty((samples, len(k_grid), len(n_grid)))
-    for a, k in enumerate(k_grid):
-        head = csum[:, k - 1] if k > 0 else 0.0
-        for b, n in enumerate(n_grid):
-            if k > n:
-                ratios[:, a, b] = 0.0
-            else:
-                total = csum[:, n]
-                ratios[:, a, b] = (total - head) / total
-    return DoubleLimitTable(k_grid, n_grid, ratios)

@@ -10,6 +10,11 @@ them, round by round, and the series Q is certified one walk at a time by
 extending the walk in doubling chunks, so they share no code with the
 recurrences, the elimination, the closed form, the single-site rule, the
 lane-dense sampler and the row-blocked certificate under test.
+
+The last section holds references that only the tests call: the
+path-code encoder, the increment density, the diagonal-avoiding values
+(read from `multilayer._diag_avoiding_table`, the table `vq_tilde_exact`
+sums) and the image counts of the pair rewiring.
 """
 import itertools
 import math
@@ -19,10 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betaln
 
-from hslg_lab.environment import Environment
+from hslg_lab.environment import Environment, SymmetrizedEnvironment
+from hslg_lab.multilayer import _diag_avoiding_table
+from hslg_lab.polymer import EXACT, LOG
 from hslg_lab.rng import LANE_CHAIN, lane_keys, log_gamma_draws, uniforms
 from hslg_lab.special import ModelParams, constants
+from hslg_lab.umap import Path, apply_umap, enumerate_disjoint_pairs
 from hslg_lab.walk import drift_risk
 
 _U64 = np.uint64
@@ -260,7 +269,7 @@ class QSeries:
 
 
 def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
-              window: int = 64, cap: int = 200_000) -> QSeries:
+              window: int, cap: int) -> QSeries:
     """Q_M with certified tail <= epsilon, or a flagged result at the cap.
 
     The certificate at M requires the lookahead drift check
@@ -307,3 +316,58 @@ def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
         partials = np.cumsum(np.exp(-walk.values[: m_found + 1]))
         tail = float(np.exp(-walk.values[m_found]) * geom)
     return QSeries(partials, tail, True, risk)
+
+
+# ---------------------------------------------------------------------------
+# reference routines only the tests call
+
+
+def path_code(path: list[tuple[int, int]]) -> int:
+    """Bit-encode a path by its moves (up = i+1 = 1), first move = lowest bit."""
+    code = 0
+    for k in range(1, len(path)):
+        if path[k][0] == path[k - 1][0] + 1:
+            code |= 1 << (k - 1)
+    return code
+
+
+def increment_density(params: ModelParams, x):
+    """Density of one walk increment, in log space; scalar or array.
+
+    p(x) = e^{(theta-alpha) x} (1 + e^x)^{-2 theta} / B(theta-alpha, theta+alpha)
+    """
+    a, b = params.theta - params.alpha, params.theta + params.alpha
+    v = np.asarray(x, dtype=float)
+    logp = a * v - (a + b) * np.logaddexp(0.0, v) - betaln(a, b)
+    with np.errstate(under="ignore"):
+        out = np.exp(logp)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def diag_avoiding_exact(senv: SymmetrizedEnvironment, m: int, n: int) -> Fraction:
+    """Paths (1,1)->(m,n), m != n, meeting the diagonal only at (1,1).
+
+    Such a path commits to one side at its first step; by reflection
+    symmetry of the weights we evaluate the below-diagonal side.
+    """
+    if m == n:
+        raise ValueError("diagonal-avoiding value needs m != n")
+    if n > m:
+        m, n = n, m
+    return _diag_avoiding_table(senv, m, n, EXACT).get((m, n), Fraction(0))
+
+
+def diag_avoiding_log_table(senv: SymmetrizedEnvironment, imax: int, jmax: int) -> np.ndarray:
+    """log of the diagonal-avoiding values on the strict lower triangle."""
+    return _diag_avoiding_table(senv, imax, jmax, LOG)
+
+
+def count_preimages(m: int, n: int, x: int) -> dict[tuple[Path, Path], int]:
+    """Image multiplicity over the exhaustive domain."""
+    counts: dict[tuple[Path, Path], int] = {}
+    for p1, p2 in enumerate_disjoint_pairs(m, n, x):
+        image = apply_umap(p1, p2)
+        counts[image] = counts.get(image, 0) + 1
+    return counts

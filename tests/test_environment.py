@@ -44,11 +44,8 @@ class TestSiteShapes:
         i = np.array([1, 2, 3, 3])
         j = np.array([1, 1, 1, 2])
         shapes = site_shapes(params, "stationary", i, j)
-        # origin keeps the diagonal law by default, the wall column switches
+        # the origin keeps the diagonal law, the wall column switches
         np.testing.assert_allclose(shapes, [0.5, 1.5, 1.5, 2.0])
-        boundary = site_shapes(params, "stationary", i, j,
-                               stationary_origin="boundary")
-        np.testing.assert_allclose(boundary, [1.5, 1.5, 1.5, 2.0])
 
     def test_alpha_zero_diagonal(self, params):
         shapes = site_shapes(params, "alpha-zero-diagonal",

@@ -1,5 +1,4 @@
 """Experiment drivers: rows do not depend on threads or stream blocking."""
-import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +11,14 @@ from hslg_lab.rng import LANE_BOOTSTRAP, LANE_CHAIN
 from hslg_lab.special import ModelParams
 
 CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (6, 8), 300, seed=3,
-                          walk_samples=500)
+                          walk_samples=500, small_sizes=(3, 5), small_samples=8)
 
 
 @pytest.mark.parametrize("driver", [experiments.run_pinning,
                                     experiments.run_walk_attractor,
-                                    experiments.run_quenched_limit])
+                                    experiments.run_quenched_limit,
+                                    experiments.run_gaussian_fluct,
+                                    experiments.run_lln_profile])
 def test_rows_identical_across_threads(driver):
     # 300 samples make two stream blocks (256 + 44), so with 2 threads the
     # blocks run concurrently and are stacked back in order
@@ -30,7 +31,7 @@ def test_rows_identical_across_threads(driver):
 
 
 def test_profiles_do_not_depend_on_stream_blocks():
-    blocked = experiments._profiles(CONFIG, 8, "standard")
+    blocked = experiments._profiles(batch_final_profiles, CONFIG, 8, "standard")
     whole = batch_final_profiles(CONFIG.params, 8, "standard", CONFIG.seed,
                                  np.arange(CONFIG.samples, dtype=np.uint64))
     np.testing.assert_array_equal(blocked, whole)
@@ -40,9 +41,8 @@ def test_walk_lanes_stay_below_the_reserved_r0_lane(monkeypatch):
     # the quenched driver draws each walk's boundary weight at R0_LANE of
     # the walk's own stream, inside the chain namespace; a walk drawn to
     # the cap of its certificate must stay below it
-    defaults = inspect.signature(walk.limiting_endpoint_pmf).parameters
-    cap, window = defaults["cap"].default, defaults["window"].default
-    assert LANE_CHAIN < LANE_CHAIN + 2 * (cap + window) + 1 < R0_LANE
+    # the window is at most the cap, so a walk draws at most 2 CAP steps
+    assert LANE_CHAIN < LANE_CHAIN + 2 * (walk.CAP + walk.CAP) + 1 < R0_LANE
     assert R0_LANE == (1 << 49) - 1 < LANE_BOOTSTRAP
 
     seen = []
@@ -53,7 +53,8 @@ def test_walk_lanes_stay_below_the_reserved_r0_lane(monkeypatch):
         return keys(seed, stream, lanes)
 
     monkeypatch.setattr(walk, "lane_keys", record)
-    out = walk.limiting_endpoint_pmf(CONFIG.params, 0, [0, 1], 3, 1e-300,
-                                     window=8, cap=50)
+    monkeypatch.setattr(walk, "_window", lambda params: 8)
+    monkeypatch.setattr(walk, "CAP", 50)
+    out = walk.limiting_endpoint_pmf(CONFIG.params, 0, [0, 1], 3, 1e-300)
     assert not out.converged.any()
     assert max(seen) == LANE_CHAIN + 2 * (50 + 8) - 1

@@ -211,11 +211,17 @@ class TestOrdering:
             out.append(line_ensemble(symmetrize(env), kmax=2, order=n))
         return out
 
-    def test_infinite_slack_never_violated(self, params):
-        report = ordering_check(self._ensembles(params, 8, 10), k=1,
-                                slack=math.inf)
-        assert report.violations.sum() == 0
-        assert report.trials.sum() > 0
+    def test_counts_breaks_beyond_the_slack(self):
+        # flat curves never break an inequality; lifting the odd positions
+        # of curve 1 past log(n)^2 breaks (1) and (2) at every trial
+        n = 8
+        flat = [np.zeros(2 * n - 2 * k + 2) for k in (1, 2)]
+        report = ordering_check(LineEnsemble(n, 2, flat), k=1)
+        assert report.violations.tolist() == [0, 0, 0, 0]
+        assert report.trials.tolist() == [n - 1] * 4
+        flat[0][::2] = math.log(n) ** 2 + 1e-9
+        report = ordering_check(LineEnsemble(n, 2, flat), k=1)
+        assert report.violations.tolist() == [n - 1, n - 1, 0, 0]
 
     def test_log_squared_slack_rates_small(self, params):
         report = ordering_check(self._ensembles(params, 16, 120), k=1)

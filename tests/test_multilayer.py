@@ -10,14 +10,14 @@ from hslg_lab import multilayer
 from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment, symmetrize)
 from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
-                                 diag_avoiding_exact, diag_avoiding_log_table,
                                  enumerate_quadrant_paths, exact_det,
-                                 fraction_log, line_ensemble, multilayer_brute,
-                                 multilayer_lgv, staircase_site, vq_exact,
+                                 fraction_log, line_ensemble, log_det_scaled,
+                                 multilayer_brute, multilayer_lgv,
+                                 quadrant_log_table, staircase_site, vq_exact,
                                  vq_tilde_exact)
 from hslg_lab.polymer import exact_partition_table, partition_table
 from hslg_lab.special import ModelParams
-from oracles import permutation_det
+from oracles import diag_avoiding_exact, diag_avoiding_log_table, permutation_det
 
 
 def senv_of(params, n, seed, dyadic=True):
@@ -54,20 +54,24 @@ class TestLgv:
     def test_matches_brute(self, params, m, n, r):
         for seed in range(3):
             senv = senv_of(params, 6, seed=seed)
-            assert multilayer_lgv(senv, m, n, r, "exact") == \
+            assert multilayer_lgv(senv, m, n, r) == \
                 multilayer_brute(senv, m, n, r)
 
     def test_float_close_to_exact(self, params):
+        # the float determinant line_ensemble takes first: log_det_scaled
+        # of the per-start quadrant_log_table values
         senv = senv_of(params, 5, seed=4, dyadic=False)
         for m, n, r in [(4, 3, 1), (5, 4, 2), (6, 3, 3)]:
-            exact = multilayer_lgv(senv, m, n, r, "exact")
-            lo = multilayer_lgv(senv, m, n, r, "float")
-            assert lo == pytest.approx(fraction_log(exact), abs=1e-10)
+            exact = multilayer_lgv(senv, m, n, r)
+            tables = [quadrant_log_table(senv, r - a, m, n) for a in range(r)]
+            logm = np.array([[tables[a][m, n - b] for b in range(r)]
+                             for a in range(r)])
+            assert log_det_scaled(logm) == pytest.approx(fraction_log(exact),
+                                                         abs=1e-10)
 
     def test_zero_layer_convention(self, params):
         senv = senv_of(params, 3, seed=5)
-        assert multilayer_lgv(senv, 4, 2, 0, "exact") == Fraction(1)
-        assert multilayer_lgv(senv, 4, 2, 0, "float") == 0.0
+        assert multilayer_lgv(senv, 4, 2, 0) == Fraction(1)
 
     def test_layer_bounds(self, params):
         senv = senv_of(params, 3, seed=5)
@@ -84,7 +88,7 @@ class TestLgv:
             table = exact_partition_table(env)
             senv = symmetrize(env)
             for (i, j), z in table.items():
-                assert 2 * multilayer_lgv(senv, i, j, 1, "exact") == z
+                assert 2 * multilayer_lgv(senv, i, j, 1) == z
 
 
 class TestDiagAvoiding:
@@ -121,7 +125,7 @@ class TestDiagAvoiding:
                         prod *= senv.weight_fraction(*site)
                     brute += prod
                 assert diag_avoiding_exact(senv, m, n) == brute
-                assert brute <= multilayer_lgv(senv, m, n, 1, "exact")
+                assert brute <= multilayer_lgv(senv, m, n, 1)
 
     def test_diagonal_endpoint_rejected(self, params):
         senv = senv_of(params, 3, seed=9)
@@ -146,7 +150,7 @@ class TestVq:
     def test_vq_sums_symmetrized_line(self, params):
         senv = senv_of(params, 4, seed=12)
         for q in range(2, 9):
-            expected = sum((multilayer_lgv(senv, q - j, j, 1, "exact")
+            expected = sum((multilayer_lgv(senv, q - j, j, 1)
                             for j in range(1, q // 2 + 1)), Fraction(0))
             assert vq_exact(senv, q) == expected
 

@@ -1,11 +1,17 @@
 """Structure of the package: what the CLI loads, and what reaches each name.
 
-The ratchet lists the top-level public functions and classes of
+The name ratchet lists the top-level public functions and classes of
 `src/hslg_lab` that nothing in the package or the benchmark names.  A name
 counts as reached when it appears as a word in another package module, in
 `bench/*.py`, or anywhere in its own module beyond its definition.  A new
-API that only the tests call fails here; wiring one of the listed names
-into the package means taking it off the list.
+API that only the tests call fails here.
+
+The option ratchet lists the parameters with defaults of public functions
+and methods that no call in the package or the benchmark supplies, by
+keyword or by position.  An option that only ever takes its default fails
+here: it belongs in a module constant.
+
+Both lists are empty, and new entries need a caller instead.
 """
 import ast
 import os
@@ -17,13 +23,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hslg_lab"
 
-UNREACHED = {
-    "multilayer": {"diag_avoiding_exact", "diag_avoiding_log_table"},
-    "polymer": {"point_to_line", "path_code"},
-    "umap": {"apply_umap_2k", "count_preimages"},
-    "walk": {"increment_density", "maximal_inequality_check",
-             "double_limit_check"},
-}
+UNREACHED: dict[str, set[str]] = {}
+UNSET_OPTIONS: set[str] = set()
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
                "scipy.linalg")
@@ -53,6 +54,73 @@ def unreached_names() -> dict[str, set[str]]:
 
 def test_unreached_names_match_the_allowlist():
     assert unreached_names() == UNREACHED
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> dict[str, int | None]:
+    """Parameters with defaults: name -> position among the positional
+    arguments a caller writes (None for keyword-only ones)."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if is_method else 0:]
+    first = len(positional) - len(args.defaults)
+    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    out.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def _public_callables(tree: ast.Module):
+    """(called name, definition, is_method); a constructor is called by
+    its class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in sub.decorator_list)
+                if sub.name == "__init__":
+                    yield node.name, sub, True
+                elif not sub.name.startswith("_"):
+                    yield sub.name, sub, not static
+
+
+def unset_options() -> set[str]:
+    """`module.function(parameter)` for every default no caller overrides.
+
+    Calls are matched by the called name, so a call of any function of that
+    name counts; `**kwargs` and `*args` supply nothing.
+    """
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, int] = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name is None:
+                continue
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords if k.arg is not None)
+            plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+            positions[name] = max(positions.get(name, 0), len(plain))
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, fn, is_method in _public_callables(tree):
+            for param, pos in _defaulted(fn, is_method).items():
+                if param in keywords.get(name, ()):
+                    continue
+                if pos is not None and pos < positions.get(name, 0):
+                    continue
+                out.add(f"{path.stem}.{name}({param})")
+    return out
+
+
+def test_every_option_is_set_by_some_caller():
+    assert unset_options() == UNSET_OPTIONS
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():

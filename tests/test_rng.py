@@ -197,6 +197,7 @@ class TestGammaDraws:
 # depend on numpy's float64 log, cos and power, so they hold for numpy 2.4
 # on x86-64 with AVX-512; another numpy build may give other last bits,
 # and there `test_matches_gather_oracle` is the check that still applies.
+# Keys are (shape, slots the lane keys are advanced before drawing).
 FROZEN_DRAW_DIGESTS = {
     (0.005, 0):
         "86eea5b1de6330054fd6bfbdc6d3d6cb08afae3acdb0b3d26fb761808a3b3750",
@@ -233,8 +234,17 @@ FROZEN_DRAW_DIGESTS = {
 }
 
 
+def advance(keys, slots):
+    """Keys whose subsequences start `slots` words further along.
+
+    Word q of an advanced key is word q + slots of the original, so the
+    sampler reads each lane's subsequence from slot `slots` on.
+    """
+    return keys + np.uint64(slots * 0x9E3779B97F4A7C15 % 2**64)
+
+
 def frozen_draws(case, q_base):
-    """The draws behind FROZEN_DRAW_DIGESTS.
+    """The draws behind FROZEN_DRAW_DIGESTS, from keys advanced q_base slots.
 
     A number is a scalar shape over 20,000 lanes of one stream.  "row" is a
     per-column shape row over 2-D keys (256 streams x 24 sites), laid out
@@ -248,9 +258,9 @@ def frozen_draws(case, q_base):
         row[0], row[-1] = theta - alpha, theta + alpha
         keys = rng.lane_keys(21, np.arange(256, dtype=np.uint64)[:, None],
                              np.arange(100, 124, dtype=np.uint64)[None, :])
-        return rng.log_gamma_draws(row[None, :], keys, q_base)
+        return rng.log_gamma_draws(row[None, :], advance(keys, q_base))
     keys = rng.lane_keys(21, 4, np.arange(20_000, dtype=np.uint64))
-    return rng.log_gamma_draws(case, keys, q_base)
+    return rng.log_gamma_draws(case, advance(keys, q_base))
 
 
 def draws_digest(x):
@@ -271,9 +281,10 @@ def test_matches_gather_oracle(shape):
     row = np.full((1, 400), shape)
     row[0, 0], row[0, -1] = 1.5, 0.5
     for q_base in (0, 17):
-        np.testing.assert_array_equal(rng.log_gamma_draws(shape, keys, q_base),
+        moved = advance(keys, q_base)
+        np.testing.assert_array_equal(rng.log_gamma_draws(shape, moved),
                                       gather_log_gamma_draws(shape, keys, q_base))
-        np.testing.assert_array_equal(rng.log_gamma_draws(row, keys, q_base),
+        np.testing.assert_array_equal(rng.log_gamma_draws(row, moved),
                                       gather_log_gamma_draws(row, keys, q_base))
 
 

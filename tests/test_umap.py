@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hslg_lab.environment import generate_dyadic_environment, symmetrize
-from hslg_lab.umap import (UMapError, apply_umap, apply_umap_2k,
-                           check_sbd_inequality, count_preimages,
+from hslg_lab.umap import (UMapError, apply_umap, check_sbd_inequality,
                            enumerate_disjoint_pairs, enumerate_quadrant_paths,
                            property_violations)
+from oracles import count_preimages
 
 DOMAINS = [(2, 2), (3, 2), (4, 3), (4, 4)]
 
@@ -134,10 +134,15 @@ class TestPreimages:
         assert counts.get(fake, 0) == 0
 
 
+def umap_pairs(paths):
+    """A 2k-tuple (top start first) rewired pair by pair with `apply_umap`."""
+    return [q for a, b in zip(paths[::2], paths[1::2]) for q in apply_umap(a, b)]
+
+
 class TestTupleMap:
     def test_pair_case_matches_apply_umap(self):
         for p1, p2 in enumerate_disjoint_pairs(3, 2, 1):
-            assert tuple(apply_umap_2k([p1, p2])) == apply_umap(p1, p2)
+            assert tuple(umap_pairs([p1, p2])) == apply_umap(p1, p2)
 
     def test_two_pair_tuples(self):
         # tuple endpoints: (1,4)->(5,5), (1,3)->(5,4), (1,2)->(5,3), (1,1)->(5,2)
@@ -146,7 +151,7 @@ class TestTupleMap:
         assert top and bottom
         for p1, p2 in top[:10]:
             for p3, p4 in bottom[:10]:
-                q = apply_umap_2k([p1, p2, p3, p4])
+                q = umap_pairs([p1, p2, p3, p4])
                 before = sum(len(diag_points(p)) for p in (p1, p2, p3, p4))
                 after = sum(len(diag_points(p)) for p in q)
                 assert after == before
@@ -154,10 +159,6 @@ class TestTupleMap:
                 assert not set(q[2]) & set(q[3])
                 assert site_multiset(p1, p2) == site_multiset(q[0], q[1])
                 assert site_multiset(p3, p4) == site_multiset(q[2], q[3])
-
-    def test_odd_tuple_rejected(self):
-        with pytest.raises(UMapError):
-            apply_umap_2k([[(1, 2), (2, 2)]])
 
 
 class TestSbdInequality:

@@ -7,13 +7,16 @@ The increment X = log Y2 - log Y1 has the classical closed form
 
 and CDF I_{sigma(x)}(theta-alpha, theta+alpha) with sigma the logistic
 function, because e^X is a ratio of independent Gammas.  The library
-evaluates both closed forms, so the oracles integrate instead: the density
-is checked against `oracles.quadrature_density`, quadrature of the
-convolution integral, and the CDF against quadrature of the library
-density, which that check ties to the convolution.
+evaluates the CDF closed form and `oracles.increment_density` the density
+one, so the checks integrate instead: the density is checked against
+`oracles.quadrature_density`, quadrature of the convolution integral, and
+the library CDF against quadrature of the density, which that check ties
+to the convolution.
 
 The batched Q certificate `limiting_endpoint_pmf` is checked bit for bit
-against `oracles.q_partial`, which certifies one walk at a time.
+against `oracles.q_partial`, which certifies one walk at a time, at the
+window `walk._window` derives and the cap `walk.CAP` (tests that need a
+short window or cap patch those two).
 """
 import math
 
@@ -24,13 +27,11 @@ import scipy.stats
 
 import oracles
 from hslg_lab import walk
-from hslg_lab.rng import LANE_CHAIN
 from hslg_lab.special import ModelParams, constants
-from hslg_lab.walk import (DoubleLimitTable, drift_risk, double_limit_check,
-                           increment_cdf, increment_density,
-                           limiting_endpoint_pmf, maximal_inequality_check,
+from hslg_lab.walk import (drift_risk, increment_cdf, limiting_endpoint_pmf,
                            walk_increment_matrix)
-from oracles import extend_walk, q_partial, sample_walk, walk_increments
+from oracles import (extend_walk, increment_density, q_partial, sample_walk,
+                     walk_increments)
 
 
 def quadrature_density(params, x):
@@ -158,12 +159,18 @@ class TestIncrementLaw:
 HALF_ULP = 2.0**-53
 
 
-def oracle_rows(params, seed, streams, epsilon, **kw):
+def oracle_q(params, walk_sample, epsilon):
+    """`oracles.q_partial` at the library's current window and cap."""
+    return q_partial(params, walk_sample, epsilon, window=walk._window(params),
+                     cap=walk.CAP)
+
+
+def oracle_rows(params, seed, streams, epsilon):
     """(Q, M, tail bound, converged) of `oracles.q_partial`, one per stream."""
     out = []
     for s in streams:
-        qs = q_partial(params, sample_walk(params, 0, seed=seed, stream=int(s)),
-                       epsilon, **kw)
+        qs = oracle_q(params, sample_walk(params, 0, seed=seed, stream=int(s)),
+                      epsilon)
         out.append((qs.q, qs.m, qs.tail_bound, qs.converged))
     return out
 
@@ -211,25 +218,26 @@ class TestQSeries:
             assert_same(limiting_endpoint_pmf(params, 17, streams, 5, 1e-10),
                         ref)
 
-    def test_risk_is_drift_risk_of_window(self, params):
-        out = limiting_endpoint_pmf(params, 7, [0], 1, 1e-8, window=32)
+    def test_risk_is_drift_risk_of_window(self, params, monkeypatch):
+        out = limiting_endpoint_pmf(params, 7, [0], 1, 1e-8)
+        assert out.risk == drift_risk(params, walk._window(params))
+        monkeypatch.setattr(walk, "_window", lambda p: 32)
+        out = limiting_endpoint_pmf(params, 7, [0], 1, 1e-8)
         assert out.risk == drift_risk(params, 32)
 
-    def test_cap_flags_without_truncating_silently(self, params):
-        out = limiting_endpoint_pmf(params, 8, [0, 1], 1, 1e-300, window=8,
-                                    cap=50)
+    def test_cap_flags_without_truncating_silently(self, params, monkeypatch):
+        monkeypatch.setattr(walk, "_window", lambda p: 8)
+        monkeypatch.setattr(walk, "CAP", 50)
+        out = limiting_endpoint_pmf(params, 8, [0, 1], 1, 1e-300)
         assert not out.converged.any()
         assert np.all(out.m == 50)
         assert np.all(out.tail_bound > 1e-300)
         assert 0.0 < out.risk <= 1.0
-        assert batched_rows(out) == oracle_rows(params, 8, [0, 1], 1e-300,
-                                                window=8, cap=50)
+        assert batched_rows(out) == oracle_rows(params, 8, [0, 1], 1e-300)
 
     def test_epsilon_guard(self, params):
         with pytest.raises(ValueError):
             limiting_endpoint_pmf(params, 0, [0], 1, 0.0)
-        with pytest.raises(ValueError):
-            limiting_endpoint_pmf(params, 0, [0], 1, 1e-8, window=0)
 
     def test_q_times_r0_is_inverse_gamma(self, params):
         # e^{-S} series times an independent inverse-Gamma(theta - alpha)
@@ -252,7 +260,7 @@ class TestLimitingPmf:
     def test_truncation_accounting(self, params):
         eps = 1e-9
         out = limiting_endpoint_pmf(params, 12, [0], 5, eps)
-        qs = q_partial(params, sample_walk(params, 0, seed=12), eps)
+        qs = oracle_q(params, sample_walk(params, 0, seed=12), eps)
         assert out.q[0] == qs.q
         deficit = 1.0 - out.pmf[0].sum()
         assert deficit == pytest.approx(
@@ -285,14 +293,17 @@ class TestCertificateAgainstOracle:
             np.testing.assert_array_equal(out.pmf[row],
                                           np.exp(-values) / out.q[row])
 
-    def test_rows_flagged_at_the_cap_report_the_least_bound_seen(self):
+    def test_rows_flagged_at_the_cap_report_the_least_bound_seen(self,
+                                                                 monkeypatch):
+        # the cap also bounds the window: min(CAP, 4096) = 400 here
         params = ModelParams(1.0, -0.02)
+        monkeypatch.setattr(walk, "CAP", 400)
+        assert walk._window(params) == 400
         streams = np.arange(40)
-        out = limiting_endpoint_pmf(params, 22, streams, 5, HALF_ULP, cap=400)
+        out = limiting_endpoint_pmf(params, 22, streams, 5, HALF_ULP)
         assert 0 < out.converged.sum() < streams.size
         assert np.all(out.m[~out.converged] == 400)
-        assert batched_rows(out) == oracle_rows(params, 22, streams, HALF_ULP,
-                                                cap=400)
+        assert batched_rows(out) == oracle_rows(params, 22, streams, HALF_ULP)
 
     def test_pmf_columns_are_the_fixed_length_walk_sums(self, params):
         # S_1..S_5 are the first columns of the old (walks, 400) cumsum
@@ -319,49 +330,76 @@ class TestCertificateAgainstOracle:
             assert_same(limiting_endpoint_pmf(params, 23, streams, 5, HALF_ULP),
                         whole)
 
+
+class TestDerivedWindow:
+    def test_window_follows_the_drift(self):
+        # 4 gamma / tau^2 rounded up to a power of two, never below 64
+        got = {a: walk._window(ModelParams(1.0, a))
+               for a in (-0.5, -0.14, -0.1, -0.05, -0.02)}
+        assert got == {-0.5: 64, -0.14: 64, -0.1: 128, -0.05: 512, -0.02: 4096}
+
+    def test_small_drift_q_matches_a_long_window(self, monkeypatch):
+        # a 64-step window certifies some of these walks before their drift
+        # shows, and their Q comes out short; the derived window does not
+        params = ModelParams(1.0, -0.02)
+        streams = np.arange(200)
+        derived = limiting_endpoint_pmf(params, 0, streams, 5, HALF_ULP).q
+        monkeypatch.setattr(walk, "_window", lambda p: 16384)
+        long = limiting_endpoint_pmf(params, 0, streams, 5, HALF_ULP).q
+        np.testing.assert_array_equal(derived, long)
+        monkeypatch.setattr(walk, "_window", lambda p: 64)
+        short = limiting_endpoint_pmf(params, 0, streams, 5, HALF_ULP).q
+        assert np.any(short != long)
+
+
+def dips(params, steps, lam, samples, seed):
+    """Per walk: does min_{k <= steps} S_k reach -lam (streams 0..samples-1)?"""
+    inc = walk_increment_matrix(params, samples, steps, seed, 0)
+    return np.cumsum(inc, axis=1).min(axis=1) <= -lam
+
+
 class TestMaximalInequality:
+    """P(min_{k <= n} S_k <= -lam) <= n gamma / lam^2, and `drift_risk`,
+    the bound the certificate takes from it."""
+
     def test_huge_level_never_dips(self, params):
-        rep = maximal_inequality_check(params, 1, 100, 1e6, samples=2000,
-                                       seed=13)
-        assert rep.empirical == 0.0
-        assert rep.holds
+        assert not dips(params, 10, 1e6, 2000, seed=13).any()
 
     def test_bound_arithmetic(self, params):
-        gamma = constants(params).walk_increment_var
-        rep = maximal_inequality_check(params, 2, 64, 10.0, samples=10,
-                                       seed=14)
-        assert rep.steps == 16
-        assert rep.bound == 16 * gamma / 100
+        c = constants(params)
+        tau, gamma = c.increment_drift, c.walk_increment_var
+        assert drift_risk(params, 64) == min(1.0, 16 * gamma / (tau**2 * 64))
+        # windows between powers of two start at the next one
+        assert drift_risk(params, 100) == drift_risk(params, 128)
+        assert drift_risk(params, 1) == 1.0
 
     def test_moderate_level_within_bound(self, params):
         gamma = constants(params).walk_increment_var
         lam = 5.0 * math.sqrt(gamma * 10)
-        rep = maximal_inequality_check(params, 1, 100, lam, samples=20_000,
-                                       seed=15)
-        assert rep.holds
-        assert rep.empirical <= rep.bound
+        p_hat = dips(params, 10, lam, 20_000, seed=15).mean()
+        assert p_hat <= 10 * gamma / lam**2
 
     def test_argument_guards(self, params):
         with pytest.raises(ValueError):
-            maximal_inequality_check(params, 0, 10, 1.0, samples=10)
+            drift_risk(params, 0)
         with pytest.raises(ValueError):
-            maximal_inequality_check(params, 1, 10, -1.0, samples=10)
+            drift_risk(params, -1)
 
 
 class TestDoubleLimit:
     def test_ratio_table(self, params):
-        tab = double_limit_check(params, [0, 5, 20], [50, 200],
-                                 samples=4000, seed=16)
-        assert isinstance(tab, DoubleLimitTable)
-        assert np.all(tab.ratios[:, 0, :] == 1.0)
+        # tail ratios sum_{r=k}^{n} e^{-S_r} / sum_{r=0}^{n} e^{-S_r}
+        k_grid, n_grid = [0, 5, 20], [50, 200]
+        inc = walk_increment_matrix(params, 4000, max(n_grid), 16, 0)
+        s = np.concatenate([np.zeros((4000, 1)), np.cumsum(inc, axis=1)], axis=1)
+        with np.errstate(under="ignore"):
+            csum = np.cumsum(np.exp(-s), axis=1)
+        ratios = np.stack([np.stack([
+            (csum[:, n] - (csum[:, k - 1] if k else 0.0)) / csum[:, n]
+            for n in n_grid], axis=1) for k in k_grid], axis=1)
+        assert np.all(ratios[:, 0, :] == 1.0)
         # pathwise sub-sums of positive terms: nonincreasing in k
-        assert np.all(np.diff(tab.ratios, axis=1) <= 0.0)
-        assert np.all((tab.ratios >= 0.0) & (tab.ratios <= 1.0))
+        assert np.all(np.diff(ratios, axis=1) <= 0.0)
+        assert np.all((ratios >= 0.0) & (ratios <= 1.0))
         # drift tau = 2 leaves almost no mass past r = 20
-        assert tab.fraction_below(0.05)[2, 1] >= 0.95
-
-    def test_grid_guards(self, params):
-        with pytest.raises(ValueError):
-            double_limit_check(params, [5, 2], [10], samples=10)
-        with pytest.raises(ValueError):
-            double_limit_check(params, [0, 20], [10], samples=10)
+        assert (ratios[:, 2, 1] < 0.05).mean() >= 0.95
