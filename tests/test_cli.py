@@ -60,6 +60,12 @@ class TestRefusedBeforeWork:
         (["lln", "--small-sizes", "2"], "small size 2"),
         (["walk", "--samples", "5"], "samples and walk_samples"),
         (["pinning", "--samples", "1"], "samples and walk_samples"),
+        # the drivers compare sizes in the order given: the lln trends,
+        # fluct's largest-size windows and lln's margin at the last order
+        (["lln", "--sizes", "50,25"], "sizes must be strictly increasing"),
+        (["fluct", "--sizes", "25,25"], "sizes must be strictly increasing"),
+        (["lln", "--small-sizes", "11,9,7"], "small_sizes must be strictly"),
+        (["lln", "--small-sizes", "9,9"], "small_sizes must be strictly"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):
@@ -68,7 +74,8 @@ class TestRefusedBeforeWork:
 
         monkeypatch.setattr(experiments, "_profiles", no_work)
         out = tmp_path / "refused.csv"
-        argv = ["experiment"] + argv + ["--sizes", "5", "--out", str(out)]
+        # a --sizes in the case overrides this default one
+        argv = ["experiment", argv[0], "--sizes", "5"] + argv[1:] + ["--out", str(out)]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -58,3 +58,87 @@ def test_walk_lanes_stay_below_the_reserved_r0_lane(monkeypatch):
     out = walk.limiting_endpoint_pmf(CONFIG.params, 0, [0, 1], 3, 1e-300)
     assert not out.converged.any()
     assert max(seen) == LANE_CHAIN + 2 * (50 + 8) - 1
+
+
+# ---------------------------------------------------------------------------
+# per-size checks against known limits
+
+def _failed(report, prefix):
+    return [c.name for c in report.checks
+            if c.name.startswith(prefix) and not c.passed]
+
+
+class TestPinningWalkLimit:
+    CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (50,), 1000, seed=1)
+
+    def test_passes_against_the_walk_at_the_right_alpha(self):
+        rep = experiments.run_pinning(self.CONFIG)
+        names = [c.name for c in rep.checks if "_walk_limit_" in c.name]
+        assert names == [f"tail_mass_k{k}_walk_limit_N50" for k in (1, 2, 4, 10)]
+        assert not _failed(rep, "tail_mass_k")
+
+    def test_fails_against_walks_at_a_wrong_alpha(self, monkeypatch):
+        def wrong_alpha(params, *args):
+            return walk.limiting_endpoint_pmf(ModelParams(params.theta, -0.3), *args)
+
+        monkeypatch.setattr(experiments, "limiting_endpoint_pmf", wrong_alpha)
+        rep = experiments.run_pinning(self.CONFIG)
+        assert _failed(rep, "tail_mass_k") == [
+            f"tail_mass_k{k}_walk_limit_N50" for k in (1, 2, 4, 10)]
+
+
+class TestFluctMoments:
+    """The driver's z tests of mean 0 and variance 1 on synthetic diagonals."""
+
+    def run(self, monkeypatch, shift, scale):
+        config = ExperimentConfig(ModelParams(1.0, -0.5), (50, 100), 1000, seed=2)
+        c = experiments.constants(config.params)
+        gen = np.random.default_rng(7)
+
+        def synthetic(batch, config, n, flavor):
+            x = shift + scale * gen.standard_normal(config.samples)
+            diag = c.free_energy_rate * n + np.sqrt(c.clt_variance * n) * x
+            return diag[:, None] - np.arange(n)[None, :]
+
+        monkeypatch.setattr(experiments, "_profiles", synthetic)
+        rep = experiments.run_gaussian_fluct(config)
+        names = [c.name for c in rep.checks
+                 if c.name.startswith(("diag_mean_zero", "diag_variance_one"))]
+        assert names == ["diag_mean_zero_N50", "diag_variance_one_N50",
+                         "diag_mean_zero_N100", "diag_variance_one_N100"]
+        return rep
+
+    def test_standard_normal_passes(self, monkeypatch):
+        rep = self.run(monkeypatch, 0.0, 1.0)
+        assert not _failed(rep, "diag_mean_zero") + _failed(rep, "diag_variance_one")
+
+    def test_shifted_normal_fails_the_mean(self, monkeypatch):
+        rep = self.run(monkeypatch, 0.3, 1.0)
+        assert _failed(rep, "diag_mean_zero") == ["diag_mean_zero_N50",
+                                                   "diag_mean_zero_N100"]
+        assert not _failed(rep, "diag_variance_one")
+
+    def test_rescaled_normal_fails_the_variance(self, monkeypatch):
+        rep = self.run(monkeypatch, 0.0, 1.3)
+        assert _failed(rep, "diag_variance_one") == ["diag_variance_one_N50",
+                                                      "diag_variance_one_N100"]
+        assert not _failed(rep, "diag_mean_zero")
+
+
+def test_walk_standard_flavor_runs_the_per_size_ks_checks():
+    rep = experiments.run_walk_attractor(CONFIG)
+    names = [c.name for c in rep.checks]
+    assert names == [f"increment_ks_r{r}_N{n}" for n in CONFIG.sizes
+                     for r in range(1, CONFIG.r_max + 1)] + ["increment_r0_degenerate"]
+    # the detail prints a plain float, not a numpy repr
+    assert rep.checks[-1].detail == "value 0.0"
+
+
+def test_pinning_fluct_walk_draw_no_bootstrap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bootstrap interval drawn")
+
+    monkeypatch.setattr(experiments, "bootstrap_ci", refuse)
+    for driver in (experiments.run_pinning, experiments.run_walk_attractor,
+                   experiments.run_gaussian_fluct):
+        assert driver(CONFIG).checks
