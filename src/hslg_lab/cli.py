@@ -12,10 +12,19 @@ check fails, 2 on usage errors (bad flags, bad config file, missing
 required flag, an integer option outside its range, settings an experiment
 driver refuses).
 
+Each action accepts only the options its handler reads (`_ACTIONS` lists
+them, ``-h`` prints them), so a run record names just the inputs behind its
+numbers.  ``env check`` and ``verify umap`` take no options; of the
+experiments only ``walk`` takes ``--flavor``.  Experiments take sizes only
+as ``--sizes N1,N2,..`` (one size is ``--sizes N``); ``--n`` is the size of
+one environment.  An unread or abbreviated flag exits 2.
+
 Every parameter resolves with the same precedence: command-line flag, then
-config-file entry, then the HSLG_LAB_SEED environment variable (seed only),
-then built-in defaults.  Config files are flat ``key = value`` text with
-``#`` comments; unknown keys are rejected with their line number.
+config-file entry, then the HSLG_LAB_SEED environment variable (seed only,
+for actions that read a seed), then built-in defaults.  Config files are
+flat ``key = value`` text with ``#`` comments, given by ``--config`` to an
+action that reads at least one option; a key that is unknown, or that the
+action does not read, exits 2 with its line number.
 
 Experiments write plot-ready CSV plus a ``.meta`` companion recording the
 config, seeds, and package version; there is no embedded plotting.
@@ -92,32 +101,70 @@ _OPTIONS = (
     ("--out", "out", str, None, "output path (CSV or environment file)"),
     ("--precision", "precision", _precision, "float",
      "float or exact (dyadic weights)"),
-    ("--sizes", "sizes", _int_tuple, None, "comma-separated N grid for experiments"),
-    ("--k-grid", "k_grid", _int_tuple, None,
-     "comma-separated endpoint tail offsets (pinning)"),
+    ("--sizes", "sizes", _int_tuple, None, "comma-separated increasing sizes N"),
+    ("--k-grid", "k_grid", _int_tuple, None, "comma-separated endpoint tail offsets"),
     ("--r-max", "r_max", int, None, "deepest increment index"),
-    ("--walk-samples", "walk_samples", int, None,
-     "random-walk sample count (quenched)"),
+    ("--walk-samples", "walk_samples", int, None, "random-walk sample count"),
     ("--deep-m", "deep_m", int, None, "deep-tail depth multiplier"),
-    ("--small-sizes", "small_sizes", _int_tuple, None,
-     "orders for the exact top-curve statistic (lln)"),
-    ("--small-samples", "small_samples", int, None,
-     "environments per small order (lln)"),
+    ("--small-sizes", "small_sizes", _int_tuple, None, "orders of the top-curve average"),
+    ("--small-samples", "small_samples", int, None, "environments per small order"),
     ("--significance", "significance", float, None,
-     "p-value floor for exact identities and verify gibbs"),
-    ("--envs", "envs", int, None, "environment count for verify actions"),
-    ("--r", "r", int, None, "max layer count for verify lgv"),
-    ("--k", "k", int, None, "layer-pair count for verify sbd"),
-    ("--kmax", "kmax", int, None,
-     "curve count for simulate ensemble and verify gibbs"),
+     "significance level of each statistical check (default 0.001)"),
+    ("--envs", "envs", int, None, "environment count"),
+    ("--r", "r", int, None, "max layer count"),
+    ("--k", "k", int, None, "layer-pair count"),
+    ("--kmax", "kmax", int, None, "curve count"),
     ("--count", "count", int, None, "path count for simulate path"),
 )
 _CONVERTERS = {dest: conv for _, dest, conv, _, _ in _OPTIONS}
 _DEFAULTS = {dest: default for _, dest, _, default, _ in _OPTIONS}
 
+# What each action reads: group -> (help, {action: (help, option dests)}).
+# A leaf parser takes these options and no others, and its config file may
+# set only these; an action that reads no option takes no --config either.
+_MODEL = ("theta", "alpha", "seed", "stream")
+_SIMULATE = _MODEL + ("n", "flavor", "out")
+_VERIFY = _MODEL + ("n", "envs")
+_EXPERIMENT = _MODEL + ("sizes", "samples", "threads", "out")
+_ACTIONS = {
+    "env": ("environment files", {
+        "gen": ("sample an environment and write it to --out",
+                _SIMULATE + ("precision",)),
+        "check": ("validate an environment file", ()),
+    }),
+    "simulate": ("single-environment output", {
+        "endpoint": ("quenched endpoint pmf as CSV r,probability", _SIMULATE),
+        "path": ("sampled path codes as CSV index,code", _SIMULATE + ("count",)),
+        "ensemble": ("line-ensemble curves as CSV k,p,h", _SIMULATE + ("kmax",)),
+    }),
+    "verify": ("exact structural checks and the Gibbs property", {
+        "umap": ("exhaustive pair-rewiring contract sweep", ()),
+        "lgv": ("determinant vs exhaustive non-intersecting enumeration",
+                _VERIFY + ("r",)),
+        "identity": ("doubled symmetrized value equals half-space value", _VERIFY),
+        "sbd": ("2k-layer anti-diagonal product bound", _VERIFY + ("k",)),
+        "gibbs": ("line-ensemble values against their single-site conditional "
+                  "laws (KS of the PIT)", _VERIFY + ("kmax", "significance")),
+    }),
+    "experiment": ("statistical drivers", {
+        "pinning": ("endpoint tail masses across sizes",
+                    _EXPERIMENT + ("significance", "k_grid", "deep_m")),
+        "walk": ("increment law against the attractor walk",
+                 _EXPERIMENT + ("significance", "flavor", "r_max")),
+        "quenched": ("endpoint pmf vs walk-functional limit",
+                     _EXPERIMENT + ("significance", "r_max", "walk_samples")),
+        "fluct": ("normalized free-energy fluctuations",
+                  _EXPERIMENT + ("significance",)),
+        "lln": ("free-energy rate trends and top-curve bound",
+                _EXPERIMENT + ("small_sizes", "small_samples")),
+    }),
+}
+_READS = {(group, action): reads for group, (_, actions) in _ACTIONS.items()
+          for action, (_, reads) in actions.items()}
 
-def read_config_file(path) -> dict:
-    """Parse flat ``key = value`` text; reject unknown keys by line number."""
+
+def _read_config(path, reads, command: str) -> dict:
+    """Parse flat ``key = value`` text; reject keys not in `reads` by line."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -135,6 +182,9 @@ def read_config_file(path) -> dict:
         conv = _CONVERTERS.get(key)
         if conv is None:
             raise UsageError(f"{path}: line {line_no}: unknown key {key!r}")
+        if key not in reads:
+            raise UsageError(f"{path}: line {line_no}: {command} does not read "
+                             f"key {key!r}")
         try:
             pairs[key] = conv(value)
         except ValueError as exc:
@@ -152,56 +202,33 @@ class Invocation:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, dest, conv, _, text in _OPTIONS:
-        common.add_argument(flag, dest=dest, type=conv, help=text)
-    common.add_argument("--config", help="flat key = value config file")
-
     parser = argparse.ArgumentParser(
         prog="hslg-lab",
         description="Half-space log-gamma polymer laboratory (bound phase).")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    def leaf(group, name, help_text, positional=None):
-        p = group.add_parser(name, parents=[common], help=help_text)
-        if positional:
-            p.add_argument(positional)
-        return p
-
-    env = groups.add_parser("env", help="environment files").add_subparsers(
-        dest="action", metavar="ACTION")
-    leaf(env, "gen", "sample an environment and write it to --out")
-    leaf(env, "check", "validate an environment file", positional="file")
-
-    sim = groups.add_parser("simulate", help="single-environment output").add_subparsers(
-        dest="action", metavar="ACTION")
-    leaf(sim, "endpoint", "quenched endpoint pmf as CSV r,probability")
-    leaf(sim, "path", "sampled path codes as CSV index,code")
-    leaf(sim, "ensemble", "line-ensemble curves as CSV k,p,h")
-
-    ver = groups.add_parser(
-        "verify", help="exact structural checks and the Gibbs property").add_subparsers(
-        dest="action", metavar="ACTION")
-    leaf(ver, "umap", "exhaustive pair-rewiring contract sweep")
-    leaf(ver, "lgv", "determinant vs exhaustive non-intersecting enumeration")
-    leaf(ver, "identity", "doubled symmetrized value equals half-space value")
-    leaf(ver, "sbd", "2k-layer anti-diagonal product bound")
-    leaf(ver, "gibbs", "line-ensemble values against their single-site "
-                       "conditional laws (KS of the PIT)")
-
-    exp = groups.add_parser("experiment", help="statistical drivers").add_subparsers(
-        dest="action", metavar="ACTION")
-    for name, text in (("pinning", "endpoint tail masses across sizes"),
-                       ("walk", "increment law against the attractor walk"),
-                       ("quenched", "endpoint pmf vs walk-functional limit"),
-                       ("fluct", "normalized free-energy fluctuations"),
-                       ("lln", "free-energy rate trends and top-curve bound")):
-        leaf(exp, name, text)
+    for group, (group_help, actions) in _ACTIONS.items():
+        sub = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="action", metavar="ACTION")
+        for name, (help_text, reads) in actions.items():
+            # no abbreviations: an unread --k must not pass for --kmax
+            leaf = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            if (group, name) == ("env", "check"):
+                leaf.add_argument("file")
+            for flag, dest, conv, _, text in _OPTIONS:
+                if dest in reads:
+                    leaf.add_argument(flag, dest=dest, type=conv, help=text)
+            if reads:
+                leaf.add_argument("--config", help="flat key = value config file "
+                                  "setting only the options above")
     return parser
 
 
 def parse_config(argv=None) -> Invocation:
-    """Merge flags over config file over env-var seed over defaults."""
+    """Merge flags over config file over env-var seed over defaults.
+
+    `options` holds every key of `_OPTIONS`; those the action does not
+    read keep their defaults.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.group is None:
@@ -210,21 +237,21 @@ def parse_config(argv=None) -> Invocation:
     action = getattr(ns, "action", None)
     if action is None:
         raise UsageError(f"{ns.group}: missing action (see hslg-lab {ns.group} -h)")
+    reads = _READS[ns.group, action]
 
     opts = dict(_DEFAULTS)
     seed_env = os.environ.get("HSLG_LAB_SEED")
-    if seed_env is not None:
+    if seed_env is not None and "seed" in reads:
         try:
             opts["seed"] = int(seed_env)
         except ValueError:
             raise UsageError(
                 f"HSLG_LAB_SEED must be an integer, got {seed_env!r}") from None
-    if ns.config is not None:
-        opts.update(read_config_file(ns.config))
-    for key, value in vars(ns).items():
-        if key in ("group", "action", "config", "file") or value is None:
-            continue
-        opts[key] = value
+    if getattr(ns, "config", None) is not None:
+        opts.update(_read_config(ns.config, reads, f"{ns.group} {action}"))
+    for key in reads:
+        if getattr(ns, key) is not None:
+            opts[key] = getattr(ns, key)
     if hasattr(ns, "file"):
         opts["file"] = ns.file
     return Invocation(ns.group, action, opts)
@@ -520,15 +547,11 @@ _DRIVERS = {
 def _experiment(o, action: str) -> int:
     out = _require(o, "out", "--out")
     params = _params(o)
-    sizes = o["sizes"]
-    if sizes is None:
-        if o["n"] is None:
-            raise UsageError("experiment requires --sizes (or --n for one size)")
-        sizes = (o["n"],)
-    # every set option that names a config field goes to the driver
-    kwargs = {dest: o[dest] for _, dest, _, _, _ in _OPTIONS
+    _require(o, "sizes", "--sizes")
+    # every set option the action reads goes to the driver
+    kwargs = {dest: o[dest] for dest in _READS["experiment", action]
               if dest in _CONFIG_FIELDS and o[dest] is not None}
-    kwargs.update(sizes=tuple(sizes), out=str(out), theorem=action)
+    kwargs.update(out=str(out), theorem=action)
     try:
         config = ExperimentConfig(params, **kwargs)
     except ValueError as exc:

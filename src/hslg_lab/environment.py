@@ -83,7 +83,6 @@ class Environment:
     seed: int = 0
     stream: int = 0
     rng_id: str = rng.ALGORITHM_ID
-    dyadic: bool = False
     _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -114,15 +113,6 @@ class Environment:
 
     def sites(self):
         return wedge_sites(self.n)
-
-    def problems(self) -> list[str]:
-        """Validation findings; empty list means the environment is sound."""
-        out = []
-        if not np.all(np.isfinite(self.w)):
-            out.append("non-finite weight present")
-        if not np.all(self.w > 0.0):
-            out.append("non-positive weight present")
-        return out
 
 
 class SymmetrizedEnvironment:
@@ -175,7 +165,7 @@ def generate_dyadic_environment(params: ModelParams, n: int,
     lanes = site_code(ij[:, 0], ij[:, 1])
     keys = rng.lane_keys(seed, stream, lanes.astype(np.uint64))
     w = rng.dyadic_units(keys)
-    return Environment(params, n, "standard", w, seed=seed, stream=stream, dyadic=True)
+    return Environment(params, n, "standard", w, seed=seed, stream=stream)
 
 
 def stream_log_weights(params: ModelParams, n: int, flavor: str,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,10 +207,12 @@ def exact_det(matrix: list[list[Fraction]]) -> Fraction:
 
 
 def log_det_scaled(log_matrix: np.ndarray) -> float:
-    """log of det(exp(log_matrix)) via row scaling; warns near cancellation.
+    """log of det(exp(log_matrix)) via row scaling.
 
     The determinants assembled here are sums over disjoint path tuples and
-    must be positive; a non-positive float determinant raises.
+    must be positive.  A non-positive float determinant, or one below
+    `CANCELLATION_RATIO` times its Hadamard bound, raises FloatingPointError:
+    its log would be unreliable.
     """
     r = log_matrix.shape[0]
     rowmax = np.max(log_matrix, axis=1)
@@ -221,8 +222,7 @@ def log_det_scaled(log_matrix: np.ndarray) -> float:
     det = float(np.linalg.det(m))
     hadamard = float(np.prod(np.linalg.norm(m, axis=1)))
     if hadamard > 0 and abs(det) < CANCELLATION_RATIO * hadamard:
-        warnings.warn("determinant suffered >1e8 cancellation; log value unreliable",
-                      RuntimeWarning, stacklevel=2)
+        raise FloatingPointError("determinant suffered >1e8 cancellation")
     if det <= 0.0:
         raise FloatingPointError("non-positive determinant in float mode")
     return float(np.sum(rowmax) + np.log(det))
@@ -350,10 +350,8 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
         # deep layers cancel catastrophically in float; weights are binary
         # rationals, so the exact route is always available as a fallback
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                return log_det_scaled(logm)
-        except (FloatingPointError, RuntimeWarning):
+            return log_det_scaled(logm)
+        except FloatingPointError:
             return exact_layer_log(k, ends)
 
     curves = []

@@ -94,11 +94,6 @@ class PartitionTable:
         self.n = env.n
         self.diags: list[np.ndarray] = [z for _, z in sweep(_wedge(env, LOG), LOG)]
 
-    def log_z(self, i, j) -> float:
-        if not (1 <= j <= i and i + j <= 2 * self.n):
-            raise KeyError(f"site ({i}, {j}) outside the wedge")
-        return float(self.diags[i + j - 2][j - 1])
-
     def final_profile(self) -> np.ndarray:
         """log Z(n+p, n-p) for p = 0..n-1."""
         return self.diags[-1][::-1].copy()

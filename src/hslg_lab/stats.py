@@ -19,6 +19,7 @@ from .rng import LANE_BOOTSTRAP, lane_keys, uniforms
 RESAMPLES = 1000            # bootstrap resamples per interval
 CI_LEVEL = 0.99             # coverage of every bootstrap interval
 CHI2_BINS = 8               # quantile bins per margin of chi2_independence
+CHI2_MIN_PAIRS = 10 * CHI2_BINS * CHI2_BINS     # 10 expected pairs per cell
 KS_MIN_SAMPLES = 8          # fewest values a KS sample may hold
 
 
@@ -100,7 +101,7 @@ def chi2_independence(x, y) -> TestResult:
     y = np.asarray(y, dtype=float).ravel()
     if x.size != y.size:
         raise ValueError("paired samples must have equal length")
-    if x.size < 10 * bins * bins:
+    if x.size < CHI2_MIN_PAIRS:
         raise ValueError("too few pairs for this many bins")
     cx = np.searchsorted(_quantile_edges(x, bins), x, side="right") - 1
     cy = np.searchsorted(_quantile_edges(y, bins), y, side="right") - 1

@@ -93,22 +93,6 @@ def increment_cdf(params: ModelParams, x):
 # the series Q
 
 
-def drift_risk(params: ModelParams, window: int) -> float:
-    """Bound on P(S_k < S_0 + (tau/2) k for some k >= window).
-
-    Dyadic blocks [2^j, 2^{j+1}): a dip below the half-drift line inside a
-    block forces the centered walk below -(tau/2) 2^j, whose probability the
-    maximal inequality bounds by 8 gamma / (tau^2 2^j); summed over blocks
-    from the first power of two >= window this is 16 gamma / (tau^2 2^j0).
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    c = constants(params)
-    tau, gamma = c.increment_drift, c.walk_increment_var
-    block = 1 << max(0, math.ceil(math.log2(window)))
-    return min(1.0, 16.0 * gamma / (tau**2 * block))
-
-
 def _window(params: ModelParams) -> int:
     """Drift-line window of the certificate: 4 gamma / tau^2 rounded up to
     a power of two, at least `_MIN_WINDOW` and at most `CAP`.
@@ -129,9 +113,7 @@ class LimitingPmf:
     Q = e^{-S_0} + .. + e^{-S_M}, added left to right.  A converged row's M
     is its first certified index and `tail_bound` = e^{-S_M} rho / (1 - rho)
     bounds the rest of its series.  A row that reached the cap has M = cap,
-    the least bound seen over 0..cap, and `converged` False.  `risk` is
-    `drift_risk` of the window, the one non-deterministic part of the
-    certificate.
+    the least bound seen over 0..cap, and `converged` False.
     """
 
     pmf: np.ndarray             # (walks, kmax + 1)
@@ -139,7 +121,6 @@ class LimitingPmf:
     m: np.ndarray
     tail_bound: np.ndarray
     converged: np.ndarray
-    risk: float
 
 
 def _first_block(tau: float, epsilon: float, window: int, cap: int) -> int:
@@ -179,7 +160,6 @@ def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     window = _window(params)
-    risk = drift_risk(params, window)
     streams = np.atleast_1d(np.asarray(streams, dtype=np.uint64))
     tau = constants(params).increment_drift
     block = _first_block(tau, epsilon, window, CAP)
@@ -189,7 +169,7 @@ def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
                       window, CAP, block, first)
              for lo in range(0, streams.size, rows)]
     pmf, q, m, tail, conv = (np.concatenate(f) for f in zip(*parts))
-    return LimitingPmf(pmf, q, m, tail, conv, risk)
+    return LimitingPmf(pmf, q, m, tail, conv)
 
 
 def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):

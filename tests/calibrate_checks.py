@@ -1,19 +1,22 @@
 """False-failure rates of the experiment checks over many seeds.
 
-Runs the pinning, walk and fluct drivers at their reference configs (the
-benchmark's sweep and walklaw configs for pinning and walk; sizes
-50,100,200 with 1000 samples for fluct; theta 1, alpha -0.5) once per seed,
-and prints for each check the seeds it failed on with their p-values, and
-for each driver the seeds on which the CLI would exit 1.  Every check runs
-at the default significance 0.001, so on healthy code a check should fail
-on about one seed in a thousand; one that fails on 2 or more of 20 seeds
-is a defect of the check or of the code.
+Runs the pinning, walk, fluct and lln drivers at their reference configs
+once per seed: the benchmark's sweep and walklaw configs for pinning and
+walk (theta 1, alpha -0.5), sizes 50,100,200 with 1000 samples for fluct
+(theta 1, alpha -0.5), and the benchmark's lattice config for lln (theta 1,
+alpha -0.3, sizes 25,50 with 200 samples, small sizes 7,9,11 with 8
+samples).  It prints for each check the seeds it failed on with their
+p-values, and for each driver the seeds on which the CLI would exit 1.
+Every check runs at the default significance 0.001, so on healthy code a
+check should fail on about one seed in a thousand; one that fails on 2 or
+more of 20 seeds is a defect of the check or of the code.  The lln checks
+are trend checks with no p-value; their failed seeds are listed alone.
 
     PYTHONPATH=src python tests/calibrate_checks.py [--seeds 20] [--threads 2]
         [--json calibration.json]
 
 The file name keeps pytest from collecting it.  A full run of 20 seeds
-takes about 8 minutes on two cores.
+takes about 12 minutes on two cores.
 """
 from __future__ import annotations
 
@@ -27,22 +30,27 @@ from hslg_lab.experiments import ExperimentConfig
 from hslg_lab.special import ModelParams
 
 PARAMS = ModelParams(1.0, -0.5)
+LATTICE = ModelParams(1.0, -0.3)
 DRIVERS = {
-    "pinning": (experiments.run_pinning, dict(sizes=(50, 100, 200), samples=1000)),
-    "walk": (experiments.run_walk_attractor, dict(sizes=(50, 100), samples=1000)),
-    "fluct": (experiments.run_gaussian_fluct, dict(sizes=(50, 100, 200), samples=1000)),
+    "pinning": (experiments.run_pinning, PARAMS,
+                dict(sizes=(50, 100, 200), samples=1000)),
+    "walk": (experiments.run_walk_attractor, PARAMS, dict(sizes=(50, 100), samples=1000)),
+    "fluct": (experiments.run_gaussian_fluct, PARAMS,
+              dict(sizes=(50, 100, 200), samples=1000)),
+    "lln": (experiments.run_lln_profile, LATTICE,
+            dict(sizes=(25, 50), samples=200, small_sizes=(7, 9, 11), small_samples=8)),
 }
 _P = re.compile(r"\bp=([0-9.eE+-]+)")
 
 
 def calibrate(seeds: int, threads: int) -> dict:
     out = {}
-    for name, (driver, kwargs) in DRIVERS.items():
+    for name, (driver, params, kwargs) in DRIVERS.items():
         checks: dict[str, dict] = {}
         exit1 = []
         t0 = time.perf_counter()
         for seed in range(seeds):
-            rep = driver(ExperimentConfig(PARAMS, seed=seed, threads=threads, **kwargs))
+            rep = driver(ExperimentConfig(params, seed=seed, threads=threads, **kwargs))
             for c in rep.checks:
                 row = checks.setdefault(c.name, {"runs": 0, "failed_seeds": [],
                                                  "failed_p": [], "min_p": None})
@@ -56,10 +64,8 @@ def calibrate(seeds: int, threads: int) -> dict:
                     row["failed_p"].append(p)
             if not rep.passed:
                 exit1.append(seed)
-        out[name] = {"config": {"theta": PARAMS.theta, "alpha": PARAMS.alpha,
-                                "sizes": list(kwargs["sizes"]),
-                                "samples": kwargs["samples"],
-                                "significance": rep.config["significance"]},
+        config = {k: v for k, v in rep.config.items() if k not in ("seed", "out")}
+        out[name] = {"config": config,
                      "seeds": seeds, "exit1_seeds": exit1, "checks": checks,
                      "seconds": round(time.perf_counter() - t0, 1)}
     return out
@@ -73,8 +79,8 @@ def report(table: dict) -> None:
             fails = len(row["failed_seeds"])
             flag = "  DEFECT" if fails >= 2 else ""
             min_p = "-" if row["min_p"] is None else f"{row['min_p']:.3g}"
-            extra = "".join(f" seed {s} p={p}" for s, p in
-                            zip(row["failed_seeds"], row["failed_p"]))
+            extra = "".join(f" seed {s}" + ("" if p is None else f" p={p}")
+                            for s, p in zip(row["failed_seeds"], row["failed_p"]))
             print(f"  {check:34s} failed {fails}/{row['runs']}  min p {min_p}"
                   f"{extra}{flag}")
 

@@ -32,7 +32,6 @@ from hslg_lab.polymer import EXACT, LOG
 from hslg_lab.rng import LANE_CHAIN, lane_keys, log_gamma_draws, uniforms
 from hslg_lab.special import ModelParams, constants
 from hslg_lab.umap import Path, apply_umap, enumerate_disjoint_pairs
-from hslg_lab.walk import drift_risk
 
 _U64 = np.uint64
 
@@ -248,16 +247,13 @@ def extend_walk(walk: WalkSample, n: int) -> WalkSample:
 class QSeries:
     """Partial sums Q_0..Q_M with a certified (or flagged) truncation bound.
 
-    `risk` is the Chebyshev bound on the chance that the drift line verified
-    over the lookahead window is ever violated beyond it (the only
-    non-deterministic part of the certificate); `converged` is False when no
-    index up to the cap passed the window check at the requested epsilon.
+    `converged` is False when no index up to the cap passed the window check
+    at the requested epsilon.
     """
 
     partials: np.ndarray
     tail_bound: float
     converged: bool
-    risk: float
 
     @property
     def q(self) -> float:
@@ -307,15 +303,14 @@ def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
             break
         lo = hi + 1
 
-    risk = drift_risk(params, window)
     with np.errstate(under="ignore"):
         if m_found < 0:
             s = walk.values[: cap + 1]
             partials = np.cumsum(np.exp(-s))
-            return QSeries(partials, best_bound, False, risk)
+            return QSeries(partials, best_bound, False)
         partials = np.cumsum(np.exp(-walk.values[: m_found + 1]))
         tail = float(np.exp(-walk.values[m_found]) * geom)
-    return QSeries(partials, tail, True, risk)
+    return QSeries(partials, tail, True)
 
 
 # ---------------------------------------------------------------------------

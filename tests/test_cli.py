@@ -1,10 +1,19 @@
-"""Exit statuses of the command-line front end for inputs it must refuse."""
+"""Exit statuses of the command-line front end for inputs it must refuse,
+and the options each action accepts."""
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
 from hslg_lab import cli, experiments
-from hslg_lab.experiments import CI_STRIDE, ExperimentConfig
+from hslg_lab.experiments import CI_STRIDE, ExperimentConfig, StatReport
 from hslg_lab.special import ModelParams
 from hslg_lab.stats import KS_MIN_SAMPLES, RESAMPLES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import run as bench_run  # noqa: E402  (importable only once bench/ is on the path)
+import traced  # noqa: E402
 
 
 class TestPathCodeWidth:
@@ -66,6 +75,8 @@ class TestRefusedBeforeWork:
         (["fluct", "--sizes", "25,25"], "sizes must be strictly increasing"),
         (["lln", "--small-sizes", "11,9,7"], "small_sizes must be strictly"),
         (["lln", "--small-sizes", "9,9"], "small_sizes must be strictly"),
+        # the chi-square independence checks need 10 pairs per cell of 8 x 8
+        (["walk", "--flavor", "stationary", "--samples", "639"], "samples >= 640"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):
@@ -114,3 +125,103 @@ class TestDegenerateInput:
         monkeypatch.setattr(cli, "generate_dyadic_environment", no_work)
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the options each action reads
+
+MODEL = {"--theta", "--alpha", "--seed", "--stream"}
+SIMULATE = MODEL | {"--n", "--flavor", "--out"}
+VERIFY = MODEL | {"--n", "--envs"}
+EXPERIMENT = MODEL | {"--sizes", "--samples", "--threads", "--out"}
+READS = {
+    ("env", "gen"): SIMULATE | {"--precision"},
+    ("env", "check"): set(),
+    ("simulate", "endpoint"): SIMULATE,
+    ("simulate", "path"): SIMULATE | {"--count"},
+    ("simulate", "ensemble"): SIMULATE | {"--kmax"},
+    ("verify", "umap"): set(),
+    ("verify", "lgv"): VERIFY | {"--r"},
+    ("verify", "identity"): VERIFY,
+    ("verify", "sbd"): VERIFY | {"--k"},
+    ("verify", "gibbs"): VERIFY | {"--kmax", "--significance"},
+    ("experiment", "pinning"): EXPERIMENT | {"--significance", "--k-grid", "--deep-m"},
+    ("experiment", "walk"): EXPERIMENT | {"--significance", "--flavor", "--r-max"},
+    ("experiment", "quenched"): EXPERIMENT | {"--significance", "--r-max",
+                                              "--walk-samples"},
+    ("experiment", "fluct"): EXPERIMENT | {"--significance"},
+    ("experiment", "lln"): EXPERIMENT | {"--small-sizes", "--small-samples"},
+}
+ALL_FLAGS = [flag for flag, *_ in cli._OPTIONS]
+
+
+def _unread(leaf):
+    return next(f for f in ALL_FLAGS if f not in READS[leaf])
+
+
+def _argv(leaf):
+    return list(leaf) + (["env.txt"] if leaf == ("env", "check") else [])
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("leaf", list(READS), ids="-".join)
+    def test_help_lists_only_the_options_read(self, leaf, capsys):
+        assert cli.main(list(leaf) + ["--help"]) == 0
+        listed = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+        assert listed == READS[leaf] | ({"--config"} if READS[leaf] else set())
+
+    def test_every_leaf_is_covered(self):
+        leaves = {(g, a) for g, (_, actions) in cli._ACTIONS.items() for a in actions}
+        assert leaves == set(READS)
+
+    @pytest.mark.parametrize("leaf", list(READS), ids="-".join)
+    def test_unread_flag_exits_2(self, leaf, capsys):
+        flag = _unread(leaf)
+        assert cli.main(_argv(leaf) + [flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gibbs", "--k", "2"],             # not --kmax
+        ["experiment", "walk", "--r", "2"],          # not --r-max
+        ["experiment", "pinning", "--k", "2"],       # not --k-grid
+        ["experiment", "fluct", "--n", "5"],         # sizes come as --sizes only
+    ])
+    def test_abbreviations_and_n_are_refused(self, argv, capsys):
+        assert cli.main(argv + ["--out", "refused.csv"]) == 2
+        assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("leaf", list(READS), ids="-".join)
+    def test_unread_config_key_exits_2_with_its_line(self, leaf, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        key = _unread(leaf)[2:].replace("-", "_")
+        cfg.write_text(f"# a comment\ntheta = 1\n{key} = 1\n")
+        assert cli.main(_argv(leaf) + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        if READS[leaf]:
+            assert f"line 3: {' '.join(leaf)} does not read key {key!r}" in err
+        else:
+            assert "unrecognized arguments: --config" in err
+
+    def test_read_config_key_is_used(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nseed = 4\n")
+        assert cli.main(["simulate", "endpoint", "--config", str(cfg)]) == 0
+        config_rows = capsys.readouterr().out
+        assert cli.main(["simulate", "endpoint", "--n", "3", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == config_rows
+
+    @pytest.mark.parametrize("workload, action", [
+        (name, act) for name, wl in bench_run.WORKLOADS.items() for act in wl.actions],
+        ids=lambda v: v if isinstance(v, str) else v.driver)
+    def test_bench_argv_reaches_the_driver_as_traced_builds_it(
+            self, workload, action, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return StatReport(config.theorem, config.echo(), ("x",))
+
+        monkeypatch.setitem(cli._DRIVERS, action.driver, capture)
+        argv = action.argv(0) + ["--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert seen == [traced.driver_config(argv)]

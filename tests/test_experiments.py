@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from hslg_lab import experiments, walk
 from hslg_lab.experiments import R0_LANE, STREAM_BLOCK, ExperimentConfig
@@ -88,41 +89,74 @@ class TestPinningWalkLimit:
 
 
 class TestFluctMoments:
-    """The driver's z tests of mean 0 and variance 1 on synthetic diagonals."""
+    """The driver's z tests of the stationary diagonal's exact mean and of
+    the standard diagonal's variance 1, on synthetic Gaussian diagonals."""
 
     def run(self, monkeypatch, shift, scale):
         config = ExperimentConfig(ModelParams(1.0, -0.5), (50, 100), 1000, seed=2)
         c = experiments.constants(config.params)
+        exact_offset = digamma(config.params.shape_boundary)
         gen = np.random.default_rng(7)
 
         def synthetic(batch, config, n, flavor):
             x = shift + scale * gen.standard_normal(config.samples)
             diag = c.free_energy_rate * n + np.sqrt(c.clt_variance * n) * x
+            if flavor == "stationary":
+                diag += exact_offset
             return diag[:, None] - np.arange(n)[None, :]
 
         monkeypatch.setattr(experiments, "_profiles", synthetic)
         rep = experiments.run_gaussian_fluct(config)
         names = [c.name for c in rep.checks
-                 if c.name.startswith(("diag_mean_zero", "diag_variance_one"))]
-        assert names == ["diag_mean_zero_N50", "diag_variance_one_N50",
-                         "diag_mean_zero_N100", "diag_variance_one_N100"]
+                 if c.name.startswith(("diag_mean_exact", "diag_variance_one"))]
+        assert names == ["diag_mean_exact_N50", "diag_variance_one_N50",
+                         "diag_mean_exact_N100", "diag_variance_one_N100"]
         return rep
 
     def test_standard_normal_passes(self, monkeypatch):
         rep = self.run(monkeypatch, 0.0, 1.0)
-        assert not _failed(rep, "diag_mean_zero") + _failed(rep, "diag_variance_one")
+        assert not _failed(rep, "diag_mean_exact") + _failed(rep, "diag_variance_one")
 
     def test_shifted_normal_fails_the_mean(self, monkeypatch):
         rep = self.run(monkeypatch, 0.3, 1.0)
-        assert _failed(rep, "diag_mean_zero") == ["diag_mean_zero_N50",
-                                                   "diag_mean_zero_N100"]
+        assert _failed(rep, "diag_mean_exact") == ["diag_mean_exact_N50",
+                                                    "diag_mean_exact_N100"]
         assert not _failed(rep, "diag_variance_one")
 
     def test_rescaled_normal_fails_the_variance(self, monkeypatch):
         rep = self.run(monkeypatch, 0.0, 1.3)
         assert _failed(rep, "diag_variance_one") == ["diag_variance_one_N50",
                                                       "diag_variance_one_N100"]
-        assert not _failed(rep, "diag_mean_zero")
+        assert not _failed(rep, "diag_mean_exact")
+
+
+class TestFluctExactMean:
+    """E[log Z_stat(N, N)] = rate N + psi(theta - alpha) holds at every N on
+    the stationary flavor; the standard flavor's O(1) offset fails it.  At
+    N = 5 the offset is about -0.57, which 1000 samples put near z = -3.7
+    (failing on 14 of seeds 0-19); 4000 put it near z = -7.4 (20 of 20)."""
+
+    CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (5,), 4000)
+
+    def test_passes_on_the_stationary_flavor(self):
+        rep = experiments.run_gaussian_fluct(self.CONFIG)
+        assert [c.name for c in rep.checks if c.name.startswith("diag_mean_exact")] \
+            == ["diag_mean_exact_N5"]
+        assert not _failed(rep, "diag_mean_exact")
+        offset = {r[1]: r[2] for r in rep.rows if r[1].startswith("coupled_offset")}
+        assert offset["coupled_offset_mean"] < 0.0 < offset["coupled_offset_sd"]
+
+    def test_fails_on_the_standard_flavor(self, monkeypatch):
+        profiles = experiments._profiles
+
+        def standard_only(batch, config, n, flavor):
+            return profiles(batch, config, n, "standard")
+
+        monkeypatch.setattr(experiments, "_profiles", standard_only)
+        rep = experiments.run_gaussian_fluct(self.CONFIG)
+        assert _failed(rep, "diag_mean_exact") == ["diag_mean_exact_N5"]
+        offset = {r[1]: r[2] for r in rep.rows if r[1].startswith("coupled_offset")}
+        assert offset == {"coupled_offset_mean": 0.0, "coupled_offset_sd": 0.0}
 
 
 def test_walk_standard_flavor_runs_the_per_size_ks_checks():

@@ -15,7 +15,7 @@ from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
                                  multilayer_brute, multilayer_lgv,
                                  quadrant_log_table, staircase_site, vq_exact,
                                  vq_tilde_exact)
-from hslg_lab.polymer import exact_partition_table, partition_table
+from hslg_lab.polymer import exact_partition_table
 from hslg_lab.special import ModelParams
 from oracles import diag_avoiding_exact, diag_avoiding_log_table, permutation_det
 
@@ -68,6 +68,11 @@ class TestLgv:
                              for a in range(r)])
             assert log_det_scaled(logm) == pytest.approx(fraction_log(exact),
                                                          abs=1e-10)
+
+    def test_cancelled_float_determinant_raises(self):
+        # det = e^{1e-10} - 1, far below 1e-8 of its Hadamard bound
+        with pytest.raises(FloatingPointError, match="cancellation"):
+            log_det_scaled(np.array([[0.0, 0.0], [0.0, 1e-10]]))
 
     def test_zero_layer_convention(self, params):
         senv = senv_of(params, 3, seed=5)
@@ -194,12 +199,12 @@ class TestVq:
 class TestLineEnsemble:
     def test_curve_one_is_log_partition(self, params):
         env = generate_environment(params, 6, seed=17)
-        table = partition_table(env)
+        table = exact_partition_table(env)
         ens = line_ensemble(symmetrize(env), kmax=1)
         assert ens.n == 5
         for p in range(1, ens.positions(1) + 1):
             i, j = staircase_site(5, p)
-            assert ens.h(1, p) == pytest.approx(table.log_z(i, j), abs=1e-10)
+            assert ens.h(1, p) == pytest.approx(fraction_log(table[i, j]), abs=1e-10)
 
     def test_exact_matches_float(self, params):
         senv = senv_of(params, 5, seed=18, dyadic=False)

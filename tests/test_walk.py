@@ -28,8 +28,7 @@ import scipy.stats
 import oracles
 from hslg_lab import walk
 from hslg_lab.special import ModelParams, constants
-from hslg_lab.walk import (drift_risk, increment_cdf, limiting_endpoint_pmf,
-                           walk_increment_matrix)
+from hslg_lab.walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
 from oracles import (extend_walk, increment_density, q_partial, sample_walk,
                      walk_increments)
 
@@ -183,7 +182,6 @@ def batched_rows(out):
 def assert_same(a, b):
     np.testing.assert_array_equal(a.pmf, b.pmf)
     assert batched_rows(a) == batched_rows(b)
-    assert a.risk == b.risk
 
 
 class TestQSeries:
@@ -218,13 +216,6 @@ class TestQSeries:
             assert_same(limiting_endpoint_pmf(params, 17, streams, 5, 1e-10),
                         ref)
 
-    def test_risk_is_drift_risk_of_window(self, params, monkeypatch):
-        out = limiting_endpoint_pmf(params, 7, [0], 1, 1e-8)
-        assert out.risk == drift_risk(params, walk._window(params))
-        monkeypatch.setattr(walk, "_window", lambda p: 32)
-        out = limiting_endpoint_pmf(params, 7, [0], 1, 1e-8)
-        assert out.risk == drift_risk(params, 32)
-
     def test_cap_flags_without_truncating_silently(self, params, monkeypatch):
         monkeypatch.setattr(walk, "_window", lambda p: 8)
         monkeypatch.setattr(walk, "CAP", 50)
@@ -232,7 +223,6 @@ class TestQSeries:
         assert not out.converged.any()
         assert np.all(out.m == 50)
         assert np.all(out.tail_bound > 1e-300)
-        assert 0.0 < out.risk <= 1.0
         assert batched_rows(out) == oracle_rows(params, 8, [0, 1], 1e-300)
 
     def test_epsilon_guard(self, params):
@@ -359,31 +349,16 @@ def dips(params, steps, lam, samples, seed):
 
 
 class TestMaximalInequality:
-    """P(min_{k <= n} S_k <= -lam) <= n gamma / lam^2, and `drift_risk`,
-    the bound the certificate takes from it."""
+    """P(min_{k <= n} S_k <= -lam) <= n gamma / lam^2."""
 
     def test_huge_level_never_dips(self, params):
         assert not dips(params, 10, 1e6, 2000, seed=13).any()
-
-    def test_bound_arithmetic(self, params):
-        c = constants(params)
-        tau, gamma = c.increment_drift, c.walk_increment_var
-        assert drift_risk(params, 64) == min(1.0, 16 * gamma / (tau**2 * 64))
-        # windows between powers of two start at the next one
-        assert drift_risk(params, 100) == drift_risk(params, 128)
-        assert drift_risk(params, 1) == 1.0
 
     def test_moderate_level_within_bound(self, params):
         gamma = constants(params).walk_increment_var
         lam = 5.0 * math.sqrt(gamma * 10)
         p_hat = dips(params, 10, lam, 20_000, seed=15).mean()
         assert p_hat <= 10 * gamma / lam**2
-
-    def test_argument_guards(self, params):
-        with pytest.raises(ValueError):
-            drift_risk(params, 0)
-        with pytest.raises(ValueError):
-            drift_risk(params, -1)
 
 
 class TestDoubleLimit:
