@@ -13,11 +13,12 @@ required flag, an integer option outside its range, settings an experiment
 driver refuses).
 
 Each action accepts only the options its handler reads (`_ACTIONS` lists
-them, ``-h`` prints them), so a run record names just the inputs behind its
-numbers.  ``env check`` and ``verify umap`` take no options; of the
-experiments only ``walk`` takes ``--flavor``.  Experiments take sizes only
-as ``--sizes N1,N2,..`` (one size is ``--sizes N``); ``--n`` is the size of
-one environment.  An unread or abbreviated flag exits 2.
+them, ``-h`` prints them).  An experiment's options are theta, alpha and the
+ExperimentConfig fields its entry in `experiments.EXPERIMENTS` reads; that
+entry also names its driver.  ``env check`` and ``verify umap`` take no
+options; of the experiments only ``walk`` takes ``--flavor``.  Experiments
+take sizes only as ``--sizes N1,N2,..`` (one size is ``--sizes N``); ``--n``
+is the size of one environment.  An unread or abbreviated flag exits 2.
 
 Every parameter resolves with the same precedence: command-line flag, then
 config-file entry, then the HSLG_LAB_SEED environment variable (seed only,
@@ -26,8 +27,12 @@ flat ``key = value`` text with ``#`` comments, given by ``--config`` to an
 action that reads at least one option; a key that is unknown, or that the
 action does not read, exits 2 with its line number.
 
-Experiments write plot-ready CSV plus a ``.meta`` companion recording the
-config, seeds, and package version; there is no embedded plotting.
+Experiments, and simulate actions given ``--out``, write plot-ready CSV plus
+a ``.meta`` companion; there is no embedded plotting.  The ``.meta`` names
+what the action read: theta, alpha and each option it reads, but
+``--threads``, which never changes a number, and a simulate action's
+``--out``.  It adds the report name, the package version and the check
+tally, and for an experiment `theorem`, the action's name.
 """
 from __future__ import annotations
 
@@ -35,17 +40,16 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 from importlib import metadata
 
 import numpy as np
 
-from .environment import (EnvFormatError, generate_dyadic_environment,
+from .environment import (FLAVORS, EnvFormatError, generate_dyadic_environment,
                           generate_environment, read_environment, symmetrize,
                           wedge_count, write_environment)
-from .experiments import (ConfigError, ExperimentConfig, StatReport,
-                          run_gaussian_fluct, run_lln_profile, run_pinning,
-                          run_quenched_limit, run_walk_attractor)
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, StatReport
 from .gibbs import conditional_cdf, gibbs_region, ordering_check, site_law
 from .multilayer import line_ensemble, multilayer_brute, multilayer_lgv
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
@@ -73,7 +77,7 @@ def _int_tuple(text: str):
 
 
 def _flavor(text: str) -> str:
-    if text not in ("standard", "stationary", "alpha-zero-diagonal"):
+    if text not in FLAVORS:
         raise ValueError(f"unknown flavor {text!r}")
     return text
 
@@ -118,50 +122,6 @@ _OPTIONS = (
 )
 _CONVERTERS = {dest: conv for _, dest, conv, _, _ in _OPTIONS}
 _DEFAULTS = {dest: default for _, dest, _, default, _ in _OPTIONS}
-
-# What each action reads: group -> (help, {action: (help, option dests)}).
-# A leaf parser takes these options and no others, and its config file may
-# set only these; an action that reads no option takes no --config either.
-_MODEL = ("theta", "alpha", "seed", "stream")
-_SIMULATE = _MODEL + ("n", "flavor", "out")
-_VERIFY = _MODEL + ("n", "envs")
-_EXPERIMENT = _MODEL + ("sizes", "samples", "threads", "out")
-_ACTIONS = {
-    "env": ("environment files", {
-        "gen": ("sample an environment and write it to --out",
-                _SIMULATE + ("precision",)),
-        "check": ("validate an environment file", ()),
-    }),
-    "simulate": ("single-environment output", {
-        "endpoint": ("quenched endpoint pmf as CSV r,probability", _SIMULATE),
-        "path": ("sampled path codes as CSV index,code", _SIMULATE + ("count",)),
-        "ensemble": ("line-ensemble curves as CSV k,p,h", _SIMULATE + ("kmax",)),
-    }),
-    "verify": ("exact structural checks and the Gibbs property", {
-        "umap": ("exhaustive pair-rewiring contract sweep", ()),
-        "lgv": ("determinant vs exhaustive non-intersecting enumeration",
-                _VERIFY + ("r",)),
-        "identity": ("doubled symmetrized value equals half-space value", _VERIFY),
-        "sbd": ("2k-layer anti-diagonal product bound", _VERIFY + ("k",)),
-        "gibbs": ("line-ensemble values against their single-site conditional "
-                  "laws (KS of the PIT)", _VERIFY + ("kmax", "significance")),
-    }),
-    "experiment": ("statistical drivers", {
-        "pinning": ("endpoint tail masses across sizes",
-                    _EXPERIMENT + ("significance", "k_grid", "deep_m")),
-        "walk": ("increment law against the attractor walk",
-                 _EXPERIMENT + ("significance", "flavor", "r_max")),
-        "quenched": ("endpoint pmf vs walk-functional limit",
-                     _EXPERIMENT + ("significance", "r_max", "walk_samples")),
-        "fluct": ("normalized free-energy fluctuations",
-                  _EXPERIMENT + ("significance",)),
-        "lln": ("free-energy rate trends and top-curve bound",
-                _EXPERIMENT + ("small_sizes", "small_samples")),
-    }),
-}
-_READS = {(group, action): reads for group, (_, actions) in _ACTIONS.items()
-          for action, (_, reads) in actions.items()}
-
 
 def _read_config(path, reads, command: str) -> dict:
     """Parse flat ``key = value`` text; reject keys not in `reads` by line."""
@@ -209,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for group, (group_help, actions) in _ACTIONS.items():
         sub = groups.add_parser(group, help=group_help).add_subparsers(
             dest="action", metavar="ACTION")
-        for name, (help_text, reads) in actions.items():
+        for name, (help_text, reads, _) in actions.items():
             # no abbreviations: an unread --k must not pass for --kmax
             leaf = sub.add_parser(name, help=help_text, allow_abbrev=False)
             if (group, name) == ("env", "check"):
@@ -237,7 +197,7 @@ def parse_config(argv=None) -> Invocation:
     action = getattr(ns, "action", None)
     if action is None:
         raise UsageError(f"{ns.group}: missing action (see hslg-lab {ns.group} -h)")
-    reads = _READS[ns.group, action]
+    _, reads, _ = _LEAVES[ns.group, action]
 
     opts = dict(_DEFAULTS)
     seed_env = os.environ.get("HSLG_LAB_SEED")
@@ -533,31 +493,20 @@ def _verify_gibbs(o) -> int:
     return 0
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-_DRIVERS = {
-    "pinning": run_pinning,
-    "walk": run_walk_attractor,
-    "quenched": run_quenched_limit,
-    "fluct": run_gaussian_fluct,
-    "lln": run_lln_profile,
-}
-
-
 def _experiment(o, action: str) -> int:
     out = _require(o, "out", "--out")
     params = _params(o)
     _require(o, "sizes", "--sizes")
-    # every set option the action reads goes to the driver
-    kwargs = {dest: o[dest] for dest in _READS["experiment", action]
-              if dest in _CONFIG_FIELDS and o[dest] is not None}
+    experiment = EXPERIMENTS[action]
+    # every set option the experiment reads goes to its driver
+    kwargs = {dest: o[dest] for dest in experiment.reads if o[dest] is not None}
     kwargs.update(out=str(out), theorem=action)
     try:
         config = ExperimentConfig(params, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:
-        report = _DRIVERS[action](config)
+        report = experiment.run(config)
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
     emit_csv(report, out)
@@ -575,21 +524,57 @@ def _experiment(o, action: str) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+# What each action reads and runs:
+# group -> (help, {action: (help, option dests, handler)}).
+# A leaf parser takes these options and no others, and its config file may
+# set only these; an action that reads no option takes no --config either.
+# The experiment leaves come from `EXPERIMENTS`.
+_MODEL = ("theta", "alpha", "seed", "stream")
+_SIMULATE = _MODEL + ("n", "flavor", "out")
+_VERIFY = _MODEL + ("n", "envs")
+_ACTIONS = {
+    "env": ("environment files", {
+        "gen": ("sample an environment and write it to --out",
+                _SIMULATE + ("precision",), _env_gen),
+        "check": ("validate an environment file", (), _env_check),
+    }),
+    "simulate": ("single-environment output", {
+        "endpoint": ("quenched endpoint pmf as CSV r,probability", _SIMULATE,
+                     partial(_simulate, action="endpoint")),
+        "path": ("sampled path codes as CSV index,code", _SIMULATE + ("count",),
+                 partial(_simulate, action="path")),
+        "ensemble": ("line-ensemble curves as CSV k,p,h", _SIMULATE + ("kmax",),
+                     partial(_simulate, action="ensemble")),
+    }),
+    "verify": ("exact structural checks and the Gibbs property", {
+        "umap": ("exhaustive pair-rewiring contract sweep", (), _verify_umap),
+        "lgv": ("determinant vs exhaustive non-intersecting enumeration",
+                _VERIFY + ("r",), _verify_lgv),
+        "identity": ("doubled symmetrized value equals half-space value",
+                     _VERIFY, _verify_identity),
+        "sbd": ("2k-layer anti-diagonal product bound", _VERIFY + ("k",),
+                _verify_sbd),
+        "gibbs": ("line-ensemble values against their single-site conditional "
+                  "laws (KS of the PIT)", _VERIFY + ("kmax", "significance"),
+                  _verify_gibbs),
+    }),
+    "experiment": ("statistical drivers", {
+        name: (e.summary, ("theta", "alpha") + e.reads,
+               partial(_experiment, action=name))
+        for name, e in EXPERIMENTS.items()}),
+}
+_LEAVES = {(group, action): leaf for group, (_, actions) in _ACTIONS.items()
+           for action, leaf in actions.items()}
+
+
 def dispatch(inv: Invocation) -> int:
-    """Route a resolved invocation; returns the process exit status."""
-    o = inv.options
-    if inv.group == "env":
-        return _env_gen(o) if inv.action == "gen" else _env_check(o)
-    if inv.group == "simulate":
-        return _simulate(o, inv.action)
-    if inv.group == "verify":
-        handler = {"umap": _verify_umap, "identity": _verify_identity,
-                   "lgv": _verify_lgv, "sbd": _verify_sbd,
-                   "gibbs": _verify_gibbs}[inv.action]
-        return handler(o)
-    if inv.group == "experiment":
-        return _experiment(o, inv.action)
-    raise UsageError(f"unknown group {inv.group!r}")
+    """Run a resolved invocation's handler; returns the process exit status."""
+    _, _, handler = _LEAVES[inv.group, inv.action]
+    return handler(inv.options)
 
 
 def main(argv=None) -> int:

@@ -107,10 +107,6 @@ class Environment:
         """Vectorized `weight` over index arrays of wedge sites (unchecked)."""
         return self.w[self._offsets[np.asarray(i) - 1] + (np.asarray(j) - 1)]
 
-    def weight_fraction(self, i, j) -> Fraction:
-        # binary64 values are dyadic rationals; this conversion is exact
-        return Fraction(self.weight(i, j))
-
     def sites(self):
         return wedge_sites(self.n)
 

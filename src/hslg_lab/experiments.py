@@ -4,7 +4,10 @@ Each driver consumes an ExperimentConfig, fans the environment batch out
 over a worker pool in fixed-size stream blocks (block boundaries depend
 only on the sample count, so the thread count never changes a single
 number), and returns a StatReport carrying CSV-ready rows, named pass/fail
-checks, and enough metadata to reproduce the run.
+checks, and its run record.  `EXPERIMENTS` says, once per experiment, which
+driver runs it and which ExperimentConfig fields that driver reads; the
+record names theta, alpha, `theorem` and exactly those fields (`threads`
+left out, since it never changes a number), so it names what the run read.
 
 The checks test one size at a time, as the paper states its results:
 exact finite-size identities, and tests at `config.significance` of each
@@ -26,12 +29,11 @@ fails healthy runs; fluct reports that offset on the same streams instead.
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import count
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import digamma, gammaincc, logsumexp
@@ -59,7 +61,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for all drivers; unused fields are ignored by a driver."""
+    """Shared knobs for all drivers; `EXPERIMENTS` names the fields each
+    driver reads, and a driver ignores the rest."""
 
     params: ModelParams
     sizes: tuple[int, ...]
@@ -112,36 +115,12 @@ class ExperimentConfig:
         if self.r_max < 1:
             raise ValueError("r_max must be >= 1")
 
-    def echo(self) -> dict:
-        """Every field for the run record, params as theta and alpha;
-        `threads` is left out, since it never changes a number."""
-        d = {"theta": self.params.theta, "alpha": self.params.alpha}
-        for f in fields(self):
-            if f.name not in ("params", "threads"):
-                v = getattr(self, f.name)
-                d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
-
-
-def _py_scalar(x):
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
-
 
 @dataclass(frozen=True)
 class Check:
     name: str
     passed: bool
     detail: str
-
-    def __post_init__(self):
-        # comparisons on numpy scalars yield np.bool_, which json rejects
-        object.__setattr__(self, "passed", bool(self.passed))
 
 
 @dataclass
@@ -151,24 +130,22 @@ class StatReport:
     header: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     checks: list[Check] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "config": self.config,
-            "header": list(self.header),
-            "rows": [[_py_scalar(x) for x in r] for r in self.rows],
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-            "passed": self.passed,
-            "wall_seconds": self.wall_seconds,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+def _record(config: ExperimentConfig, driver: str) -> dict:
+    """The run record of `driver`: theta, alpha, `theorem` and the fields
+    `EXPERIMENTS` says the driver reads, but not `threads`."""
+    d = {"theta": config.params.theta, "alpha": config.params.alpha,
+         "theorem": config.theorem}
+    for name in EXPERIMENTS[driver].reads:
+        if name != "threads":
+            v = getattr(config, name)
+            d[name] = list(v) if isinstance(v, tuple) else v
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +219,7 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
     two-sample KS; summing the positive weights avoids the cancellation of
     1 - (mass below k).
     """
-    t0 = time.perf_counter()
-    rep = StatReport("pinning", config.echo(),
+    rep = StatReport("pinning", _record(config, "pinning"),
                      ("N", "k", "median_tail", "upper_q95_tail"))
     sig = config.significance
     streams = (np.asarray(config.stream, dtype=np.uint64)
@@ -280,7 +256,6 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
             rep.checks.append(Check(
                 f"deep_tail_median_N{n}", med <= bound,
                 f"median {med:.3e} <= 10 exp(-sqrt(N)) = {bound:.3e}"))
-    rep.wall_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -294,8 +269,7 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
         raise ConfigError(f"--flavor stationary needs samples >= {CHI2_MIN_PAIRS} "
                           "for its chi-square independence checks, got "
                           f"{config.samples}")
-    t0 = time.perf_counter()
-    rep = StatReport(f"walk_attractor_{config.flavor}", config.echo(),
+    rep = StatReport(f"walk_attractor_{config.flavor}", _record(config, "walk"),
                      ("N", "r", "ks_distance", "ks_pvalue"))
     cdf = lambda v: increment_cdf(config.params, v)
     sig = config.significance
@@ -322,7 +296,6 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
         inc0 = float(increment_vector(partition_table(env), 1)[0])
         rep.checks.append(Check("increment_r0_degenerate", inc0 == 0.0,
                                 f"value {inc0!r}"))
-    rep.wall_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -334,8 +307,7 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     the weights for r <= r_max are kept.  `walk_series_certified` fails
     when any walk reaches the cap of the certificate uncertified.
     """
-    t0 = time.perf_counter()
-    rep = StatReport("quenched_limit", config.echo(),
+    rep = StatReport("quenched_limit", _record(config, "quenched"),
                      ("r", "ks_distance", "ks_pvalue", "polymer_mean",
                       "walk_mean", "polymer_var", "walk_var"))
     sig = config.significance
@@ -375,7 +347,6 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     res = ks_test(walk.q * r0, lambda w: gammaincc(shape, 1.0 / w))
     rep.checks.append(Check("qr0_inverse_gamma", res.pvalue > sig,
                             f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
-    rep.wall_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -397,8 +368,7 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     diagonal's variance is z-tested against 1, with standard error
     sqrt((m4 - m2^2) / samples) from the sample central moments.
     """
-    t0 = time.perf_counter()
-    rep = StatReport("gaussian_fluct", config.echo(),
+    rep = StatReport("gaussian_fluct", _record(config, "fluct"),
                      ("N", "statistic", "value"))
     sig = config.significance
     c = constants(config.params)
@@ -438,14 +408,12 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
                             0.7 <= v <= 1.3, f"variance {v:.4f}"))
     rep.checks.append(Check(f"offdiag_corr_N{n_big}", corr > 0.9,
                             f"corr {corr:.4f}"))
-    rep.wall_seconds = time.perf_counter() - t0
     return rep
 
 
 def run_lln_profile(config: ExperimentConfig) -> StatReport:
     """Free-energy rates against their limits, and the top-curve average."""
-    t0 = time.perf_counter()
-    rep = StatReport("lln_profile", config.echo(),
+    rep = StatReport("lln_profile", _record(config, "lln"),
                      ("N", "statistic", "median", "ci_lo", "ci_hi"))
     k = k_star(config.params)
     for order in config.small_sizes:
@@ -514,5 +482,33 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
     if len(config.small_sizes) >= 2:
         rep.checks.append(_trend("top_avg_margin_rising_toward_ceiling",
                                  margins, margin_cis, increasing=True))
-    rep.wall_seconds = time.perf_counter() - t0
     return rep
+
+
+class Experiment(NamedTuple):
+    """One experiment: its help line, its driver, and the ExperimentConfig
+    fields the driver reads besides `params` and `theorem`.  The CLI takes
+    options for exactly these fields, and the run record names them."""
+
+    summary: str
+    run: Callable[[ExperimentConfig], StatReport]
+    reads: tuple[str, ...]
+
+
+_READ_BY_ALL = ("sizes", "samples", "seed", "stream", "threads", "out")
+
+EXPERIMENTS = {
+    "pinning": Experiment("endpoint tail masses across sizes", run_pinning,
+                          _READ_BY_ALL + ("significance", "k_grid", "deep_m")),
+    "walk": Experiment("increment law against the attractor walk",
+                       run_walk_attractor,
+                       _READ_BY_ALL + ("significance", "flavor", "r_max")),
+    "quenched": Experiment("endpoint pmf vs walk-functional limit",
+                           run_quenched_limit,
+                           _READ_BY_ALL + ("significance", "r_max", "walk_samples")),
+    "fluct": Experiment("normalized free-energy fluctuations", run_gaussian_fluct,
+                        _READ_BY_ALL + ("significance",)),
+    "lln": Experiment("free-energy rate trends and top-curve bound",
+                      run_lln_profile,
+                      _READ_BY_ALL + ("small_sizes", "small_samples")),
+}

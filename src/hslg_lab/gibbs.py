@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilayer import LineEnsemble
 from .special import ModelParams
 
 Site = tuple[int, int]
@@ -216,16 +215,14 @@ def ordering_check(ensembles, k: int) -> OrderingReport:
     """Empirical violation rates of the four ordering inequalities.
 
     Compares curves i = 1..k against curve i+1 at every even position, with
-    additive slack log(n)^2, aggregated over one ensemble or an iterable of
-    them.
+    additive slack log(n)^2, aggregated over a nonempty sequence of
+    ensembles.
     """
-    if isinstance(ensembles, LineEnsemble):
-        ensembles = [ensembles]
+    if not ensembles:
+        raise ValueError("no ensembles supplied")
     violations = np.zeros(4, dtype=np.int64)
     trials = np.zeros(4, dtype=np.int64)
-    seen = False
     for ens in ensembles:
-        seen = True
         if ens.kmax < k + 1:
             raise ValueError(f"need curves up to {k + 1}, have {ens.kmax}")
         n = ens.n
@@ -244,6 +241,4 @@ def ordering_check(ensembles, k: int) -> OrderingReport:
                                      below > right + s, below > left + s]):
                 violations[t] += int(bad.sum())
                 trials[t] += bad.size
-    if not seen:
-        raise ValueError("no ensembles supplied")
     return OrderingReport(violations, trials)

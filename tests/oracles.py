@@ -54,7 +54,8 @@ def paths_to(i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def path_weight(env: Environment, path) -> Fraction:
     w = Fraction(1)
     for i, j in path:
-        w *= env.weight_fraction(i, j)
+        # binary64 values are dyadic rationals; this conversion is exact
+        w *= Fraction(env.weight(i, j))
     return w
 
 

@@ -219,9 +219,47 @@ class TestOptionSurface:
 
         def capture(config):
             seen.append(config)
-            return StatReport(config.theorem, config.echo(), ("x",))
+            return StatReport(config.theorem, {}, ("x",))
 
-        monkeypatch.setitem(cli._DRIVERS, action.driver, capture)
+        entry = experiments.EXPERIMENTS[action.driver]
+        monkeypatch.setitem(experiments.EXPERIMENTS, action.driver,
+                            entry._replace(run=capture))
         argv = action.argv(0) + ["--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == 0
         assert seen == [traced.driver_config(argv)]
+
+
+# The .meta keys of each experiment: the report name, the version and the
+# check tally, then theta, alpha, theorem and the options the action reads,
+# but --threads, which never changes a number.
+RECORD = {"name", "version", "checks", "theta", "alpha", "theorem",
+          "sizes", "samples", "seed", "stream", "out"}
+RECORDS = {
+    "pinning": RECORD | {"significance", "k_grid", "deep_m"},
+    "walk": RECORD | {"significance", "flavor", "r_max"},
+    "quenched": RECORD | {"significance", "r_max", "walk_samples"},
+    "fluct": RECORD | {"significance"},
+    "lln": RECORD | {"small_sizes", "small_samples"},
+}
+TINY = {
+    "pinning": [],
+    "walk": [],
+    "quenched": ["--walk-samples", str(KS_MIN_SAMPLES)],
+    "fluct": [],
+    "lln": ["--small-sizes", "5", "--small-samples", "2"],
+}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("action", list(RECORDS))
+    def test_meta_names_what_the_action_read(self, action, tmp_path, capsys):
+        out = tmp_path / f"{action}.csv"
+        argv = ["experiment", action, "--sizes", "5", "--samples",
+                str(KS_MIN_SAMPLES), "--threads", "2", "--out", str(out)]
+        assert cli.main(argv + TINY[action]) in (0, 1)
+        lines = Path(f"{out}.meta").read_text(encoding="utf-8").splitlines()
+        meta = dict(line.split(" = ", 1) for line in lines)
+        assert len(meta) == len(lines)
+        assert set(meta) == RECORDS[action]
+        assert meta["theorem"] == action
+        assert meta["sizes"] == "[5]"

@@ -216,11 +216,11 @@ class TestOrdering:
         # of curve 1 past log(n)^2 breaks (1) and (2) at every trial
         n = 8
         flat = [np.zeros(2 * n - 2 * k + 2) for k in (1, 2)]
-        report = ordering_check(LineEnsemble(n, 2, flat), k=1)
+        report = ordering_check([LineEnsemble(n, 2, flat)], k=1)
         assert report.violations.tolist() == [0, 0, 0, 0]
         assert report.trials.tolist() == [n - 1] * 4
         flat[0][::2] = math.log(n) ** 2 + 1e-9
-        report = ordering_check(LineEnsemble(n, 2, flat), k=1)
+        report = ordering_check([LineEnsemble(n, 2, flat)], k=1)
         assert report.violations.tolist() == [n - 1, n - 1, 0, 0]
 
     def test_log_squared_slack_rates_small(self, params):
@@ -231,4 +231,8 @@ class TestOrdering:
         env = generate_environment(params, 5, seed=0)
         ens = line_ensemble(symmetrize(env), kmax=1)
         with pytest.raises(ValueError):
-            ordering_check(ens, k=1)
+            ordering_check([ens], k=1)
+
+    def test_needs_an_ensemble(self):
+        with pytest.raises(ValueError, match="no ensembles"):
+            ordering_check([], k=1)

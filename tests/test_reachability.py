@@ -6,12 +6,19 @@ counts as reached when it appears as a word in another package module, in
 `bench/*.py`, or anywhere in its own module beyond its definition.  A new
 API that only the tests call fails here.
 
+The method ratchet lists the public methods and properties of the classes
+of `src/hslg_lab` whose name appears as a word nowhere in the package or
+`bench/*.py` outside the method's own definition.  It matches by name, so
+a method that shares its name with another class's reached method hides
+an unreached twin, as `weight_fraction` once did across the two
+environment classes: the scan cannot see it.
+
 The option ratchet lists the parameters with defaults of public functions
 and methods that no call in the package or the benchmark supplies, by
 keyword or by position.  An option that only ever takes its default fails
 here: it belongs in a module constant.
 
-Both lists are empty, and new entries need a caller instead.
+All three lists are empty, and new entries need a caller instead.
 """
 import ast
 import os
@@ -24,6 +31,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hslg_lab"
 
 UNREACHED: dict[str, set[str]] = {}
+UNREACHED_METHODS: set[str] = set()
 UNSET_OPTIONS: set[str] = set()
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
@@ -54,6 +62,31 @@ def unreached_names() -> dict[str, set[str]]:
 
 def test_unreached_names_match_the_allowlist():
     assert unreached_names() == UNREACHED
+
+
+def unreached_methods() -> set[str]:
+    """`module.Class.method` for every public method or property named
+    nowhere outside its own definition."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in sources}
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse("\n".join(lines[path]))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                word = re.compile(rf"\b{fn.name}\b")
+                if not any(word.search(line)
+                           for p, ls in lines.items() for k, line in enumerate(ls, 1)
+                           if not (p == path and fn.lineno <= k <= fn.end_lineno)):
+                    out.add(f"{path.stem}.{cls.name}.{fn.name}")
+    return out
+
+
+def test_unreached_methods_match_the_allowlist():
+    assert unreached_methods() == UNREACHED_METHODS
 
 
 def _defaulted(fn: ast.FunctionDef, is_method: bool) -> dict[str, int | None]:
