@@ -49,12 +49,13 @@ import numpy as np
 from .environment import (FLAVORS, EnvFormatError, generate_dyadic_environment,
                           generate_environment, read_environment, symmetrize,
                           wedge_count, write_environment)
-from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, StatReport
+from .experiments import (EXPERIMENTS, ConfigError, ExperimentConfig, StatReport,
+                          line_ensembles)
 from .gibbs import conditional_cdf, gibbs_region, ordering_check, site_law
-from .multilayer import line_ensemble, multilayer_brute, multilayer_lgv
+from .multilayer import curve_length, line_ensemble, multilayer_brute, multilayer_lgv
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
 from .special import ModelParams
-from .stats import KS_MIN_SAMPLES, ks_test
+from .stats import KS_MIN_SAMPLES, SIGNIFICANCE, ks_test
 from .umap import check_sbd_inequality, enumerate_disjoint_pairs, property_violations
 
 UMAP_CORNERS = ((2, 2), (3, 2), (4, 3), (4, 4))
@@ -113,7 +114,7 @@ _OPTIONS = (
     ("--small-sizes", "small_sizes", _int_tuple, None, "orders of the top-curve average"),
     ("--small-samples", "small_samples", int, None, "environments per small order"),
     ("--significance", "significance", float, None,
-     "significance level of each statistical check (default 0.001)"),
+     f"significance level of each statistical check (default {SIGNIFICANCE:g})"),
     ("--envs", "envs", int, None, "environment count"),
     ("--r", "r", int, None, "max layer count"),
     ("--k", "k", int, None, "layer-pair count"),
@@ -218,8 +219,6 @@ def parse_config(argv=None) -> Invocation:
 
 
 def _params(opts) -> ModelParams:
-    if opts["alpha"] >= 0.0:
-        raise UsageError("bound phase requires alpha < 0")
     try:
         return ModelParams(opts["theta"], opts["alpha"])
     except ValueError as exc:
@@ -347,8 +346,8 @@ def _simulate(o, action: str) -> int:
             raise UsageError("simulate ensemble needs --n >= 2")
         kmax = _int_option(o, "kmax", min(2, n - 1), 1, n - 1)
     env = generate_environment(params, n, o["flavor"], o["seed"], o["stream"])
-    echo = {"theta": params.theta, "alpha": params.alpha, "n": n,
-            "flavor": o["flavor"], "seed": o["seed"], "stream": o["stream"]}
+    _, reads, _ = _LEAVES["simulate", action]
+    echo = {key: o[key] for key in reads if key != "out"}
     if action == "endpoint":
         pmf = endpoint_pmf(partition_table(env))
         rows = [(r, float(p)) for r, p in enumerate(pmf)]
@@ -366,7 +365,7 @@ def _simulate(o, action: str) -> int:
         echo["kmax"] = kmax
         rows = [(k, p, ens.h(k, p))
                 for k in range(1, kmax + 1)
-                for p in range(1, ens.positions(k) + 1)]
+                for p in range(1, curve_length(ens.n, k) + 1)]
         report = StatReport("simulate_ensemble", echo, ("k", "p", "h"), rows)
     _deliver(report, o["out"])
     return 0
@@ -466,13 +465,10 @@ def _verify_gibbs(o) -> int:
     n = _int_option(o, "n", 6, 2)
     kmax = _int_option(o, "kmax", 4, 2, n)
     envs = _int_option(o, "envs", 400, KS_MIN_SAMPLES)
-    significance = o["significance"] if o["significance"] is not None else 0.001
+    significance = o["significance"] if o["significance"] is not None else SIGNIFICANCE
     if not 0.0 < significance < 1.0:
         raise UsageError(f"--significance must lie in (0, 1), got {significance}")
-    ensembles = [
-        line_ensemble(symmetrize(generate_environment(
-            params, n + 1, "standard", o["seed"], o["stream"] + e)), kmax, order=n)
-        for e in range(envs)]
+    ensembles = line_ensembles(params, n, kmax, o["seed"], o["stream"], envs)
     sites = sorted(s for s in gibbs_region(n) if s[0] < kmax)
     results = {s: ks_test(conditional_cdf(*site_law(params, ensembles, s)),
                           lambda x: x) for s in sites}

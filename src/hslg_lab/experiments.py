@@ -39,12 +39,13 @@ import numpy as np
 from scipy.special import digamma, gammaincc, logsumexp
 
 from .environment import generate_environment, symmetrize
-from .multilayer import batch_diag_avoiding_profiles, line_ensemble
+from .multilayer import (LineEnsemble, batch_diag_avoiding_profiles, curve_length,
+                         line_ensemble)
 from .polymer import batch_final_profiles, increment_vector, partition_table
-from .rng import lane_keys, log_gamma_draws
+from .rng import LANE_BOUNDARY, lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
-from .stats import (CHI2_MIN_PAIRS, KS_MIN_SAMPLES, RESAMPLES, Interval,
-                    bootstrap_ci, chi2_independence, ks_test, normal_cdf)
+from .stats import (CHI2_MIN_PAIRS, KS_MIN_SAMPLES, RESAMPLES, SIGNIFICANCE, Interval,
+                    TestResult, bootstrap_ci, chi2_independence, ks_test, normal_cdf)
 # walk_increment_matrix has no caller here; bench/traced.py wraps it under
 # this module and probes it, so it stays importable from here
 from .walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
@@ -52,7 +53,6 @@ from .walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
 STREAM_BLOCK = 256          # environments per work item
 CI_STRIDE = 1 << 28         # bootstrap lane namespace per interval
 MAX_BOOTSTRAP_VALUES = CI_STRIDE // RESAMPLES   # an interval uses RESAMPLES lanes per value
-R0_LANE = (1 << 49) - 1     # one reserved lane per stream for boundary draws
 
 
 class ConfigError(ValueError):
@@ -70,7 +70,7 @@ class ExperimentConfig:
     seed: int = 0
     stream: int = 0
     flavor: str = "standard"
-    significance: float = 0.001
+    significance: float = SIGNIFICANCE
     threads: int = 1
     out: str | None = None
     theorem: str = ""
@@ -101,9 +101,6 @@ class ExperimentConfig:
         if self.small_samples < 2:
             raise ValueError("small_samples must be >= 2, the fewest a bootstrap "
                              "interval takes")
-        if max(self.samples, self.small_samples) > MAX_BOOTSTRAP_VALUES:
-            raise ValueError(f"samples and small_samples must be <= {MAX_BOOTSTRAP_VALUES}, "
-                             "or bootstrap intervals would share lanes")
         if not 0.0 < self.significance < 1.0:
             raise ValueError("significance must lie in (0, 1)")
         if self.threads < 1:
@@ -180,6 +177,18 @@ def _profiles(batch, config: ExperimentConfig, n: int, flavor: str) -> np.ndarra
     return np.vstack(parts)
 
 
+def line_ensembles(params: ModelParams, order: int, kmax: int, seed: int,
+                   stream: int, count: int) -> list[LineEnsemble]:
+    """Curves 1..kmax of the order-`order` ensembles of the standard
+    environments on streams stream..stream+count-1, built one at a time (on
+    a 2-core machine a two-thread pool ran at 0.70-0.73x of serial speed).
+    `line_ensemble` is this module's attribute, so a wrapper put there sees
+    every ensemble."""
+    return [line_ensemble(symmetrize(generate_environment(
+                params, order + 1, "standard", seed, stream + i)), kmax, order=order)
+            for i in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # trend checks
 
@@ -240,10 +249,9 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
                     f"tail_mass_k0_is_one_N{n}", bool(np.all(tail == 1.0)),
                     "P(endpoint anywhere) = 1 exactly"))
             else:
-                res = ks_test(tail, walk_pmf[:, k:n].sum(axis=1))
-                rep.checks.append(Check(
-                    f"tail_mass_k{k}_walk_limit_N{n}", res.pvalue > sig,
-                    f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
+                rep.checks.append(_ks_check(
+                    f"tail_mass_k{k}_walk_limit_N{n}",
+                    ks_test(tail, walk_pmf[:, k:n].sum(axis=1)), sig))
         dec = all(medians[b] < medians[a] for a, b in zip(ks, ks[1:]))
         rep.checks.append(Check(
             f"median_tail_decreasing_in_k_N{n}", dec,
@@ -279,9 +287,7 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
         for r in range(1, r_hi + 1):
             res = ks_test(prof[:, r - 1] - prof[:, r], cdf)
             rep.rows.append((n, r, res.statistic, res.pvalue))
-            rep.checks.append(Check(
-                f"increment_ks_r{r}_N{n}", res.pvalue > sig,
-                f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
+            rep.checks.append(_ks_check(f"increment_ks_r{r}_N{n}", res, sig))
         if config.flavor == "stationary" and r_hi >= 2:
             for r in range(1, min(3, r_hi)):
                 a = prof[:, r - 1] - prof[:, r]
@@ -336,18 +342,21 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
                          float(pmf[:, r].mean()), float(wside.mean()),
                          float(pmf[:, r].var(ddof=1)),
                          float(wside.var(ddof=1))))
-        rep.checks.append(Check(
-            f"marginal_ks_r{r}", res.pvalue > sig,
-            f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
+        rep.checks.append(_ks_check(f"marginal_ks_r{r}", res, sig))
 
     # boundary-weight product identity: Q R0 ~ inverse gamma of shape -2 alpha
-    keys = lane_keys(config.seed, streams, np.uint64(R0_LANE))
+    keys = lane_keys(config.seed, streams, np.uint64(LANE_BOUNDARY))
     r0 = np.exp(-log_gamma_draws(config.params.theta - config.params.alpha, keys))
     shape = -2.0 * config.params.alpha
-    res = ks_test(walk.q * r0, lambda w: gammaincc(shape, 1.0 / w))
-    rep.checks.append(Check("qr0_inverse_gamma", res.pvalue > sig,
-                            f"D={res.statistic:.4f} p={res.pvalue:.4g}"))
+    rep.checks.append(_ks_check(
+        "qr0_inverse_gamma", ks_test(walk.q * r0, lambda w: gammaincc(shape, 1.0 / w)),
+        sig))
     return rep
+
+
+def _ks_check(name: str, res: TestResult, sig: float) -> Check:
+    """The verdict of a KS test at level `sig`."""
+    return Check(name, res.pvalue > sig, f"D={res.statistic:.4f} p={res.pvalue:.4g}")
 
 
 def _z_check(name: str, est: float, target: float, se: float,
@@ -413,6 +422,9 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
 
 def run_lln_profile(config: ExperimentConfig) -> StatReport:
     """Free-energy rates against their limits, and the top-curve average."""
+    if max(config.samples, config.small_samples) > MAX_BOOTSTRAP_VALUES:
+        raise ConfigError(f"samples and small_samples must be <= {MAX_BOOTSTRAP_VALUES}, "
+                          "or bootstrap intervals would share lanes")
     rep = StatReport("lln_profile", _record(config, "lln"),
                      ("N", "statistic", "median", "ci_lo", "ci_hi"))
     k = k_star(config.params)
@@ -424,36 +436,26 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
     c = constants(config.params)
     rate = c.free_energy_rate
 
-    gaps, gap_cis = [], []
-    for n in config.sizes:
-        prof = _profiles(batch_final_profiles, config, n, "standard")
-        v = logsumexp(prof[:, 1:], axis=1) / n
-        med = float(np.median(v))
-        ci = bootstrap_ci(v, np.median, seed=config.seed,
-                          stream=config.stream, lane_base=next(lanes))
-        rep.rows.append((n, "ptl_rate", med, ci.lo, ci.hi))
-        gaps.append(abs(med - rate))
-        gap_cis.append(_gap_interval(ci, rate))
-    if len(config.sizes) >= 2:
-        rep.checks.append(_trend("ptl_rate_gap_to_limit_shrinking",
-                                 gaps, gap_cis))
-
-    # diagonal-avoiding profile under the alpha -> 0 diagonal law
-    target = diagonal_rate_alpha_zero(config.params.theta)
-    gaps, gap_cis = [], []
-    for n in config.sizes:
-        prof = _profiles(batch_diag_avoiding_profiles, config, n,
-                         "alpha-zero-diagonal")
-        v = logsumexp(prof, axis=1) / n            # (2/q) log at q = 2n
-        med = float(np.median(v))
-        ci = bootstrap_ci(v, np.median, seed=config.seed,
-                          stream=config.stream, lane_base=next(lanes))
-        rep.rows.append((n, "diag_avoiding_rate", med, ci.lo, ci.hi))
-        gaps.append(abs(med - target))
-        gap_cis.append(_gap_interval(ci, target))
-    if len(config.sizes) >= 2:
-        rep.checks.append(_trend("diag_avoiding_gap_to_limit_shrinking",
-                                 gaps, gap_cis))
+    # (row, trend check, profiles, flavor, first position summed, limit): the
+    # point-to-line rate, and the diagonal-avoiding one, (2/q) log at q = 2n,
+    # under the alpha -> 0 diagonal law
+    rates = (("ptl_rate", "ptl_rate", batch_final_profiles, "standard", 1, rate),
+             ("diag_avoiding_rate", "diag_avoiding", batch_diag_avoiding_profiles,
+              "alpha-zero-diagonal", 0, diagonal_rate_alpha_zero(config.params.theta)))
+    for row, trend, batch, flavor, first, limit in rates:
+        gaps, gap_cis = [], []
+        for n in config.sizes:
+            prof = _profiles(batch, config, n, flavor)
+            v = logsumexp(prof[:, first:], axis=1) / n
+            med = float(np.median(v))
+            ci = bootstrap_ci(v, np.median, seed=config.seed,
+                              stream=config.stream, lane_base=next(lanes))
+            rep.rows.append((n, row, med, ci.lo, ci.hi))
+            gaps.append(abs(med - limit))
+            gap_cis.append(_gap_interval(ci, limit))
+        if len(config.sizes) >= 2:
+            rep.checks.append(_trend(f"{trend}_gap_to_limit_shrinking",
+                                     gaps, gap_cis))
 
     # sup over positions of the averaged top curves, small orders only
     dk = delta_k(config.params, k)
@@ -461,12 +463,10 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
                             f"k*={k} delta={dk:.4f}"))
     margins, margin_cis = [], []
     for order in config.small_sizes:
+        width = curve_length(order, 2 * k)
         vals = np.empty(config.small_samples)
-        for i in range(config.small_samples):
-            env = generate_environment(config.params, order + 1, "standard",
-                                       config.seed, config.stream + i)
-            ens = line_ensemble(symmetrize(env), 2 * k, order=order)
-            width = 2 * order - 4 * k + 2
+        for i, ens in enumerate(line_ensembles(config.params, order, 2 * k, config.seed,
+                                               config.stream, config.small_samples)):
             avg = np.mean([ens.curves[j][:width] for j in range(2 * k)], axis=0)
             vals[i] = float(avg.max()) / order - (rate - 0.5 * dk)
         med = float(np.median(vals))

@@ -1,12 +1,12 @@
 """Single-site conditional laws of the line ensemble on the diamond lattice.
 
-The diamond lattice of order n has rows i = 1..n with 2n - 2i + 2 positions
-each; row i carries curve i of a line ensemble of order n, and position j
-its value H(i, j).  Directed colored edges are placed by parity: an odd
-position j sends an edge rightward to j + 1 (blue from odd rows, red from
-even rows) and, for j >= 3, leftward to j - 1 (red from odd rows, blue from
-even rows); an even position j in row i >= 2 sends a black pair down to
-(i - 1, j - 1) and (i - 1, j + 1).  Every edge weight depends on the
+The diamond lattice of order n has rows i = 1..n with `curve_length(n, i)`
+positions each; row i carries curve i of a line ensemble of order n, and
+position j its value H(i, j).  Directed colored edges are placed by parity:
+an odd position j sends an edge rightward to j + 1 (blue from odd rows, red
+from even rows) and, for j >= 3, leftward to j - 1 (red from odd rows, blue
+from even rows); an even position j in row i >= 2 sends a black pair down
+to (i - 1, j - 1) and (i - 1, j + 1).  Every edge weight depends on the
 difference x between the tail and head values,
 
     log W(x) = c * x - exp(x),
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multilayer import curve_length
 from .special import ModelParams
 
 Site = tuple[int, int]
@@ -63,22 +64,18 @@ def edge_shape(params: ModelParams, color: str) -> float:
     raise ValueError(f"unknown edge color {color!r}")
 
 
-def row_length(n: int, i: int) -> int:
-    return 2 * n - 2 * i + 2
-
-
 def lattice_sites(n: int) -> tuple[Site, ...]:
     """All sites of the order-n diamond lattice, row-major."""
     if n < 1:
         raise ValueError("lattice order must be >= 1")
     return tuple((i, j) for i in range(1, n + 1)
-                 for j in range(1, row_length(n, i) + 1))
+                 for j in range(1, curve_length(n, i) + 1))
 
 
 def gibbs_region(n: int) -> frozenset[Site]:
     """Sites eligible as interior of a Gibbs domain: rows < n, j < row end."""
     return frozenset((i, j) for i in range(1, n)
-                     for j in range(1, row_length(n, i)))
+                     for j in range(1, curve_length(n, i)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def colored_edges(n: int) -> tuple[ColoredEdge, ...]:
     edges = []
     for p, q in lattice_sites(n):
         if q % 2 == 1:
-            if q + 1 <= row_length(n, p):
+            if q + 1 <= curve_length(n, p):
                 edges.append(ColoredEdge((p, q), (p, q + 1),
                                          BLUE if p % 2 == 1 else RED))
             if q >= 3:

@@ -274,21 +274,23 @@ def vq_tilde_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:
     return total
 
 
+def curve_length(n: int, k: int) -> int:
+    """Positions of curve k of an order-n line ensemble: 2n - 2k + 2."""
+    return 2 * n - 2 * k + 2
+
+
 @dataclass
 class LineEnsemble:
-    """Curves H(k, p), k = 1..kmax, p = 1..2n-2k+2 (stored 0-indexed in p)."""
+    """Curves H(k, p), k = 1..kmax, p = 1..curve_length(n, k), 0-indexed in p."""
 
     n: int
     kmax: int
     curves: list[np.ndarray]
 
-    def positions(self, k: int) -> int:
-        return 2 * self.n - 2 * k + 2
-
     def h(self, k: int, p: int) -> float:
         if not 1 <= k <= self.kmax:
             raise KeyError(f"curve {k} not built")
-        if not 1 <= p <= self.positions(k):
+        if not 1 <= p <= curve_length(self.n, k):
             raise KeyError(f"position {p} outside curve {k}")
         return float(self.curves[k - 1][p - 1])
 
@@ -356,8 +358,8 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
 
     curves = []
     for k in range(1, kmax + 1):
-        vals = np.empty(2 * n - 2 * k + 2)
-        for p in range(1, 2 * n - 2 * k + 3):
+        vals = np.empty(curve_length(n, k))
+        for p in range(1, vals.size + 1):
             m, ncol = staircase_site(n, p)
             vals[p - 1] = math.log(2.0) + layer_log(k, m, ncol) - layer_log(k - 1, m, ncol)
         curves.append(vals)

@@ -90,7 +90,6 @@ class PartitionTable:
     """Log partition values for every wedge site of one environment."""
 
     def __init__(self, env: Environment):
-        self.env = env
         self.n = env.n
         self.diags: list[np.ndarray] = [z for _, z in sweep(_wedge(env, LOG), LOG)]
 

@@ -21,6 +21,7 @@ CI_LEVEL = 0.99             # coverage of every bootstrap interval
 CHI2_BINS = 8               # quantile bins per margin of chi2_independence
 CHI2_MIN_PAIRS = 10 * CHI2_BINS * CHI2_BINS     # 10 expected pairs per cell
 KS_MIN_SAMPLES = 8          # fewest values a KS sample may hold
+SIGNIFICANCE = 0.001        # default level of each statistical check
 
 
 @dataclass(frozen=True)

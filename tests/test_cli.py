@@ -2,6 +2,7 @@
 and the options each action accepts."""
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,25 +29,47 @@ class TestPathCodeWidth:
         assert "n <= 32" in capsys.readouterr().err
 
 
+class Reached(Exception):
+    """Raised by a stand-in for the first piece of work a driver does."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
 class TestBootstrapLanes:
+    """Only lln draws bootstrap intervals, so only lln refuses more values
+    than an interval's lane block holds; the other drivers take any count."""
     LIMIT = CI_STRIDE // RESAMPLES
 
     @pytest.mark.parametrize("field", ["samples", "small_samples"])
-    def test_config_rejects_overlapping_lanes(self, field):
-        params = ModelParams(1.0, -0.5)
+    def test_config_rejects_overlapping_lanes(self, field, monkeypatch):
+        monkeypatch.setattr(experiments, "_profiles", reached)
         kwargs = {"samples": 10, field: self.LIMIT}
-        ExperimentConfig(params, (5,), **kwargs)
-        kwargs[field] = self.LIMIT + 1
-        with pytest.raises(ValueError):
-            ExperimentConfig(params, (5,), **kwargs)
+        config = ExperimentConfig(ModelParams(1.0, -0.5), (5,), **kwargs)
+        with pytest.raises(Reached):
+            experiments.run_lln_profile(config)
+        config = replace(config, **{field: self.LIMIT + 1})
+        with pytest.raises(experiments.ConfigError, match="would share lanes"):
+            experiments.run_lln_profile(config)
 
-    def test_cli_exit_status(self, tmp_path, capsys):
-        out = tmp_path / "pinning.csv"
-        argv = ["experiment", "pinning", "--sizes", "5", "--samples",
+    def test_cli_exit_status(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_profiles", reached)
+        out = tmp_path / "lln.csv"
+        argv = ["experiment", "lln", "--sizes", "5", "--samples",
                 str(self.LIMIT + 1), "--out", str(out)]
         assert cli.main(argv) == 2
         assert "268435" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["pinning", "walk", "quenched", "fluct"])
+    def test_other_drivers_take_more_values(self, action, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_profiles", reached)
+        monkeypatch.setattr(experiments, "limiting_endpoint_pmf", reached)
+        argv = ["experiment", action, "--sizes", "5", "--samples",
+                str(self.LIMIT + 1), "--out", str(tmp_path / "big.csv")]
+        with pytest.raises(Reached):
+            cli.main(argv)
 
 
 class TestRefusedBeforeWork:
@@ -263,3 +286,22 @@ class TestRunRecord:
         assert set(meta) == RECORDS[action]
         assert meta["theorem"] == action
         assert meta["sizes"] == "[5]"
+
+
+# The .meta of a simulate action given --out: theta, alpha and the options
+# it reads but --out, with --count or --kmax at its resolved default.
+SIMULATED = {"checks": "0/0 passed", "theta": "1.0", "alpha": "-0.5", "n": "8",
+             "flavor": "standard", "seed": "0", "stream": "0"}
+
+
+@pytest.mark.parametrize("action, resolved", [
+    ("endpoint", {}), ("path", {"count": "100"}), ("ensemble", {"kmax": "2"})],
+    ids=["endpoint", "path", "ensemble"])
+def test_simulate_meta_names_what_the_action_read(action, resolved, tmp_path, capsys):
+    out = tmp_path / f"{action}.csv"
+    assert cli.main(["simulate", action, "--n", "8", "--out", str(out)]) == 0
+    lines = Path(f"{out}.meta").read_text(encoding="utf-8").splitlines()
+    meta = dict(line.split(" = ", 1) for line in lines)
+    assert len(meta) == len(lines)
+    assert meta.pop("version")
+    assert meta == {**SIMULATED, "name": f"simulate_{action}", **resolved}

@@ -6,9 +6,9 @@ import pytest
 from scipy.special import digamma
 
 from hslg_lab import experiments, walk
-from hslg_lab.experiments import R0_LANE, STREAM_BLOCK, ExperimentConfig
+from hslg_lab.experiments import STREAM_BLOCK, ExperimentConfig
 from hslg_lab.polymer import batch_final_profiles
-from hslg_lab.rng import LANE_BOOTSTRAP, LANE_CHAIN
+from hslg_lab.rng import LANE_BOOTSTRAP, LANE_BOUNDARY, LANE_CHAIN
 from hslg_lab.special import ModelParams
 
 CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (6, 8), 300, seed=3,
@@ -39,12 +39,12 @@ def test_profiles_do_not_depend_on_stream_blocks():
 
 
 def test_walk_lanes_stay_below_the_reserved_r0_lane(monkeypatch):
-    # the quenched driver draws each walk's boundary weight at R0_LANE of
-    # the walk's own stream, inside the chain namespace; a walk drawn to
-    # the cap of its certificate must stay below it
+    # the quenched driver draws each walk's boundary weight at LANE_BOUNDARY
+    # of the walk's own stream, the top of the chain namespace; a walk drawn
+    # to the cap of its certificate must stay below it
     # the window is at most the cap, so a walk draws at most 2 CAP steps
-    assert LANE_CHAIN < LANE_CHAIN + 2 * (walk.CAP + walk.CAP) + 1 < R0_LANE
-    assert R0_LANE == (1 << 49) - 1 < LANE_BOOTSTRAP
+    assert LANE_CHAIN < LANE_CHAIN + 2 * (walk.CAP + walk.CAP) + 1 < LANE_BOUNDARY
+    assert LANE_BOUNDARY == (1 << 49) - 1 < LANE_BOOTSTRAP
 
     seen = []
     keys = walk.lane_keys

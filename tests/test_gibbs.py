@@ -6,6 +6,7 @@ of log edge weights; the oracles for the conditional CDF are scipy's
 generalized inverse Gaussian and gamma laws.
 """
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ import scipy.stats
 from hslg_lab import cli, gibbs
 from hslg_lab.gibbs import (BLACK, BLUE, RED, colored_edges, conditional_cdf,
                             edge_shape, gibbs_region, lattice_sites,
-                            ordering_check, row_length, site_law, site_rule)
+                            ordering_check, site_law, site_rule)
 from hslg_lab.environment import generate_environment, symmetrize
-from hslg_lab.multilayer import LineEnsemble, line_ensemble
+from hslg_lab.experiments import line_ensembles
+from hslg_lab.multilayer import LineEnsemble, curve_length, line_ensemble
 from oracles import gibbs_log_density
 
 # every edge of the order-4 lattice, transcribed by hand from the three
@@ -42,9 +44,17 @@ K4_EDGES = {
 
 
 class TestLattice:
-    def test_row_lengths(self):
-        assert [row_length(4, i) for i in range(1, 5)] == [8, 6, 4, 2]
+    def test_curve_lengths(self, params):
+        assert [curve_length(4, i) for i in range(1, 5)] == [8, 6, 4, 2]
         assert len(lattice_sites(4)) == 8 + 6 + 4 + 2
+        for n in (1, 4, 7):
+            assert Counter(i for i, _ in lattice_sites(n)) == \
+                {i: curve_length(n, i) for i in range(1, n + 1)}
+        # every curve of a built ensemble, of every order and depth
+        for n, kmax in ((2, 2), (4, 3), (6, 6)):
+            for ens in line_ensembles(params, n, kmax, 5, 0, 2):
+                assert [c.size for c in ens.curves] == \
+                    [curve_length(n, k) for k in range(1, kmax + 1)]
 
     def test_k4_edge_set_matches_transcription(self):
         got = {(e.tail, e.head, e.color) for e in colored_edges(4)}
@@ -54,7 +64,7 @@ class TestLattice:
         region = gibbs_region(3)
         assert (3, 1) not in region and (1, 6) not in region
         assert region == {(i, j) for i in (1, 2)
-                          for j in range(1, row_length(3, i))}
+                          for j in range(1, curve_length(3, i))}
 
     def test_edge_shapes(self, params):
         assert edge_shape(params, BLUE) == params.theta - params.alpha
@@ -100,7 +110,7 @@ class TestLogDensity:
 def random_ensembles(n: int, count: int, seed: int) -> list[LineEnsemble]:
     """Ensembles whose curves are arbitrary values on every lattice row."""
     rng = np.random.default_rng(seed)
-    return [LineEnsemble(n, n, [rng.normal(scale=2.0, size=row_length(n, i))
+    return [LineEnsemble(n, n, [rng.normal(scale=2.0, size=curve_length(n, i))
                                 for i in range(1, n + 1)])
             for _ in range(count)]
 
@@ -204,18 +214,11 @@ class TestVerifyGibbs:
 
 
 class TestOrdering:
-    def _ensembles(self, params, n, envs, seed=0):
-        out = []
-        for e in range(envs):
-            env = generate_environment(params, n + 1, seed=seed, stream=e)
-            out.append(line_ensemble(symmetrize(env), kmax=2, order=n))
-        return out
-
     def test_counts_breaks_beyond_the_slack(self):
         # flat curves never break an inequality; lifting the odd positions
         # of curve 1 past log(n)^2 breaks (1) and (2) at every trial
         n = 8
-        flat = [np.zeros(2 * n - 2 * k + 2) for k in (1, 2)]
+        flat = [np.zeros(curve_length(n, k)) for k in (1, 2)]
         report = ordering_check([LineEnsemble(n, 2, flat)], k=1)
         assert report.violations.tolist() == [0, 0, 0, 0]
         assert report.trials.tolist() == [n - 1] * 4
@@ -224,7 +227,7 @@ class TestOrdering:
         assert report.violations.tolist() == [n - 1, n - 1, 0, 0]
 
     def test_log_squared_slack_rates_small(self, params):
-        report = ordering_check(self._ensembles(params, 16, 120), k=1)
+        report = ordering_check(line_ensembles(params, 16, 2, 0, 0, 120), k=1)
         assert np.all(report.rates <= 0.10)
 
     def test_needs_next_curve(self, params):

@@ -11,7 +11,8 @@ from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment, symmetrize)
 from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
                                  enumerate_quadrant_paths, exact_det,
-                                 fraction_log, line_ensemble, log_det_scaled,
+                                 curve_length, fraction_log, line_ensemble,
+                                 log_det_scaled,
                                  multilayer_brute, multilayer_lgv,
                                  quadrant_log_table, staircase_site, vq_exact,
                                  vq_tilde_exact)
@@ -202,7 +203,7 @@ class TestLineEnsemble:
         table = exact_partition_table(env)
         ens = line_ensemble(symmetrize(env), kmax=1)
         assert ens.n == 5
-        for p in range(1, ens.positions(1) + 1):
+        for p in range(1, curve_length(ens.n, 1) + 1):
             i, j = staircase_site(5, p)
             assert ens.h(1, p) == pytest.approx(fraction_log(table[i, j]), abs=1e-10)
 
@@ -211,13 +212,13 @@ class TestLineEnsemble:
         fl = line_ensemble(senv, kmax=2, mode="float")
         ex = line_ensemble(senv, kmax=2, mode="exact")
         for k in (1, 2):
-            for p in range(1, fl.positions(k) + 1):
+            for p in range(1, curve_length(fl.n, k) + 1):
                 assert fl.h(k, p) == pytest.approx(ex.h(k, p), abs=1e-10)
 
     def test_curve_two_vs_brute(self, params):
         senv = senv_of(params, 5, seed=19)
         ens = line_ensemble(senv, kmax=2, mode="exact", order=4)
-        for p in range(1, ens.positions(2) + 1):
+        for p in range(1, curve_length(ens.n, 2) + 1):
             m, ncol = staircase_site(4, p)
             ratio = multilayer_brute(senv, m, ncol, 2) / \
                 multilayer_brute(senv, m, ncol, 1)
@@ -240,7 +241,7 @@ class TestLineEnsemble:
         with pytest.raises(KeyError):
             ens.h(3, 1)
         with pytest.raises(KeyError):
-            ens.h(1, ens.positions(1) + 1)
+            ens.h(1, curve_length(ens.n, 1) + 1)
 
 
 class TestBatchDiagAvoiding:
