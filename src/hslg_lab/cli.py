@@ -9,8 +9,8 @@ Groups and actions:
 
 Exit status: 0 when every check passes, 1 when an assertion or statistical
 check fails, 2 on usage errors (bad flags, bad config file, missing
-required flag, an integer option outside its range, settings an experiment
-driver refuses).
+required flag, an integer option outside its range, a seed or a run of
+streams outside [0, 2**64), settings an experiment driver refuses).
 
 Each action accepts only the options its handler reads (`_ACTIONS` lists
 them, ``-h`` prints them).  An experiment's options are theta, alpha and the
@@ -48,12 +48,13 @@ import numpy as np
 
 from .environment import (FLAVORS, EnvFormatError, generate_dyadic_environment,
                           generate_environment, read_environment, symmetrize,
-                          wedge_count, write_environment)
+                          wedge_count, wedge_sites, write_environment)
 from .experiments import (EXPERIMENTS, ConfigError, ExperimentConfig, StatReport,
                           line_ensembles)
 from .gibbs import conditional_cdf, gibbs_region, ordering_check, site_law
 from .multilayer import curve_length, line_ensemble, multilayer_brute, multilayer_lgv
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
+from .rng import in_u64
 from .special import ModelParams
 from .stats import KS_MIN_SAMPLES, SIGNIFICANCE, ks_test
 from .umap import check_sbd_inequality, enumerate_disjoint_pairs, property_violations
@@ -213,6 +214,9 @@ def parse_config(argv=None) -> Invocation:
     for key in reads:
         if getattr(ns, key) is not None:
             opts[key] = getattr(ns, key)
+    for key in ("seed", "stream"):
+        if key in reads and not in_u64(opts[key], 1):
+            raise UsageError(f"{key} must lie in [0, 2**64), got {opts[key]}")
     if hasattr(ns, "file"):
         opts["file"] = ns.file
     return Invocation(ns.group, action, opts)
@@ -230,6 +234,13 @@ def _require(opts, key: str, flag: str):
     if value is None:
         raise UsageError(f"missing required flag {flag}")
     return value
+
+
+def _streams(opts, count: int) -> int:
+    """`count` streams from --stream on; exit 2 unless all lie in [0, 2**64)."""
+    if not in_u64(opts["stream"], count):
+        raise UsageError(f"--stream {opts['stream']} with {count} streams leaves [0, 2**64)")
+    return count
 
 
 def _int_option(opts, key: str, default: int, minimum: int,
@@ -392,7 +403,7 @@ def _verify_umap(o) -> int:
 def _verify_identity(o) -> int:
     params = _params(o)
     n = _int_option(o, "n", 5, 1)
-    envs = _int_option(o, "envs", 50, 1)
+    envs = _streams(o, _int_option(o, "envs", 50, 1))
     sites = 0
     for e in range(envs):
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
@@ -413,23 +424,22 @@ def _verify_identity(o) -> int:
 def _verify_lgv(o) -> int:
     params = _params(o)
     n = _int_option(o, "n", 4, 1)
-    envs = _int_option(o, "envs", 25, 1)
+    envs = _streams(o, _int_option(o, "envs", 25, 1))
     r_top = _int_option(o, "r", 2, 1)
     checked = 0
     for e in range(envs):
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
         senv = symmetrize(env)
-        for i in range(1, 2 * n):
-            for j in range(1, min(i, 2 * n - i) + 1):
-                for r in range(1, min(r_top, j) + 1):
-                    det = multilayer_lgv(senv, i, j, r)
-                    brute = multilayer_brute(senv, i, j, r)
-                    if det != brute:
-                        print(f"FAIL: environment {e} (stream={o['stream'] + e}), "
-                              f"site ({i},{j}), layers r={r}: "
-                              f"determinant {det} != enumeration {brute}")
-                        return 1
-                    checked += 1
+        for i, j in wedge_sites(n):
+            for r in range(1, min(r_top, j) + 1):
+                det = multilayer_lgv(senv, i, j, r)
+                brute = multilayer_brute(senv, i, j, r)
+                if det != brute:
+                    print(f"FAIL: environment {e} (stream={o['stream'] + e}), "
+                          f"site ({i},{j}), layers r={r}: "
+                          f"determinant {det} != enumeration {brute}")
+                    return 1
+                checked += 1
     print(f"PASS: determinant = exhaustive non-intersecting enumeration at "
           f"{checked} (site, r) cases ({envs} dyadic environments, n={n}, "
           f"r <= {r_top}), exact rational equality")
@@ -439,7 +449,7 @@ def _verify_lgv(o) -> int:
 def _verify_sbd(o) -> int:
     params = _params(o)
     n = _int_option(o, "n", 6, 1)
-    envs = _int_option(o, "envs", 100, 1)
+    envs = _streams(o, _int_option(o, "envs", 100, 1))
     ks = (1, 2) if o["k"] is None else (_int_option(o, "k", 1, 1),)
     m, site_n = n + 1, n - 1
     for k in ks:
@@ -464,7 +474,7 @@ def _verify_gibbs(o) -> int:
     params = _params(o)
     n = _int_option(o, "n", 6, 2)
     kmax = _int_option(o, "kmax", 4, 2, n)
-    envs = _int_option(o, "envs", 400, KS_MIN_SAMPLES)
+    envs = _streams(o, _int_option(o, "envs", 400, KS_MIN_SAMPLES))
     significance = o["significance"] if o["significance"] is not None else SIGNIFICANCE
     if not 0.0 < significance < 1.0:
         raise UsageError(f"--significance must lie in (0, 1), got {significance}")
@@ -501,6 +511,9 @@ def _experiment(o, action: str) -> int:
         config = ExperimentConfig(params, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # each count the experiment reads numbers environments or walks from --stream on
+    _streams(o, max(getattr(config, f) for f in ("samples", "walk_samples", "small_samples")
+                    if f in experiment.reads))
     try:
         report = experiment.run(config)
     except ConfigError as exc:

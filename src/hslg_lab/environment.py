@@ -237,29 +237,30 @@ def read_environment(path) -> Environment:
     theta = parse(2, "theta", float)
     alpha = parse(3, "alpha", float)
     n = parse(4, "n", int)
+    if n < 1:
+        raise EnvFormatError(5, "n", "n must be >= 1")
     flavor = _header_value(lines, 5, "flavor")
     if flavor not in FLAVORS:
         raise EnvFormatError(6, "flavor", f"unknown flavor {flavor!r}")
     rng_id = _header_value(lines, 6, "rng")
     seed = parse(7, "seed", int)
     stream = parse(8, "stream", int)
-    if not (0 <= seed < 2**64):
-        raise EnvFormatError(8, "seed", "seed outside u64 range")
-    if not (0 <= stream < 2**64):
-        raise EnvFormatError(9, "stream", "stream outside u64 range")
+    for line_no, key, value in ((8, "seed", seed), (9, "stream", stream)):
+        if not rng.in_u64(value, 1):
+            raise EnvFormatError(line_no, key, f"{key} outside u64 range")
 
     try:
         params = ModelParams(theta, alpha)
     except ValueError as exc:
         raise EnvFormatError(3, "theta/alpha", str(exc)) from None
 
-    expected = list(wedge_sites(n))
-    w = np.empty(len(expected), dtype=float)
     base = 9
-    for idx, (i, j) in enumerate(expected):
+    # the header's n is refused before anything n^2-sized is built for it
+    if len(lines) < base + wedge_count(n):
+        raise EnvFormatError(len(lines) + 1, "site", "missing site line")
+    w = np.empty(wedge_count(n), dtype=float)
+    for idx, (i, j) in enumerate(wedge_sites(n)):
         line_no = base + idx
-        if line_no >= len(lines):
-            raise EnvFormatError(line_no + 1, "site", "missing site line")
         parts = lines[line_no].split()
         if len(parts) != 3:
             raise EnvFormatError(line_no + 1, "site", "expected 'i j w'")
@@ -273,7 +274,7 @@ def read_environment(path) -> Environment:
         if not (fw > 0.0 and np.isfinite(fw)):
             raise EnvFormatError(line_no + 1, "site", "weight must be finite and positive")
         w[idx] = fw
-    end_no = base + len(expected)
+    end_no = base + wedge_count(n)
     if end_no >= len(lines) or lines[end_no].strip() != "end":
         raise EnvFormatError(end_no + 1, "end", "missing 'end' terminator")
 

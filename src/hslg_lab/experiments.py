@@ -273,6 +273,8 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
     The stationary flavor also tests consecutive increments for
     independence, which needs `CHI2_MIN_PAIRS` samples; fewer are refused.
     """
+    if config.sizes[0] < 2:
+        raise ConfigError(f"sizes must be >= 2 for an increment, got {config.sizes[0]}")
     if config.flavor == "stationary" and config.samples < CHI2_MIN_PAIRS:
         raise ConfigError(f"--flavor stationary needs samples >= {CHI2_MIN_PAIRS} "
                           "for its chi-square independence checks, got "
@@ -377,6 +379,8 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     diagonal's variance is z-tested against 1, with standard error
     sqrt((m4 - m2^2) / samples) from the sample central moments.
     """
+    if config.sizes[0] < 2:
+        raise ConfigError(f"sizes must be >= 2 for an off-diagonal, got {config.sizes[0]}")
     rep = StatReport("gaussian_fluct", _record(config, "fluct"),
                      ("N", "statistic", "value"))
     sig = config.significance
@@ -422,6 +426,8 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
 
 def run_lln_profile(config: ExperimentConfig) -> StatReport:
     """Free-energy rates against their limits, and the top-curve average."""
+    if config.sizes[0] < 2:
+        raise ConfigError(f"sizes must be >= 2 for diagonal avoidance, got {config.sizes[0]}")
     if max(config.samples, config.small_samples) > MAX_BOOTSTRAP_VALUES:
         raise ConfigError(f"samples and small_samples must be <= {MAX_BOOTSTRAP_VALUES}, "
                           "or bootstrap intervals would share lanes")

@@ -16,8 +16,9 @@ elimination over integers, O(k^3) per k x k matrix, so exact mode is not
 limited to small sizes.
 
 Every single-path table here (quadrant values from a start column, and the
-diagonal-avoiding values strictly below the diagonal) is `polymer.sweep`,
-the package's one up/left recurrence, run over that region's cells.
+diagonal-avoiding values strictly below the diagonal) is `polymer.collect`
+of `polymer.sweep_region` over that region, and `lgv_matrix` assembles
+every determinant from the quadrant tables.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .environment import SymmetrizedEnvironment, stream_log_weights
-from .polymer import EXACT, LOG, NEG_INF, final, lift, sweep
+from .polymer import EXACT, LOG, NEG_INF, collect, final, sweep, sweep_region
 from .special import ModelParams
 
 # Exhaustive enumeration guard: r paths of m+n-r sites each.
@@ -76,10 +77,6 @@ def enumerate_quadrant_paths(start, end):
     return out
 
 
-def _tuple_endpoints(m, n, r):
-    return [((1, r - a), (m, n - a)) for a in range(r)]
-
-
 def multilayer_brute(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fraction:
     """Exact exhaustive sum over disjoint path tuples (verification oracle)."""
     if r == 0:
@@ -88,7 +85,7 @@ def multilayer_brute(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fr
         raise ValueError("need 1 <= r <= n")
     if r * (m + n - r) > MAX_BRUTE_CELLS:
         raise InstanceTooLarge(f"{r} paths of {m + n - r} cells exceed the enumeration cap")
-    families = [enumerate_quadrant_paths(s, e) for s, e in _tuple_endpoints(m, n, r)]
+    families = [enumerate_quadrant_paths((1, r - a), (m, n - a)) for a in range(r)]
     total_tuples = 1
     for fam in families:
         total_tuples *= max(len(fam), 1)
@@ -122,42 +119,10 @@ def multilayer_brute(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fr
     return total
 
 
-def _sweep_cells(senv: SymmetrizedEnvironment, ring, first: int, bounds):
-    """`sweep` over the symmetrized weights; yields (i, j, z) per diagonal.
-
-    Diagonal s = first, first + 1, ... covers the columns bounds(s) = (lo,
-    hi).  The sweep stops at the first empty diagonal and at the wedge
-    boundary i + j = 2n: cells past it carry no weight and could only feed
-    other cells past it.
-    """
-    def diagonals():
-        for s in range(first, 2 * senv.n + 1):
-            lo, hi = bounds(s)
-            if lo > hi:
-                return
-            j = np.arange(lo, hi + 1)
-            yield lo, lift(senv.weights(s - j, j), ring)
-
-    for s, (lo, z) in enumerate(sweep(diagonals(), ring), first):
-        j = np.arange(lo, lo + z.shape[-1])
-        yield s - j, j, z
-
-
-def _collect(cells, ring, imax: int, jmax: int):
-    """Float cells as an [i, j] array (-inf elsewhere), exact ones as a dict."""
-    if ring is LOG:
-        t = np.full((imax + 1, jmax + 1), NEG_INF)
-        for i, j, z in cells:
-            t[i, j] = z
-        return t
-    return {(a, b): v for i, j, z in cells
-            for a, b, v in zip(i.tolist(), j.tolist(), z)}
-
-
 def _quadrant_table(senv, start_col, imax, jmax, ring):
     def bounds(s):
         return max(start_col, s - imax), min(jmax, s - 1)
-    return _collect(_sweep_cells(senv, ring, start_col + 1, bounds), ring, imax, jmax)
+    return collect(sweep_region(senv, ring, start_col + 1, bounds), ring, imax, jmax)
 
 
 def quadrant_log_table(senv: SymmetrizedEnvironment, start_col: int,
@@ -228,16 +193,21 @@ def log_det_scaled(log_matrix: np.ndarray) -> float:
     return float(np.sum(rowmax) + np.log(det))
 
 
+def lgv_matrix(entry, r: int, m: int, n: int) -> list[list]:
+    """The r x r LGV matrix of the tuple ending at (m, n): row a, column b
+    holds Zq((1, r - a) -> (m, n - b)), read as entry(r - a, (m, n - b))."""
+    return [[entry(r - a, (m, n - b)) for b in range(r)] for a in range(r)]
+
+
 def multilayer_lgv(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fraction:
     """Exact r-layer value via the determinant of single-path quadrant values."""
     if r == 0:
         return Fraction(1)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    ends = [(m, n - b) for b in range(r)]
-    tables = [quadrant_exact_table(senv, r - a, m, n) for a in range(r)]
-    matrix = [[tables[a].get(end, Fraction(0)) for end in ends] for a in range(r)]
-    return exact_det(matrix)
+    tables = {c: quadrant_exact_table(senv, c, m, n) for c in range(1, r + 1)}
+    return exact_det(lgv_matrix(lambda c, site: tables[c].get(site, Fraction(0)),
+                                r, m, n))
 
 
 def _diag_avoiding_table(senv, imax, jmax, ring):
@@ -248,30 +218,27 @@ def _diag_avoiding_table(senv, imax, jmax, ring):
     """
     def bounds(s):
         return (1, 1) if s == 2 else (max(1, s - imax), min(jmax, (s - 1) // 2))
-    cells = itertools.islice(_sweep_cells(senv, ring, 2, bounds), 1, None)
-    return _collect(cells, ring, imax, jmax)
+    cells = itertools.islice(sweep_region(senv, ring, 2, bounds), 1, None)
+    return collect(cells, ring, imax, jmax)
+
+
+def _line_sum(table: dict, q: int) -> Fraction:
+    """Sum of an exact table's values at its sites on the line i + j = q."""
+    return sum((v for (i, j), v in table.items() if i + j == q), Fraction(0))
 
 
 def vq_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:
     """V_q: symmetrized values summed over wedge sites of the line i+j = q."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    table = quadrant_exact_table(senv, 1, q - 1, q // 2)
-    total = Fraction(0)
-    for j in range(1, q // 2 + 1):
-        total += table.get((q - j, j), Fraction(0))
-    return total
+    return _line_sum(quadrant_exact_table(senv, 1, q - 1, q // 2), q)
 
 
 def vq_tilde_exact(senv: SymmetrizedEnvironment, q: int) -> Fraction:
     """Diagonal-avoiding analog of V_q over strict-wedge sites of i+j = q."""
     if q < 3:
         raise ValueError("q must be >= 3")
-    table = _diag_avoiding_table(senv, q - 1, (q - 1) // 2, EXACT)
-    total = Fraction(0)
-    for j in range(1, (q - 1) // 2 + 1):
-        total += table.get((q - j, j), Fraction(0))
-    return total
+    return _line_sum(_diag_avoiding_table(senv, q - 1, (q - 1) // 2, EXACT), q)
 
 
 def curve_length(n: int, k: int) -> int:
@@ -323,38 +290,33 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
     if not 1 <= kmax <= n:
         raise ValueError("kmax must lie in [1, order]")
     imax, jmax = 2 * n, n + 1
-    etables: dict[int, dict] = {}
     if mode == "float":
         tables = [quadrant_log_table(senv, c, imax, jmax) for c in range(1, kmax + 1)]
-    elif mode == "exact":
-        etables = {c: quadrant_exact_table(senv, c, imax, jmax) for c in range(1, kmax + 1)}
-    else:
+    elif mode != "exact":
         raise ValueError("mode must be 'float' or 'exact'")
+    exact: dict[int, dict] = {}     # exact tables by start column, built on first use
 
-    def exact_layer_log(k: int, ends) -> float:
-        for c in range(1, k + 1):
-            if c not in etables:
-                etables[c] = quadrant_exact_table(senv, c, imax, jmax)
-        matrix = [[etables[k - a].get(e, Fraction(0)) for e in ends] for a in range(k)]
-        det = exact_det(matrix)
-        # staircase layers always hold disjoint tuples, so the sum is positive
-        if det <= 0:
-            raise FloatingPointError("non-positive determinant in exact mode")
-        return fraction_log(det)
+    def exact_entry(c: int, site) -> Fraction:
+        if c not in exact:
+            exact[c] = quadrant_exact_table(senv, c, imax, jmax)
+        return exact[c].get(site, Fraction(0))
 
     def layer_log(k: int, m: int, ncol: int) -> float:
         if k == 0:
             return 0.0
-        ends = [(m, ncol - b) for b in range(k)]
-        if mode == "exact":
-            return exact_layer_log(k, ends)
-        logm = np.array([[tables[k - a - 1][e] for e in ends] for a in range(k)])
-        # deep layers cancel catastrophically in float; weights are binary
-        # rationals, so the exact route is always available as a fallback
-        try:
-            return log_det_scaled(logm)
-        except FloatingPointError:
-            return exact_layer_log(k, ends)
+        if mode == "float":
+            logm = np.array(lgv_matrix(lambda c, site: tables[c - 1][site], k, m, ncol))
+            # deep layers cancel catastrophically in float; weights are binary
+            # rationals, so the exact route is always available as a fallback
+            try:
+                return log_det_scaled(logm)
+            except FloatingPointError:
+                pass
+        det = exact_det(lgv_matrix(exact_entry, k, m, ncol))
+        # staircase layers always hold disjoint tuples, so the sum is positive
+        if det <= 0:
+            raise FloatingPointError("non-positive determinant in exact mode")
+        return fraction_log(det)
 
     curves = []
     for k in range(1, kmax + 1):

@@ -9,12 +9,13 @@ The recurrence, with W the environment weights:
 Z(i, j) sums weight products over upright paths from (1,1) confined to
 j <= i.  `sweep` is the one implementation of this up/left recurrence in
 the package: it streams anti-diagonals over any region whose cells on each
-line i + j = s form one run of columns, in one of two semirings.  Here it
-runs on the wedge; `multilayer` runs it on symmetrized quadrants and below
-the diagonal.  log Z grows linearly in the size, so the float path works in
-the log domain throughout (raw products overflow binary64 around size 150).
-The exact path carries Fractions and is meant for small verification
-instances only.
+line i + j = s form one run of columns, in one of two semirings.
+`sweep_region` feeds it a region of one environment's weights, `collect`
+stores what it returns as a table.  Here they run on the wedge, in
+`multilayer` on symmetrized quadrants and below the diagonal.  log Z grows
+linearly in the size, so the float path works in the log domain throughout
+(raw products overflow binary64 around size 150).  The exact path carries
+Fractions and is meant for small verification instances only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng
-from .environment import Environment, diag_sites, stream_log_weights
+from .environment import Environment, stream_log_weights
 from .special import ModelParams
 
 NEG_INF = -np.inf
@@ -66,13 +67,6 @@ def sweep(diagonals, ring):
         prev, prev_lo = z, lo
 
 
-def lift(w: np.ndarray, ring):
-    """Positive float weights as elements of `ring` (exact: binary64 is dyadic)."""
-    if ring is LOG:
-        return np.log(w)
-    return np.array([Fraction(x) for x in w], dtype=object)
-
-
 def final(swept) -> np.ndarray:
     """The last diagonal of a sweep."""
     for _, z in swept:
@@ -80,10 +74,46 @@ def final(swept) -> np.ndarray:
     return z
 
 
-def _wedge(env: Environment, ring):
-    """Diagonals s = 2..2n of the wedge: columns 1..s//2, source (1,1)."""
-    for s in range(2, 2 * env.n + 1):
-        yield 1, lift(env.weights(*diag_sites(env.n, s)), ring)
+def sweep_region(env, ring, first: int, bounds):
+    """`sweep` over a region of the weights of `env` (an `Environment` or a
+    `SymmetrizedEnvironment`); yields (i, j, z) per diagonal.
+
+    Diagonal s = first, first + 1, ... covers the columns bounds(s) = (lo,
+    hi), its weights lifted to `ring` (exactly: binary64 is dyadic).  The
+    sweep stops at the first empty diagonal and at the wedge boundary
+    i + j = 2n: past it no cell has a weight or feeds one that has.
+    """
+    def diagonals():
+        for s in range(first, 2 * env.n + 1):
+            lo, hi = bounds(s)
+            if lo > hi:
+                return
+            j = np.arange(lo, hi + 1)
+            w = env.weights(s - j, j)
+            yield lo, np.log(w) if ring is LOG else np.array(
+                [Fraction(x) for x in w], dtype=object)
+
+    for s, (lo, z) in enumerate(sweep(diagonals(), ring), first):
+        j = np.arange(lo, lo + z.shape[-1])
+        yield s - j, j, z
+
+
+def collect(cells, ring, imax: int, jmax: int):
+    """Swept cells as a table: a float [i, j] grid on [0..imax] x [0..jmax],
+    -inf off the region, or an exact dict keyed (i, j), region cells only."""
+    if ring is LOG:
+        t = np.full((imax + 1, jmax + 1), NEG_INF)
+        for i, j, z in cells:
+            t[i, j] = z
+        return t
+    return {(a, b): v for i, j, z in cells
+            for a, b, v in zip(i.tolist(), j.tolist(), z)}
+
+
+def _wedge_table(env: Environment, ring):
+    """Z on the wedge: diagonals s = 2..2n, columns 1..s//2, source (1,1)."""
+    return collect(sweep_region(env, ring, 2, lambda s: (1, s // 2)),
+                   ring, 2 * env.n - 1, env.n)
 
 
 class PartitionTable:
@@ -91,11 +121,12 @@ class PartitionTable:
 
     def __init__(self, env: Environment):
         self.n = env.n
-        self.diags: list[np.ndarray] = [z for _, z in sweep(_wedge(env, LOG), LOG)]
+        self.grid = _wedge_table(env, LOG)    # log Z(i, j) at [i, j], -inf off the wedge
 
     def final_profile(self) -> np.ndarray:
         """log Z(n+p, n-p) for p = 0..n-1."""
-        return self.diags[-1][::-1].copy()
+        p = np.arange(self.n)
+        return self.grid[self.n + p, self.n - p]
 
 
 def partition_table(env: Environment) -> PartitionTable:
@@ -104,11 +135,7 @@ def partition_table(env: Environment) -> PartitionTable:
 
 def exact_partition_table(env: Environment) -> dict[tuple[int, int], Fraction]:
     """Fraction-valued table; exact because binary64 weights are dyadic."""
-    z: dict[tuple[int, int], Fraction] = {}
-    for s, (_, diag) in enumerate(sweep(_wedge(env, EXACT), EXACT), 2):
-        for j, value in enumerate(diag, 1):
-            z[s - j, j] = value
-    return z
+    return _wedge_table(env, EXACT)
 
 
 def endpoint_pmf(table: PartitionTable) -> np.ndarray:
@@ -145,16 +172,11 @@ def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int)
     i = n + p
     j = n - p
     codes = np.zeros(count, dtype=np.int64)
-    # log Z lookup grid (wedge sites only; -inf elsewhere never consulted)
-    grid = np.full((2 * n + 1, n + 1), NEG_INF)
-    for s, diag in enumerate(table.diags, 2):
-        col = np.arange(1, diag.size + 1)
-        grid[s - col, col] = diag
     for step in range(2 * n - 2):
         bit = 2 * n - 3 - step  # moves recorded from the endpoint backwards
         u = rng.uniforms(keys, np.uint64(1 + step))
-        up_logz = grid[np.maximum(i - 1, 1), j]
-        left_logz = grid[i, np.maximum(j - 1, 1)]
+        up_logz = table.grid[np.maximum(i - 1, 1), j]
+        left_logz = table.grid[i, np.maximum(j - 1, 1)]
         forced_up = j == 1
         forced_left = i == j
         with np.errstate(over="ignore"):

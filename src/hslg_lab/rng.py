@@ -64,6 +64,11 @@ def _u64(x):
     return _U64(int(x) & _MASK64)
 
 
+def in_u64(start: int, count: int) -> bool:
+    """Whether start .. start + count - 1 lie in [0, 2**64), the seed and stream range."""
+    return 0 <= start and start + count <= _MASK64 + 1
+
+
 def lane_keys(seed, stream, lanes):
     """Per-lane key array; broadcasts over `stream` and `lanes`."""
     h = _mix(np.atleast_1d(_u64(seed)) ^ _WHITEN)[0]

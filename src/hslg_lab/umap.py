@@ -22,8 +22,9 @@ to pi2 by reflecting the pi2 stretch and swapping the enclosed portions
 between the first and the last crossing; after the final anchor the tails
 are swapped and reflected so the endpoints land at (n-1, m) and (n, m).
 
-All checks raise `UMapError`: on the exhaustively tested domains they
-never fire, and a failure means an input contract was violated.
+`apply_umap` raises `UMapError` on input that breaks the contract above.
+`property_violations` checks its outputs, (a)-(c), endpoints and
+uprightness, over an exhaustive domain and reports each breach as a trace.
 """
 
 from __future__ import annotations
@@ -62,10 +63,9 @@ def _segment(path: Path, a: Site, b: Site) -> Path:
     return path[ia: ib + 1]
 
 
-def _check_upright(path: Path) -> None:
-    for u, v in itertools.pairwise(path):
-        if not ((v[0] == u[0] + 1 and v[1] == u[1]) or (v[0] == u[0] and v[1] == u[1] + 1)):
-            raise UMapError(f"not an upright path at {u} -> {v}")
+def _upright(path: Path) -> bool:
+    return all(v in ((u[0] + 1, u[1]), (u[0], u[1] + 1))
+               for u, v in itertools.pairwise(path))
 
 
 def _case_transfer(seg1: Path, seg2: Path, interior: list[Site]) -> tuple[Path, Path]:
@@ -109,8 +109,8 @@ def _case_tail(seg1: Path, seg2: Path) -> tuple[Path, Path]:
 
 def apply_umap(pi1, pi2) -> tuple[Path, Path]:
     pi1, pi2 = tuple(pi1), tuple(pi2)
-    _check_upright(pi1)
-    _check_upright(pi2)
+    if not (_upright(pi1) and _upright(pi2)):
+        raise UMapError("inputs must be upright paths")
     m, n = pi1[-1]
     if pi2[-1] != (m, n - 1):
         raise UMapError("pair endpoints must be (m, n) and (m, n-1)")
@@ -122,7 +122,7 @@ def apply_umap(pi1, pi2) -> tuple[Path, Path]:
     if set(pi1) & set(pi2):
         raise UMapError("input paths must be vertex-disjoint")
 
-    d1 = _diag_points(pi1)
+    d1 = _diag_points(pi1)      # in path order, which is diagonal order
     d2 = set(_diag_points(pi2))
     dall = sorted(set(d1) | d2)
     anchors: list[Site] = []
@@ -135,7 +135,6 @@ def apply_umap(pi1, pi2) -> tuple[Path, Path]:
     if not anchors:
         raise UMapError("no transfer anchors; inputs violate the crossing structure")
 
-    d1_sorted = d1  # path order equals diagonal order
     b_points = []
     col_first: dict[int, Site] = {}
     for s in pi1:
@@ -154,29 +153,17 @@ def apply_umap(pi1, pi2) -> tuple[Path, Path]:
         seg2 = _segment(pi2, anchors[j], anchors[j + 1])
         if j < r - 1:
             lo, hi = anchors[j][0], anchors[j + 1][0]
-            interior = [s for s in d1_sorted if lo < s[0] < hi]
+            interior = [s for s in d1 if lo < s[0] < hi]
             if interior:
                 seg1, seg2 = _case_transfer(seg1, seg2, interior)
         else:
-            interior = [s for s in d1_sorted if s[0] > anchors[j][0]]
+            interior = [s for s in d1 if s[0] > anchors[j][0]]
             if not interior:
                 raise UMapError("final stretch of pi1 never returns to the diagonal")
             seg1, seg2 = _case_tail(seg1, seg2)
         out1.extend(seg1 if not out1 or out1[-1] != seg1[0] else seg1[1:])
         out2.extend(seg2 if not out2 or out2[-1] != seg2[0] else seg2[1:])
-
-    new1, new2 = tuple(out1), tuple(out2)
-    _check_upright(new1)
-    _check_upright(new2)
-    if new1[-1] != (n - 1, m) or new2[-1] != (n, m):
-        raise UMapError("outputs ended at the wrong sites")
-    if new1[0] != (1, x + 1) or new2[0] != (1, x):
-        raise UMapError("outputs start at the wrong sites")
-    if _diag_points(new1):
-        raise UMapError("first output touches the diagonal")
-    if set(_diag_points(new2)) != set(d1) | d2:
-        raise UMapError("second output's diagonal points are not the input union")
-    return new1, new2
+    return tuple(out1), tuple(out2)
 
 
 def enumerate_disjoint_pairs(m: int, n: int, x: int) -> list[tuple[Path, Path]]:
@@ -197,18 +184,20 @@ def _fmt_path(path: Path) -> str:
 def property_violations(m: int, n: int, x: int) -> list[str]:
     """Exhaustive contract sweep at one corner; entries are site-list traces.
 
-    Checks, for every vertex-disjoint input pair: endpoint placement,
-    output disjointness, diagonal transfer (first output clean, second
-    output carrying exactly the union of input diagonal points), and
-    reflection-invariant site-multiset preservation; then preimage counts
-    against both 2^{diagonal points} and 2^n.
+    Checks, for every vertex-disjoint input pair: upright outputs, start
+    and end sites, output disjointness, diagonal transfer (first output
+    clean, second output carrying exactly the union of input diagonal
+    points), and reflection-invariant site-multiset preservation; then
+    preimage counts against both 2^{diagonal points} and 2^n.
     """
     violations: list[str] = []
     images: dict[tuple[Path, Path], int] = {}
     for p1, p2 in enumerate_disjoint_pairs(m, n, x):
         q1, q2 = apply_umap(p1, p2)
         problems = []
-        if q1[-1] != (n - 1, m) or q2[-1] != (n, m):
+        if not (_upright(q1) and _upright(q2)):
+            problems.append("outputs not upright")
+        if (q1[0], q1[-1], q2[0], q2[-1]) != ((1, x + 1), (n - 1, m), (1, x), (n, m)):
             problems.append("endpoints")
         if set(q1) & set(q2):
             problems.append("outputs intersect")

@@ -100,6 +100,11 @@ class TestRefusedBeforeWork:
         (["lln", "--small-sizes", "9,9"], "small_sizes must be strictly"),
         # the chi-square independence checks need 10 pairs per cell of 8 x 8
         (["walk", "--flavor", "stationary", "--samples", "639"], "samples >= 640"),
+        # size 1 has no increment, no off-diagonal and no strict wedge
+        (["walk", "--sizes", "1"], "sizes must be >= 2"),
+        (["walk", "--sizes", "1", "--flavor", "stationary"], "sizes must be >= 2"),
+        (["fluct", "--sizes", "1"], "sizes must be >= 2"),
+        (["lln", "--sizes", "1"], "sizes must be >= 2"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):
@@ -148,6 +153,68 @@ class TestDegenerateInput:
         monkeypatch.setattr(cli, "generate_dyadic_environment", no_work)
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+U64 = 1 << 64
+
+
+class TestSeedAndStreamRange:
+    """A seed, or a run of streams [stream, stream + count), outside
+    [0, 2**64) exits 2 before any work; the keys would alias it."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for module, name in ((cli, "generate_environment"),
+                             (cli, "generate_dyadic_environment"),
+                             (experiments, "_profiles"),
+                             (experiments, "limiting_endpoint_pmf")):
+            monkeypatch.setattr(module, name, no_work)
+        monkeypatch.delenv("HSLG_LAB_SEED", raising=False)
+
+    @staticmethod
+    def _argv(argv, tmp_path):
+        if argv[0] == "experiment":
+            argv = argv + ["--sizes", "5", "--samples", "20"]
+        if argv[0] != "verify":
+            argv = argv + ["--out", str(tmp_path / "refused.out")]
+        return argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (["experiment", "pinning", "--seed", str(U64)], f"got {U64}"),
+        (["experiment", "pinning", "--seed", "-1"], "seed must lie in [0, 2**64)"),
+        (["env", "gen", "--n", "3", "--seed", "-1"], "seed must lie in [0, 2**64)"),
+        (["experiment", "pinning", "--stream", str(U64 - 1)], "with 20 streams"),
+        (["experiment", "pinning", "--stream", "-1"], "stream must lie in [0, 2**64)"),
+        # quenched numbers its walks from --stream too
+        (["experiment", "quenched", "--stream", str(U64 - 300)],
+         "with 100000 streams"),
+        (["verify", "identity", "--stream", str(U64 - 1), "--envs", "2"],
+         "with 2 streams"),
+        (["simulate", "endpoint", "--n", "3", "--stream", str(U64)], "stream must lie"),
+    ])
+    def test_flag_exits_2(self, argv, message, tmp_path, capsys):
+        assert cli.main(self._argv(argv, tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "refused.out").exists()
+
+    def test_config_and_environment_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        assert cli.main(["verify", "lgv", "--config", str(cfg)]) == 2
+        monkeypatch.setenv("HSLG_LAB_SEED", "-5")
+        assert cli.main(["verify", "lgv"]) == 2
+        assert capsys.readouterr().err.count("got -") == 2
+
+
+def test_stream_run_ending_below_the_top_works(tmp_path, capsys):
+    out = tmp_path / "top.csv"
+    argv = ["experiment", "pinning", "--stream", str(U64 - 300),
+            "--samples", "20", "--sizes", "5", "--out", str(out)]
+    assert cli.main(argv) in (0, 1)
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,24 @@ class TestFileFormat:
         with pytest.raises(EnvFormatError):
             read_environment(path)
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_nonpositive_size(self, tmp_path, params, n):
+        path, lines = self._lines(tmp_path, params)
+        lines[4] = f"n={n}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EnvFormatError) as err:
+            read_environment(path)
+        assert (err.value.line_no, err.value.field) == (5, "n")
+
+    def test_rejects_short_file_before_sizing_for_its_n(self, tmp_path, params):
+        # 10^12 sites would not fit in memory: the line count refuses first
+        path, lines = self._lines(tmp_path, params)
+        lines[4] = "n=1000000"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EnvFormatError) as err:
+            read_environment(path)
+        assert (err.value.line_no, err.value.field) == (len(lines) + 1, "site")
+
     def test_rejects_bad_site_value(self, tmp_path, params):
         path, lines = self._lines(tmp_path, params)
         parts = lines[9].split()

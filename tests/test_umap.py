@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hslg_lab import cli, umap
 from hslg_lab.environment import generate_dyadic_environment, symmetrize
 from hslg_lab.umap import (UMapError, apply_umap, check_sbd_inequality,
                            enumerate_disjoint_pairs, enumerate_quadrant_paths,
@@ -111,6 +112,14 @@ class TestApplyUmap:
     def test_rejects_non_upright(self):
         with pytest.raises(UMapError):
             apply_umap([(1, 2), (3, 2)], [(1, 1), (2, 1)])
+
+    def test_broken_tail_step_is_a_reported_failure(self, monkeypatch, capsys):
+        # a tail step that returns its segments unchanged leaves the outputs
+        # at the input endpoints; verify umap must say FAIL, not raise
+        monkeypatch.setattr(umap, "_case_tail", lambda seg1, seg2: (seg1, seg2))
+        assert cli.main(["verify", "umap"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: 35 violations; first: (m=2, n=2, x=1) endpoints" in out
 
 
 class TestPreimages:
