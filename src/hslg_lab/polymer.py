@@ -144,14 +144,6 @@ def endpoint_pmf(table: PartitionTable) -> np.ndarray:
     return np.exp(profile - logsumexp(profile))
 
 
-def increment_vector(table: PartitionTable, kmax: int) -> np.ndarray:
-    """(log Z(n,n) - log Z(n+r, n-r)) for r = 0..kmax; entry 0 is 0."""
-    profile = table.final_profile()
-    if not 0 <= kmax < table.n:
-        raise ValueError("kmax must lie in [0, n)")
-    return profile[0] - profile[: kmax + 1]
-
-
 def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int) -> np.ndarray:
     """Vectorized path sampling; returns one move-code per draw.
 

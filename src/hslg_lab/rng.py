@@ -70,8 +70,11 @@ def in_u64(start: int, count: int) -> bool:
 
 
 def lane_keys(seed, stream, lanes):
-    """Per-lane key array; broadcasts over `stream` and `lanes`."""
-    h = _mix(np.atleast_1d(_u64(seed)) ^ _WHITEN)[0]
+    """Per-lane key array; broadcasts over `stream` and `lanes`.  A seed
+    outside [0, 2**64) raises ValueError rather than aliasing another."""
+    if not in_u64(int(seed), 1):
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    h = _mix(np.atleast_1d(_U64(int(seed))) ^ _WHITEN)[0]
     h2 = _mix(np.asarray(h ^ np.asarray(stream, dtype=np.uint64)))
     return _mix(np.asarray(h2 ^ np.asarray(lanes, dtype=np.uint64)))[()]
 

@@ -58,12 +58,21 @@ def _stephens_p(d: float, en: float) -> float:
     return kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
 
 
+def _ks_sample(values) -> np.ndarray:
+    """`values` sorted; too few or non-finite ones (a NaN sorts last and
+    moves D by only 1/n) raise ValueError."""
+    x = np.sort(np.asarray(values, dtype=float).ravel())
+    if x.size < KS_MIN_SAMPLES:
+        raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples")
+    if not np.isfinite(x).all():
+        raise ValueError("KS samples must be finite")
+    return x
+
+
 def ks_test(samples, reference) -> TestResult:
     """KS of `samples` against a CDF callable or a second sample."""
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    x = _ks_sample(samples)
     n = x.size
-    if n < KS_MIN_SAMPLES:
-        raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples")
     if callable(reference):
         f = np.asarray(reference(x), dtype=float)
         d_plus = np.max(np.arange(1, n + 1) / n - f)
@@ -71,10 +80,8 @@ def ks_test(samples, reference) -> TestResult:
         d = float(max(d_plus, d_minus))
         en = math.sqrt(n)
     else:
-        y = np.sort(np.asarray(reference, dtype=float).ravel())
+        y = _ks_sample(reference)
         m = y.size
-        if m < KS_MIN_SAMPLES:
-            raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples")
         pooled = np.concatenate([x, y])
         f1 = np.searchsorted(x, pooled, side="right") / n
         f2 = np.searchsorted(y, pooled, side="right") / m

@@ -108,7 +108,8 @@ def _window(params: ModelParams) -> int:
 
 @dataclass(frozen=True)
 class LimitingPmf:
-    """Endpoint weights e^{-S_r} / Q for r = 0..kmax, one row per walk.
+    """Partial sums S_r for r = 0..kmax and the series Q, one row per walk;
+    the endpoint weights are `pmf` = e^{-S_r} / Q.
 
     Q = e^{-S_0} + .. + e^{-S_M}, added left to right.  A converged row's M
     is its first certified index and `tail_bound` = e^{-S_M} rho / (1 - rho)
@@ -116,11 +117,17 @@ class LimitingPmf:
     the least bound seen over 0..cap, and `converged` False.
     """
 
-    pmf: np.ndarray             # (walks, kmax + 1)
+    s: np.ndarray               # (walks, kmax + 1)
     q: np.ndarray
     m: np.ndarray
     tail_bound: np.ndarray
     converged: np.ndarray
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """(walks, kmax + 1) weights e^{-S_r} / Q."""
+        with np.errstate(under="ignore"):
+            return np.exp(-self.s) / self.q[:, None]
 
 
 def _first_block(tau: float, epsilon: float, window: int, cap: int) -> int:
@@ -168,12 +175,11 @@ def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
     parts = [_certify(params, seed, streams[lo: lo + rows], kmax, epsilon,
                       window, CAP, block, first)
              for lo in range(0, streams.size, rows)]
-    pmf, q, m, tail, conv = (np.concatenate(f) for f in zip(*parts))
-    return LimitingPmf(pmf, q, m, tail, conv)
+    return LimitingPmf(*(np.concatenate(f) for f in zip(*parts)))
 
 
 def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
-    """(pmf, Q, M, tail bound, converged) for one row block of walks."""
+    """(S_0..S_kmax, Q, M, tail bound, converged) for one row block of walks."""
     n = streams.size
     half = 0.5 * constants(params).increment_drift
     rho = math.exp(-half)
@@ -222,5 +228,4 @@ def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
             inc[:, 0] += s[:, -1]
             s = np.concatenate([s, np.cumsum(inc, axis=1)], axis=1)
             lo += cand
-        pmf = np.exp(-head) / q[:, None]
-    return pmf, q, m, tail, conv
+    return head, q, m, tail, conv

@@ -1,22 +1,29 @@
 """False-failure rates of the experiment checks over many seeds.
 
-Runs the pinning, walk, fluct and lln drivers at their reference configs
-once per seed: the benchmark's sweep and walklaw configs for pinning and
-walk (theta 1, alpha -0.5), sizes 50,100,200 with 1000 samples for fluct
-(theta 1, alpha -0.5), and the benchmark's lattice config for lln (theta 1,
-alpha -0.3, sizes 25,50 with 200 samples, small sizes 7,9,11 with 8
-samples).  It prints for each check the seeds it failed on with their
-p-values, and for each driver the seeds on which the CLI would exit 1.
-Every check runs at the default significance 0.001, so on healthy code a
-check should fail on about one seed in a thousand; one that fails on 2 or
-more of 20 seeds is a defect of the check or of the code.  The lln checks
-are trend checks with no p-value; their failed seeds are listed alone.
+Runs the drivers at their reference configs once per seed, all at theta 1:
+- pinning at the benchmark's sweep config (alpha -0.5, sizes 50,100,200,
+  1000 samples), and at two points off it where tail checks failed healthy
+  code before they ran in log space: weak binding (alpha -0.1, sizes
+  100,200,400, 200 samples) and underflowing tails (alpha -0.9, size 100,
+  200 samples, k grid 0,1,80,90);
+- walk and quenched at the benchmark's walklaw config (alpha -0.5; walk at
+  sizes 50,100 with 1000 samples, quenched at size 100 with 1000 samples
+  and 50,000 walks);
+- fluct at sizes 50,100,200 with 1000 samples (alpha -0.5);
+- lln at the benchmark's lattice config (alpha -0.3, sizes 25,50 with 200
+  samples, small sizes 7,9,11 with 8 samples).
+It prints for each check the seeds it failed on with their p-values, and
+for each config the seeds on which the CLI would exit 1.  Every check runs
+at the default significance 0.001, so on healthy code a check should fail
+on about one seed in a thousand; one that fails on 2 or more of 20 seeds
+is a defect of the check or of the code.  The lln checks are trend checks
+with no p-value; their failed seeds are listed alone.
 
     PYTHONPATH=src python tests/calibrate_checks.py [--seeds 20] [--threads 2]
         [--json calibration.json]
 
 The file name keeps pytest from collecting it.  A full run of 20 seeds
-takes about 12 minutes on two cores.
+takes about 20 minutes on two cores.
 """
 from __future__ import annotations
 
@@ -34,7 +41,13 @@ LATTICE = ModelParams(1.0, -0.3)
 DRIVERS = {
     "pinning": (experiments.run_pinning, PARAMS,
                 dict(sizes=(50, 100, 200), samples=1000)),
+    "pinning_weak": (experiments.run_pinning, ModelParams(1.0, -0.1),
+                     dict(sizes=(100, 200, 400), samples=200)),
+    "pinning_underflow": (experiments.run_pinning, ModelParams(1.0, -0.9),
+                          dict(sizes=(100,), samples=200, k_grid=(0, 1, 80, 90))),
     "walk": (experiments.run_walk_attractor, PARAMS, dict(sizes=(50, 100), samples=1000)),
+    "quenched": (experiments.run_quenched_limit, PARAMS,
+                 dict(sizes=(100,), samples=1000, walk_samples=50_000)),
     "fluct": (experiments.run_gaussian_fluct, PARAMS,
               dict(sizes=(50, 100, 200), samples=1000)),
     "lln": (experiments.run_lln_profile, LATTICE,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from hslg_lab import experiments, walk
+from hslg_lab import cli, environment, experiments, walk
 from hslg_lab.experiments import STREAM_BLOCK, ExperimentConfig
 from hslg_lab.polymer import batch_final_profiles
 from hslg_lab.rng import LANE_BOOTSTRAP, LANE_BOUNDARY, LANE_CHAIN
 from hslg_lab.special import ModelParams
+from hslg_lab.stats import ks_test
 
 CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (6, 8), 300, seed=3,
                           walk_samples=500, small_sizes=(3, 5), small_samples=8)
@@ -70,12 +71,17 @@ def _failed(report, prefix):
 
 
 class TestPinningWalkLimit:
+    """Every check of `run_pinning` is a log-space tail KS against the walk
+    limit, at each k > 0 of `k_grid` and at ceil(deep_m sqrt(N)) (15 at
+    N = 50)."""
+
     CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (50,), 1000, seed=1)
+    DEPTHS = (1, 2, 4, 10, 15)
 
     def test_passes_against_the_walk_at_the_right_alpha(self):
         rep = experiments.run_pinning(self.CONFIG)
-        names = [c.name for c in rep.checks if "_walk_limit_" in c.name]
-        assert names == [f"tail_mass_k{k}_walk_limit_N50" for k in (1, 2, 4, 10)]
+        assert [c.name for c in rep.checks] == [
+            f"tail_mass_k{k}_walk_limit_N50" for k in self.DEPTHS]
         assert not _failed(rep, "tail_mass_k")
 
     def test_fails_against_walks_at_a_wrong_alpha(self, monkeypatch):
@@ -85,7 +91,43 @@ class TestPinningWalkLimit:
         monkeypatch.setattr(experiments, "limiting_endpoint_pmf", wrong_alpha)
         rep = experiments.run_pinning(self.CONFIG)
         assert _failed(rep, "tail_mass_k") == [
-            f"tail_mass_k{k}_walk_limit_N50" for k in (1, 2, 4, 10)]
+            f"tail_mass_k{k}_walk_limit_N50" for k in self.DEPTHS]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fails_on_polymers_drawn_at_a_shifted_alpha(self, monkeypatch, seed):
+        # the limit stays at alpha = -0.5 while the environments are drawn
+        # at -0.3; p was 3e-6, 3e-8 and 1.5e-9 at seeds 0-2, where healthy
+        # runs gave p >= 0.2
+        shapes = environment.site_shapes
+
+        def shifted(params, flavor, i, j):
+            return shapes(ModelParams(params.theta, params.alpha + 0.2), flavor, i, j)
+
+        monkeypatch.setattr(environment, "site_shapes", shifted)
+        rep = experiments.run_pinning(
+            ExperimentConfig(ModelParams(1.0, -0.5), (20,), 200, seed=seed))
+        assert "tail_mass_k1_walk_limit_N20" in _failed(rep, "tail_mass_k")
+
+    def test_deep_tails_stay_finite_at_strong_binding(self, monkeypatch, tmp_path):
+        # at alpha = -0.9 the masses beyond k = 80 and 90 underflow to 0.0 in
+        # linear space, where a median ordering failed on the ties and the
+        # KS saw two samples of zeros; in log space every value is distinct
+        seen = []
+
+        def record(x, y):
+            seen.append((np.asarray(x), np.asarray(y)))
+            return ks_test(x, y)
+
+        monkeypatch.setattr(experiments, "ks_test", record)
+        argv = ["experiment", "pinning", "--alpha", "-0.9", "--sizes", "100",
+                "--samples", "200", "--k-grid", "0,1,80,90", "--seed", "0",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert len(seen) == 4           # k = 1, 20 (deep), 80, 90
+        for x, y in seen:
+            for side in (x, y):
+                assert np.isfinite(side).all()
+                assert np.unique(side).size == side.size
 
 
 class TestFluctMoments:
@@ -163,9 +205,7 @@ def test_walk_standard_flavor_runs_the_per_size_ks_checks():
     rep = experiments.run_walk_attractor(CONFIG)
     names = [c.name for c in rep.checks]
     assert names == [f"increment_ks_r{r}_N{n}" for n in CONFIG.sizes
-                     for r in range(1, CONFIG.r_max + 1)] + ["increment_r0_degenerate"]
-    # the detail prints a plain float, not a numpy repr
-    assert rep.checks[-1].detail == "value 0.0"
+                     for r in range(1, CONFIG.r_max + 1)]
 
 
 def test_pinning_fluct_walk_draw_no_bootstrap(monkeypatch):

@@ -11,8 +11,8 @@ import oracles
 from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment)
 from hslg_lab.polymer import (batch_final_profiles, endpoint_pmf,
-                              exact_partition_table, increment_vector,
-                              partition_table, sample_path_codes)
+                              exact_partition_table, partition_table,
+                              sample_path_codes)
 from oracles import path_code
 
 
@@ -80,18 +80,6 @@ class TestEndpointLaw:
             tail = sum((exact[5 + p, 5 - p] for p in range(m, 5)), Fraction(0))
             lo = math.log(tail.numerator) - math.log(tail.denominator)
             assert logsumexp(profile[m:]) == pytest.approx(lo, abs=1e-10)
-
-    def test_increment_vector(self, params):
-        env = generate_dyadic_environment(params, 5, seed=8)
-        exact = exact_partition_table(env)
-        vec = increment_vector(partition_table(env), 3)
-        assert vec[0] == 0.0
-        for r in range(4):
-            ratio = exact[5, 5] / exact[5 + r, 5 - r]
-            lo = math.log(ratio.numerator) - math.log(ratio.denominator)
-            assert vec[r] == pytest.approx(lo, abs=1e-10)
-        with pytest.raises(ValueError):
-            increment_vector(partition_table(env), 5)
 
 
 def exact_path_pmf(env):

@@ -14,6 +14,8 @@ from scipy import stats as sstats
 from scipy.special import digamma as sc_digamma, polygamma as sc_polygamma
 
 from hslg_lab import rng
+from hslg_lab.environment import generate_environment
+from hslg_lab.special import ModelParams
 
 from oracles import gather_log_gamma_draws
 
@@ -74,6 +76,14 @@ class TestChain:
         grid = rng.lane_keys(3, streams[:, None], lanes[None, :])
         assert grid.shape == (4, 50)
         assert int(grid[2, 5]) == lane_key_int(3, 2, 5)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_u64_is_refused(self, seed):
+        # masking would alias -1 to 2**64 - 1 and 2**64 to 0
+        with pytest.raises(ValueError, match="seed"):
+            rng.lane_keys(seed, 0, np.uint64(0))
+        with pytest.raises(ValueError, match="seed"):
+            generate_environment(ModelParams(1.0, -0.5), 3, seed=seed)
 
     def test_lane_sensitivity(self):
         # single-bit changes anywhere in the key material flip the output

@@ -62,6 +62,15 @@ class TestKsTest:
         with pytest.raises(ValueError):
             ks_test(np.arange(8.0), np.arange(7.0))
 
+    def test_refuses_non_finite_samples_on_either_side(self):
+        # a NaN sorts last and moves D by only 1/n, so it would pass unseen
+        x, y = np.arange(20.0), np.arange(20.0) + 0.5
+        bad = x.copy()
+        bad[3] = np.nan
+        for args in ((bad, y), (x, bad), (bad, scipy.stats.norm.cdf)):
+            with pytest.raises(ValueError, match="finite"):
+                ks_test(*args)
+
 
 class TestChi2Sf:
     @pytest.mark.parametrize("df", [1, 2, 5, 49])
