@@ -9,14 +9,16 @@ driver runs it and which ExperimentConfig fields that driver reads; the
 record names theta, alpha, `theorem` and exactly those fields (`threads`
 left out, since it never changes a number), so it names what the run read.
 
-The checks test one size at a time, as the paper states its results:
-exact finite-size identities, and tests at `config.significance` of each
-size against a limit the package computes (the walk law of the endpoint
-and of the free-energy increments, the standard normal of the diagonal
-fluctuations); endpoint tail masses are tested in log space, where deep
-tails stay finite.  Only the lln driver still checks directional trends
-along its size grid: its point estimates must be strictly ordered, and the
-ordering not contradicted by the 99% bootstrap intervals.
+The checks test one size at a time, as the paper states its results.  Each
+check of pinning, walk, quenched and fluct is a KS or z test at
+`config.significance` of one size against a law the package computes (the
+walk law of the endpoint and of the free-energy increments, the standard
+normal of the diagonal fluctuations, an exact finite-N mean), or quenched's
+certificate that every walk series converged; endpoint tail masses are
+tested in log space, where deep tails stay finite.  Only the lln driver
+still checks directional trends along its size grid: its point estimates
+must be strictly ordered, and the ordering not contradicted by the 99%
+bootstrap intervals.
 
 fluct's mean check has a null that holds at every size.  The stationary
 flavor draws column 1 below the corner at shape theta - alpha, and then its
@@ -45,8 +47,8 @@ from .multilayer import (LineEnsemble, batch_diag_avoiding_profiles, curve_lengt
 from .polymer import batch_final_profiles, partition_table
 from .rng import LANE_BOUNDARY, lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
-from .stats import (CHI2_MIN_PAIRS, KS_MIN_SAMPLES, RESAMPLES, SIGNIFICANCE, Interval,
-                    TestResult, bootstrap_ci, chi2_independence, ks_test, normal_cdf)
+from .stats import (KS_MIN_SAMPLES, RESAMPLES, SIGNIFICANCE, Interval, TestResult,
+                    bootstrap_ci, ks_test, normal_cdf)
 # partition_table and walk_increment_matrix have no caller here;
 # bench/traced.py wraps them under this module and probes them there
 from .walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
@@ -262,15 +264,17 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
     """Free-energy increments along the final line against the walk law.
 
     Per size, increments r = 1..r_max are KS-tested against `increment_cdf`.
-    The stationary flavor also tests consecutive increments for
-    independence, which needs `CHI2_MIN_PAIRS` samples; fewer are refused.
+    The stationary flavor's increments are i.i.d. at every N (the Burke
+    property), so for r = 1, 2 the law of increment r + 1 is KS-tested
+    between the samples whose increment r lies above its median and the
+    rest; each half needs `KS_MIN_SAMPLES`, so fewer than twice that many
+    samples are refused.
     """
     if config.sizes[0] < 2:
         raise ConfigError(f"sizes must be >= 2 for an increment, got {config.sizes[0]}")
-    if config.flavor == "stationary" and config.samples < CHI2_MIN_PAIRS:
-        raise ConfigError(f"--flavor stationary needs samples >= {CHI2_MIN_PAIRS} "
-                          "for its chi-square independence checks, got "
-                          f"{config.samples}")
+    if config.flavor == "stationary" and config.samples < 2 * KS_MIN_SAMPLES:
+        raise ConfigError(f"--flavor stationary needs samples >= {2 * KS_MIN_SAMPLES} "
+                          f"for its independence KS, got {config.samples}")
     rep = StatReport(f"walk_attractor_{config.flavor}", _record(config, "walk"),
                      ("N", "r", "ks_distance", "ks_pvalue"))
     cdf = lambda v: increment_cdf(config.params, v)
@@ -278,18 +282,16 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
     for n in config.sizes:
         prof = _profiles(batch_final_profiles, config, n, config.flavor)
         r_hi = min(config.r_max, n - 1)
+        inc = prof[:, :r_hi] - prof[:, 1:r_hi + 1]
         for r in range(1, r_hi + 1):
-            res = ks_test(prof[:, r - 1] - prof[:, r], cdf)
+            res = ks_test(inc[:, r - 1], cdf)
             rep.rows.append((n, r, res.statistic, res.pvalue))
             rep.checks.append(_ks_check(f"increment_ks_r{r}_N{n}", res, sig))
-        if config.flavor == "stationary" and r_hi >= 2:
+        if config.flavor == "stationary":
             for r in range(1, min(3, r_hi)):
-                a = prof[:, r - 1] - prof[:, r]
-                b = prof[:, r] - prof[:, r + 1]
-                res = chi2_independence(a, b)
-                rep.checks.append(Check(
-                    f"independence_r{r}_r{r + 1}_N{n}", res.pvalue > sig,
-                    f"chi2={res.statistic:.1f} p={res.pvalue:.4g}"))
+                above = inc[:, r - 1] > np.median(inc[:, r - 1])
+                rep.checks.append(_ks_check(f"independence_r{r}_r{r + 1}_N{n}",
+                                            ks_test(inc[above, r], inc[~above, r]), sig))
     return rep
 
 
@@ -307,12 +309,7 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     sig = config.significance
     n = max(config.sizes)
     prof = _profiles(batch_final_profiles, config, n, "standard")
-    total = logsumexp(prof, axis=1)
-    pmf = np.exp(prof - total[:, None])
-    rep.checks.append(Check(
-        "pmf_rows_sum_to_one", bool(np.allclose(pmf.sum(axis=1), 1.0, atol=1e-12)),
-        f"max |sum - 1| = {np.max(np.abs(pmf.sum(axis=1) - 1.0)):.2e}"))
-
+    pmf = np.exp(prof - logsumexp(prof, axis=1)[:, None])
     r_hi = min(config.r_max, n - 1)
     streams = (np.asarray(config.stream, dtype=np.uint64)
                + np.arange(config.walk_samples, dtype=np.uint64))
@@ -401,13 +398,6 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
             float(stationary.std(ddof=1)) / math.sqrt(stationary.size), sig))
         rep.checks.append(_z_check(f"diag_variance_one_N{n}", v, 1.0,
                                    math.sqrt((m4 - m2 * m2) / z.size), sig))
-    n_big = config.sizes[-1]
-    rep.checks.append(Check(f"diag_mean_window_N{n_big}",
-                            abs(m) <= 0.3, f"mean {m:.4f}"))
-    rep.checks.append(Check(f"diag_variance_window_N{n_big}",
-                            0.7 <= v <= 1.3, f"variance {v:.4f}"))
-    rep.checks.append(Check(f"offdiag_corr_N{n_big}", corr > 0.9,
-                            f"corr {corr:.4f}"))
     return rep
 
 

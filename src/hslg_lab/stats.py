@@ -1,9 +1,9 @@
 """Statistical machinery for the experiment drivers.
 
 Kolmogorov-Smirnov one- and two-sample tests (asymptotic p-values with the
-Stephens small-sample factor), chi-square independence on
-quantile-discretized pairs, and percentile bootstrap intervals drawn from
-the bootstrap lane namespace so every interval is reproducible.
+Stephens small-sample factor), the normal CDF of the drivers' z tests, and
+percentile bootstrap intervals drawn from the bootstrap lane namespace so
+every interval is reproducible.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc
+from scipy.special import erfc
 
 from .rng import LANE_BOOTSTRAP, lane_keys, uniforms
 
 RESAMPLES = 1000            # bootstrap resamples per interval
 CI_LEVEL = 0.99             # coverage of every bootstrap interval
-CHI2_BINS = 8               # quantile bins per margin of chi2_independence
-CHI2_MIN_PAIRS = 10 * CHI2_BINS * CHI2_BINS     # 10 expected pairs per cell
 KS_MIN_SAMPLES = 8          # fewest values a KS sample may hold
 SIGNIFICANCE = 0.001        # default level of each statistical check
 
@@ -88,38 +86,6 @@ def ks_test(samples, reference) -> TestResult:
         d = float(np.max(np.abs(f1 - f2)))
         en = math.sqrt(n * m / (n + m))
     return TestResult(d, _stephens_p(d, en))
-
-
-def chi2_sf(x: float, df: float) -> float:
-    return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def _quantile_edges(v: np.ndarray, bins: int) -> np.ndarray:
-    edges = np.quantile(v, np.linspace(0.0, 1.0, bins + 1))
-    edges[0], edges[-1] = -np.inf, np.inf
-    if np.unique(edges).size != edges.size:
-        raise ValueError("too many ties for quantile binning")
-    return edges
-
-
-def chi2_independence(x, y) -> TestResult:
-    """Chi-square independence test on marginal-quantile-discretized pairs."""
-    bins = CHI2_BINS
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError("paired samples must have equal length")
-    if x.size < CHI2_MIN_PAIRS:
-        raise ValueError("too few pairs for this many bins")
-    cx = np.searchsorted(_quantile_edges(x, bins), x, side="right") - 1
-    cy = np.searchsorted(_quantile_edges(y, bins), y, side="right") - 1
-    counts = np.zeros((bins, bins))
-    np.add.at(counts, (cx, cy), 1.0)
-    row = counts.sum(axis=1, keepdims=True)
-    col = counts.sum(axis=0, keepdims=True)
-    expected = row * col / x.size
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    return TestResult(stat, chi2_sf(stat, (bins - 1) ** 2))
 
 
 def normal_cdf(x):

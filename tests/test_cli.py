@@ -92,14 +92,16 @@ class TestRefusedBeforeWork:
         (["lln", "--small-sizes", "2"], "small size 2"),
         (["walk", "--samples", "5"], "samples and walk_samples"),
         (["pinning", "--samples", "1"], "samples and walk_samples"),
-        # the drivers compare sizes in the order given: the lln trends,
-        # fluct's largest-size windows and lln's margin at the last order
+        # every driver takes strictly increasing sizes; lln compares them
+        # in the order given (its trends, and its margin at the last order)
         (["lln", "--sizes", "50,25"], "sizes must be strictly increasing"),
         (["fluct", "--sizes", "25,25"], "sizes must be strictly increasing"),
         (["lln", "--small-sizes", "11,9,7"], "small_sizes must be strictly"),
         (["lln", "--small-sizes", "9,9"], "small_sizes must be strictly"),
-        # the chi-square independence checks need 10 pairs per cell of 8 x 8
-        (["walk", "--flavor", "stationary", "--samples", "639"], "samples >= 640"),
+        # the independence KS splits the samples in two halves of at least
+        # KS_MIN_SAMPLES each
+        (["walk", "--flavor", "stationary", "--samples", str(2 * KS_MIN_SAMPLES - 1)],
+         f"samples >= {2 * KS_MIN_SAMPLES}"),
         # size 1 has no increment, no off-diagonal and no strict wedge
         (["walk", "--sizes", "1"], "sizes must be >= 2"),
         (["walk", "--sizes", "1", "--flavor", "stationary"], "sizes must be >= 2"),

@@ -201,6 +201,89 @@ class TestFluctExactMean:
         assert offset == {"coupled_offset_mean": 0.0, "coupled_offset_sd": 0.0}
 
 
+class TestQuenchedWalkLimit:
+    """`run_quenched_limit` KS-tests the endpoint pmf at r = 0..r_max against
+    the walk's e^{-S_r} / Q, and checks the walk side: every series is
+    certified and Q R0 is inverse gamma."""
+
+    CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (20,), 200, seed=1,
+                              walk_samples=2000)
+
+    def test_passes_against_the_walk_at_the_right_alpha(self):
+        rep = experiments.run_quenched_limit(self.CONFIG)
+        assert [c.name for c in rep.checks] == (
+            ["walk_series_certified"] + [f"marginal_ks_r{r}" for r in range(6)]
+            + ["qr0_inverse_gamma"])
+        assert rep.passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fails_on_polymers_drawn_at_a_shifted_alpha(self, monkeypatch, seed):
+        # the walks stay at alpha = -0.5 while the environments are drawn at
+        # -0.3; marginal_ks_r0 gave p <= 6e-11 at seeds 0-2, where healthy
+        # runs gave p >= 0.03 at every r
+        shapes = environment.site_shapes
+
+        def shifted(params, flavor, i, j):
+            return shapes(ModelParams(params.theta, params.alpha + 0.2), flavor, i, j)
+
+        monkeypatch.setattr(environment, "site_shapes", shifted)
+        rep = experiments.run_quenched_limit(replace(self.CONFIG, seed=seed))
+        assert "marginal_ks_r0" in _failed(rep, "marginal_ks")
+        assert not _failed(rep, "walk_series_certified") + _failed(rep, "qr0")
+
+
+class TestStationaryIndependence:
+    """The stationary flavor's increments are i.i.d. (the Burke property);
+    `independence_r{r}_r{r+1}_N{n}` KS-tests increment r + 1 between the
+    samples whose increment r lies above its median and the rest."""
+
+    CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (4,), 5000, flavor="stationary")
+
+    def synthetic(self, monkeypatch, coupling):
+        # increment r + 1 leans on increment r by `coupling`
+        gen = np.random.default_rng(11)
+
+        def profiles(batch, config, n, flavor):
+            inc = gen.standard_normal((config.samples, n - 1))
+            for r in range(1, n - 1):
+                inc[:, r] += coupling * inc[:, r - 1]
+            return np.hstack([np.zeros((config.samples, 1)), -np.cumsum(inc, axis=1)])
+
+        monkeypatch.setattr(experiments, "_profiles", profiles)
+        return experiments.run_walk_attractor(replace(self.CONFIG, samples=2000))
+
+    def test_independent_synthetic_increments_pass(self, monkeypatch):
+        rep = self.synthetic(monkeypatch, 0.0)
+        assert [c.name for c in rep.checks if c.name.startswith("independence")] == [
+            "independence_r1_r2_N4", "independence_r2_r3_N4"]
+        assert not _failed(rep, "independence")
+
+    def test_dependent_synthetic_increments_fail(self, monkeypatch):
+        rep = self.synthetic(monkeypatch, 0.3)
+        assert _failed(rep, "independence") == ["independence_r1_r2_N4",
+                                                "independence_r2_r3_N4"]
+
+    def test_passes_on_the_stationary_flavor(self):
+        rep = experiments.run_walk_attractor(self.CONFIG)
+        assert [c.name for c in rep.checks] == (
+            [f"increment_ks_r{r}_N4" for r in (1, 2, 3)]
+            + ["independence_r1_r2_N4", "independence_r2_r3_N4"])
+        assert rep.passed
+
+    def test_fails_with_column_1_drawn_at_the_bulk_shape(self, monkeypatch):
+        # column 1 at 2 theta instead of theta - alpha breaks the Burke
+        # property; at seeds 0-2 this check gave p <= 1.6e-4, where the
+        # healthy flavor gave p >= 0.17
+        shapes = environment.site_shapes
+
+        def bulk_column(params, flavor, i, j):
+            return shapes(params, "standard", i, j)
+
+        monkeypatch.setattr(environment, "site_shapes", bulk_column)
+        rep = experiments.run_walk_attractor(self.CONFIG)
+        assert "independence_r2_r3_N4" in _failed(rep, "independence")
+
+
 def test_walk_standard_flavor_runs_the_per_size_ks_checks():
     rep = experiments.run_walk_attractor(CONFIG)
     names = [c.name for c in rep.checks]

@@ -3,7 +3,10 @@
 Each digest is the sha256 of an action's CSV (stdout or file) or of its
 stdout text; the figures were recorded before the wedge, quadrant and
 determinant tables were routed through one sweep front-end and one
-collector, and a refactor that leaves every number alone keeps them.
+collector (the quenched, fluct and stationary-walk cases before the
+chi-square independence test and the checks without a level were
+replaced or deleted), and a refactor that leaves every number alone keeps
+them.
 `.meta` files are not pinned: they carry the package version.
 """
 import hashlib
@@ -30,14 +33,23 @@ CASES = {
     "experiment_walk": (["experiment", "walk"] + SMALL, "out.csv"),
     "experiment_lln": (["experiment", "lln", "--alpha", "-0.3"] + SMALL
                        + ["--small-sizes", "7,9", "--small-samples", "3"], "out.csv"),
+    "experiment_quenched": (["experiment", "quenched"] + SMALL + ["--walk-samples", "200"],
+                            "out.csv"),
+    "experiment_fluct": (["experiment", "fluct"] + SMALL, "out.csv"),
+    "experiment_walk_stationary": (["experiment", "walk", "--flavor", "stationary",
+                                    "--sizes", "10,20", "--samples", "640"], "out.csv"),
 }
 
 DIGESTS = {
     "env_gen_exact": "c8b62887a8afd73a8c475659591e5e961395bd430b687c31aa2735aa454f4767",
     "env_gen_float": "88b75ff39352d68046b6b258babebcc3788b26d9d5356b188ab6dda8dd1d7dca",
     "experiment_lln": "d4f83f926e23e145703794ac4711d120584e16c88cfc54c7061c440ba2c03bc8",
+    "experiment_fluct": "80b97aaafbd9064e9d67c586e4503a7c1fde1f68567e9e289473bbb3b34b9515",
     "experiment_pinning": "f5fa2401b07cea5599e24f8926a55046822781a841ed23e76ee73b3827def9f1",
+    "experiment_quenched": "8c5b393d37057081cb455e28e261a5050c40a3d3a15d28521ed52bc954d65dfd",
     "experiment_walk": "a2c54eb3f3b806d27f4bce25a0efa2142f26cd529eb5ececa3edc5ad1931f011",
+    "experiment_walk_stationary":
+        "385982ef4e38f79c0ec5044a2d9cc9d79b85642c45432311bc818939f866afb6",
     "simulate_endpoint": "8f9b4021f63a5f8830200a96691f3889fda80749e5b739329f965a32d85bc1e2",
     "simulate_ensemble": "c3e87a11c0efe6c1d220a55450aa7fc64098001c2979ce663c9526c7cbddde1c",
     "simulate_path": "0f9835138ee859a48dff8a572786d95667aecf0da4dd7cbb7cbbd4139f45f6d8",
