@@ -3,11 +3,13 @@
 Each driver consumes an ExperimentConfig, fans the environment batch out
 over a worker pool in fixed-size stream blocks (block boundaries depend
 only on the sample count, so the thread count never changes a single
-number), and returns a StatReport carrying CSV-ready rows, named pass/fail
-checks, and its run record.  `EXPERIMENTS` says, once per experiment, which
-driver runs it and which ExperimentConfig fields that driver reads; the
-record names theta, alpha, `theorem` and exactly those fields (`threads`
-left out, since it never changes a number), so it names what the run read.
+number), sweeps each flavor once per block to the largest size, reads
+every size's profile off that sweep, and returns a StatReport carrying
+CSV-ready rows, named pass/fail checks, and its run record.
+`EXPERIMENTS` says, once per experiment, which driver runs it and which
+ExperimentConfig fields that driver reads; the record names theta, alpha,
+`theorem` and exactly those fields (`threads` left out, since it never
+changes a number), so it names what the run read.
 
 The checks test one size at a time, as the paper states its results.  Each
 check of pinning, walk, quenched and fluct is a KS or z test at
@@ -164,20 +166,30 @@ def _stream_blocks(config: ExperimentConfig, total: int):
             for lo in range(0, total, STREAM_BLOCK)]
 
 
-def _profiles(batch, config: ExperimentConfig, n: int, flavor: str) -> np.ndarray:
-    """(samples, width) rows of `batch`, one per environment stream.
+def _profiles(config: ExperimentConfig, flavor: str, sizes: tuple[int, ...],
+              below_diagonal: bool = False) -> list[np.ndarray]:
+    """The (samples, width) profile at each of the increasing `sizes`, one
+    row per environment stream: `batch_final_profiles`, or with
+    `below_diagonal` `batch_diag_avoiding_profiles` (N - 1 columns at N).
 
-    `batch` is `batch_final_profiles` or `batch_diag_avoiding_profiles`;
-    drivers pass the module attribute when they run, so a wrapper put there
-    sees every stream block.
+    Each stream block makes one call, a sweep to n = max(sizes), and every
+    size's profile is read off that sweep.  The call goes through this
+    module's attribute, so a wrapper put there sees every stream block.
     """
+    n = sizes[-1]
+
     def work(block):
         start, cnt = block
         streams = np.arange(start, start + cnt, dtype=np.uint64)
-        return batch(config.params, n, flavor, config.seed, streams)
-    parts = _map_blocks(work, _stream_blocks(config, config.samples),
-                        config.threads)
-    return np.vstack(parts)
+        if below_diagonal:
+            return batch_diag_avoiding_profiles(config.params, n, flavor, config.seed,
+                                                streams, sizes)
+        return batch_final_profiles(config.params, n, flavor, config.seed, streams, sizes)
+
+    prof = np.vstack(_map_blocks(work, _stream_blocks(config, config.samples),
+                                 config.threads))
+    ends = np.cumsum([m - below_diagonal for m in sizes])
+    return np.split(prof, ends[:-1], axis=1)
 
 
 def line_ensembles(params: ModelParams, order: int, kmax: int, seed: int,
@@ -239,10 +251,10 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
     walks = limiting_endpoint_pmf(config.params, config.seed, streams,
                                   max(config.sizes) - 1, 2.0**-53)
     log_q = np.log(walks.q)
+    profiles = _profiles(config, "standard", config.sizes)
     # far-below-maximum terms of a logsumexp and deep masses round to 0.0
     with np.errstate(under="ignore"):
-        for n in config.sizes:
-            prof = _profiles(batch_final_profiles, config, n, "standard")
+        for n, prof in zip(config.sizes, profiles):
             total = logsumexp(prof, axis=1)
             deep = math.ceil(config.deep_m * math.sqrt(n))
             for k in sorted(set(config.k_grid) | {deep}):
@@ -267,11 +279,16 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
     The stationary flavor's increments are i.i.d. at every N (the Burke
     property), so for r = 1, 2 the law of increment r + 1 is KS-tested
     between the samples whose increment r lies above its median and the
-    rest; each half needs `KS_MIN_SAMPLES`, so fewer than twice that many
-    samples are refused.
+    rest.  Each half needs `KS_MIN_SAMPLES`, so fewer than twice that many
+    samples are refused, and so are r_max below 2 and sizes below 3, which
+    leave no pair of increments to test.
     """
     if config.sizes[0] < 2:
         raise ConfigError(f"sizes must be >= 2 for an increment, got {config.sizes[0]}")
+    if config.flavor == "stationary" and (config.r_max < 2 or config.sizes[0] < 3):
+        raise ConfigError("--flavor stationary needs r_max >= 2 and sizes >= 3 for "
+                          f"its independence KS, got r_max {config.r_max} and size "
+                          f"{config.sizes[0]}")
     if config.flavor == "stationary" and config.samples < 2 * KS_MIN_SAMPLES:
         raise ConfigError(f"--flavor stationary needs samples >= {2 * KS_MIN_SAMPLES} "
                           f"for its independence KS, got {config.samples}")
@@ -279,8 +296,8 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
                      ("N", "r", "ks_distance", "ks_pvalue"))
     cdf = lambda v: increment_cdf(config.params, v)
     sig = config.significance
-    for n in config.sizes:
-        prof = _profiles(batch_final_profiles, config, n, config.flavor)
+    for n, prof in zip(config.sizes,
+                       _profiles(config, config.flavor, config.sizes)):
         r_hi = min(config.r_max, n - 1)
         inc = prof[:, :r_hi] - prof[:, 1:r_hi + 1]
         for r in range(1, r_hi + 1):
@@ -308,7 +325,7 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
                       "walk_mean", "polymer_var", "walk_var"))
     sig = config.significance
     n = max(config.sizes)
-    prof = _profiles(batch_final_profiles, config, n, "standard")
+    prof, = _profiles(config, "standard", (n,))
     pmf = np.exp(prof - logsumexp(prof, axis=1)[:, None])
     r_hi = min(config.r_max, n - 1)
     streams = (np.asarray(config.stream, dtype=np.uint64)
@@ -371,9 +388,10 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     c = constants(config.params)
     rate, tau = c.free_energy_rate, c.increment_drift
     sigma = math.sqrt(c.clt_variance)
-    for n in config.sizes:
-        prof = _profiles(batch_final_profiles, config, n, "standard")
-        stationary = _profiles(batch_final_profiles, config, n, "stationary")[:, 0]
+    standard = _profiles(config, "standard", config.sizes)
+    stat_profiles = _profiles(config, "stationary", config.sizes)
+    for n, prof, stat in zip(config.sizes, standard, stat_profiles):
+        stationary = stat[:, 0]
         g = max(1, int(n ** 0.25))
         z = (prof[:, 0] - rate * n) / (sigma * math.sqrt(n))
         z_line = ((logsumexp(prof[:, g:], axis=1) - rate * n + g * tau)
@@ -419,16 +437,15 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
     c = constants(config.params)
     rate = c.free_energy_rate
 
-    # (row, trend check, profiles, flavor, first position summed, limit): the
-    # point-to-line rate, and the diagonal-avoiding one, (2/q) log at q = 2n,
-    # under the alpha -> 0 diagonal law
-    rates = (("ptl_rate", "ptl_rate", batch_final_profiles, "standard", 1, rate),
-             ("diag_avoiding_rate", "diag_avoiding", batch_diag_avoiding_profiles,
-              "alpha-zero-diagonal", 0, diagonal_rate_alpha_zero(config.params.theta)))
-    for row, trend, batch, flavor, first, limit in rates:
+    # (row, trend check, below the diagonal, flavor, first position summed,
+    # limit): the point-to-line rate, and the diagonal-avoiding one, (2/q) log
+    # at q = 2n, under the alpha -> 0 diagonal law
+    rates = (("ptl_rate", "ptl_rate", False, "standard", 1, rate),
+             ("diag_avoiding_rate", "diag_avoiding", True, "alpha-zero-diagonal", 0,
+              diagonal_rate_alpha_zero(config.params.theta)))
+    for row, trend, below, flavor, first, limit in rates:
         gaps, gap_cis = [], []
-        for n in config.sizes:
-            prof = _profiles(batch, config, n, flavor)
+        for n, prof in zip(config.sizes, _profiles(config, flavor, config.sizes, below)):
             v = logsumexp(prof[:, first:], axis=1) / n
             med = float(np.median(v))
             ci = bootstrap_ci(v, np.median, seed=config.seed,

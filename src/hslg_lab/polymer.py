@@ -67,11 +67,30 @@ def sweep(diagonals, ring):
         prev, prev_lo = z, lo
 
 
-def final(swept) -> np.ndarray:
-    """The last diagonal of a sweep."""
-    for _, z in swept:
-        pass
-    return z
+def diagonal_profiles(swept, n: int, sizes, short: int) -> np.ndarray:
+    """Profiles of several sizes off one batched sweep to 2n from s = 2.
+
+    The size-N profile is diagonal 2N: site codes and shapes do not depend
+    on the size, so it is bit for bit the last diagonal of a sweep to 2N.
+    Its N - `short` columns are reversed, to run from the diagonal outward,
+    and the blocks of `sizes` (default (n,)) sit side by side in that order
+    in one (streams, columns) array.  `sizes` must increase strictly, from
+    above `short` to n.
+    """
+    sizes = (n,) if sizes is None else tuple(sizes)
+    if list(sizes) != sorted(set(sizes)) or sizes[0] <= short or sizes[-1] != n:
+        raise ValueError(f"sizes must increase strictly from {short + 1} to n = {n}, "
+                         f"got {list(sizes)}")
+    # diagonal 2N -> the column after size N's block
+    ends = dict(zip([2 * m for m in sizes],
+                    np.cumsum([m - short for m in sizes]).tolist()))
+    out = None
+    for s, (_, z) in enumerate(swept, 2):
+        if s in ends:
+            if out is None:
+                out = np.empty(z.shape[:-1] + (ends[2 * n],))
+            out[..., ends[s] - z.shape[-1]:ends[s]] = z[..., ::-1]
+    return out
 
 
 def sweep_region(env, ring, first: int, bounds):
@@ -181,14 +200,16 @@ def sample_path_codes(table: PartitionTable, count: int, seed: int, stream: int)
 
 
 def batch_final_profiles(params: ModelParams, n: int, flavor: str, seed: int,
-                         streams) -> np.ndarray:
-    """log Z(n+p, n-p), p = 0..n-1, for a batch of streams at once.
+                         streams, sizes=None) -> np.ndarray:
+    """log Z(N+p, N-p), p = 0..N-1, for a batch of streams at once.
 
-    Streams `sweep` without materializing the n^2 weight field; row b of
-    the result matches PartitionTable(generate_environment(..., stream=
-    streams[b])) to rounding.  This is the workhorse of the large
-    experiments.
+    Streams `sweep` to size n without materializing the n^2 weight field.
+    Without `sizes` the result is the (streams, n) profile of size n; row b
+    matches PartitionTable(generate_environment(..., stream=streams[b])) to
+    rounding.  With `sizes`, increasing to n, it holds every size's profile,
+    read off diagonal 2N of this one sweep (`diagonal_profiles`): N columns
+    per size, side by side.  This is the workhorse of the large experiments.
     """
     diagonals = ((1, logw) for _, _, logw in stream_log_weights(
         params, n, flavor, seed, streams))
-    return final(sweep(diagonals, LOG))[:, ::-1].copy()
+    return diagonal_profiles(sweep(diagonals, LOG), n, sizes, 0)

@@ -107,6 +107,11 @@ class TestRefusedBeforeWork:
         (["walk", "--sizes", "1", "--flavor", "stationary"], "sizes must be >= 2"),
         (["fluct", "--sizes", "1"], "sizes must be >= 2"),
         (["lln", "--sizes", "1"], "sizes must be >= 2"),
+        # the independence KS needs increments r and r + 1 at every size
+        (["walk", "--flavor", "stationary", "--r-max", "1", "--sizes", "5",
+          "--samples", "100"], "r_max >= 2 and sizes >= 3"),
+        (["walk", "--flavor", "stationary", "--sizes", "2", "--samples", "100"],
+         "r_max >= 2 and sizes >= 3"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):

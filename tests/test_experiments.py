@@ -7,6 +7,7 @@ from scipy.special import digamma
 
 from hslg_lab import cli, environment, experiments, walk
 from hslg_lab.experiments import STREAM_BLOCK, ExperimentConfig
+from hslg_lab.multilayer import batch_diag_avoiding_profiles
 from hslg_lab.polymer import batch_final_profiles
 from hslg_lab.rng import LANE_BOOTSTRAP, LANE_BOUNDARY, LANE_CHAIN
 from hslg_lab.special import ModelParams
@@ -14,6 +15,7 @@ from hslg_lab.stats import ks_test
 
 CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (6, 8), 300, seed=3,
                           walk_samples=500, small_sizes=(3, 5), small_samples=8)
+FINAL, BELOW = "batch_final_profiles", "batch_diag_avoiding_profiles"
 
 
 @pytest.mark.parametrize("driver", [experiments.run_pinning,
@@ -33,10 +35,71 @@ def test_rows_identical_across_threads(driver):
 
 
 def test_profiles_do_not_depend_on_stream_blocks():
-    blocked = experiments._profiles(batch_final_profiles, CONFIG, 8, "standard")
+    blocked, = experiments._profiles(CONFIG, "standard", (8,))
     whole = batch_final_profiles(CONFIG.params, 8, "standard", CONFIG.seed,
                                  np.arange(CONFIG.samples, dtype=np.uint64))
     np.testing.assert_array_equal(blocked, whole)
+
+
+class TestOneSweep:
+    """Each driver sweeps each flavor once per stream block, to the largest
+    size, and reads every size's profile off that sweep's diagonal 2N."""
+
+    SIZES = (2, 3, 10, 17)
+    STREAMS = np.arange(STREAM_BLOCK + 44, dtype=np.uint64)   # two blocks' worth
+
+    @pytest.mark.parametrize("flavor", environment.FLAVORS)
+    @pytest.mark.parametrize("batch, short", [(batch_final_profiles, 0),
+                                              (batch_diag_avoiding_profiles, 1)])
+    def test_size_slices_equal_single_size_calls(self, batch, short, flavor):
+        n = self.SIZES[-1]
+        whole = batch(CONFIG.params, n, flavor, CONFIG.seed, self.STREAMS, self.SIZES)
+        assert whole.shape == (self.STREAMS.size, sum(m - short for m in self.SIZES))
+        lo = 0
+        for m in self.SIZES:
+            one = batch(CONFIG.params, m, flavor, CONFIG.seed, self.STREAMS)
+            assert one.shape == (self.STREAMS.size, m - short)
+            np.testing.assert_array_equal(whole[:, lo:lo + m - short], one)
+            lo += m - short
+
+    @pytest.mark.parametrize("batch, sizes", [
+        (batch_final_profiles, (3, 10)),          # does not end at n
+        (batch_final_profiles, (10, 3, 17)),      # not increasing
+        (batch_final_profiles, (0, 17)),
+        (batch_diag_avoiding_profiles, (1, 17)),  # size 1 has no strict wedge
+    ])
+    def test_sizes_must_increase_to_n(self, batch, sizes):
+        with pytest.raises(ValueError, match="sizes must increase strictly"):
+            batch(CONFIG.params, 17, "standard", 0, self.STREAMS[:4], sizes)
+
+    @pytest.mark.parametrize("driver, flavor, swept", [
+        (experiments.run_pinning, "standard", {(FINAL, "standard")}),
+        (experiments.run_walk_attractor, "standard", {(FINAL, "standard")}),
+        (experiments.run_walk_attractor, "stationary", {(FINAL, "stationary")}),
+        (experiments.run_gaussian_fluct, "standard",
+         {(FINAL, "standard"), (FINAL, "stationary")}),
+        (experiments.run_lln_profile, "standard",
+         {(FINAL, "standard"), (BELOW, "alpha-zero-diagonal")}),
+    ])
+    def test_one_call_per_stream_block_per_flavor(self, driver, flavor, swept,
+                                                  monkeypatch):
+        # counting wrappers at the module attributes, where the bench wraps
+        calls = []
+        for name in (FINAL, BELOW):
+            def counted(*args, name=name, fn=getattr(experiments, name), **kwargs):
+                calls.append(((name, args[2]), args[1], int(args[4][0]), args[4].size))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        config = replace(CONFIG, flavor=flavor)
+        driver(config)
+        n = max(config.sizes)
+        blocks = experiments._stream_blocks(config, config.samples)
+        assert len(blocks) == 2
+        assert {key for key, *_ in calls} == swept
+        for key in swept:
+            mine = [(size, start, cnt) for k, size, start, cnt in calls if k == key]
+            assert mine == [(n, start, cnt) for start, cnt in blocks]
+            assert sum(cnt * size ** 2 for size, _, cnt in mine) == config.samples * n ** 2
 
 
 def test_walk_lanes_stay_below_the_reserved_r0_lane(monkeypatch):
@@ -139,13 +202,18 @@ class TestFluctMoments:
         c = experiments.constants(config.params)
         exact_offset = digamma(config.params.shape_boundary)
         gen = np.random.default_rng(7)
+        # drawn size by size, the standard flavor before the stationary one
+        draws = {(n, flavor): shift + scale * gen.standard_normal(config.samples)
+                 for n in config.sizes for flavor in ("standard", "stationary")}
 
-        def synthetic(batch, config, n, flavor):
-            x = shift + scale * gen.standard_normal(config.samples)
-            diag = c.free_energy_rate * n + np.sqrt(c.clt_variance * n) * x
-            if flavor == "stationary":
-                diag += exact_offset
-            return diag[:, None] - np.arange(n)[None, :]
+        def synthetic(config, flavor, sizes):
+            out = []
+            for n in sizes:
+                diag = c.free_energy_rate * n + np.sqrt(c.clt_variance * n) * draws[n, flavor]
+                if flavor == "stationary":
+                    diag += exact_offset
+                out.append(diag[:, None] - np.arange(n)[None, :])
+            return out
 
         monkeypatch.setattr(experiments, "_profiles", synthetic)
         rep = experiments.run_gaussian_fluct(config)
@@ -191,8 +259,8 @@ class TestFluctExactMean:
     def test_fails_on_the_standard_flavor(self, monkeypatch):
         profiles = experiments._profiles
 
-        def standard_only(batch, config, n, flavor):
-            return profiles(batch, config, n, "standard")
+        def standard_only(config, flavor, sizes):
+            return profiles(config, "standard", sizes)
 
         monkeypatch.setattr(experiments, "_profiles", standard_only)
         rep = experiments.run_gaussian_fluct(self.CONFIG)
@@ -243,11 +311,15 @@ class TestStationaryIndependence:
         # increment r + 1 leans on increment r by `coupling`
         gen = np.random.default_rng(11)
 
-        def profiles(batch, config, n, flavor):
-            inc = gen.standard_normal((config.samples, n - 1))
-            for r in range(1, n - 1):
-                inc[:, r] += coupling * inc[:, r - 1]
-            return np.hstack([np.zeros((config.samples, 1)), -np.cumsum(inc, axis=1)])
+        def profiles(config, flavor, sizes):
+            out = []
+            for n in sizes:
+                inc = gen.standard_normal((config.samples, n - 1))
+                for r in range(1, n - 1):
+                    inc[:, r] += coupling * inc[:, r - 1]
+                out.append(np.hstack([np.zeros((config.samples, 1)),
+                                      -np.cumsum(inc, axis=1)]))
+            return out
 
         monkeypatch.setattr(experiments, "_profiles", profiles)
         return experiments.run_walk_attractor(replace(self.CONFIG, samples=2000))
