@@ -14,13 +14,14 @@ changes a number), so it names what the run read.
 The checks test one size at a time, as the paper states its results.  Each
 check of pinning, walk, quenched and fluct is a KS or z test at
 `config.significance` of one size against a law the package computes (the
-walk law of the endpoint and of the free-energy increments, the standard
-normal of the diagonal fluctuations, an exact finite-N mean), or quenched's
-certificate that every walk series converged; endpoint tail masses are
-tested in log space, where deep tails stay finite.  Only the lln driver
-still checks directional trends along its size grid: its point estimates
-must be strictly ordered, and the ordering not contradicted by the 99%
-bootstrap intervals.
+walk law of the endpoint and of the free-energy increments, the Beta law
+of the walk series Q, the standard normal of the diagonal fluctuations, an
+exact finite-N mean), or the certificate of pinning and quenched that
+every walk series converged; endpoint tail masses are tested in log space,
+where deep tails stay finite.  Only the lln driver still checks
+directional trends along its size grid: its point estimates must be
+strictly ordered, and the ordering not contradicted by the 99% bootstrap
+intervals.
 
 fluct's mean check has a null that holds at every size.  The stationary
 flavor draws column 1 below the corner at shape theta - alpha, and then its
@@ -41,19 +42,19 @@ from itertools import count
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaincc, logsumexp
+from scipy.special import betainc, digamma, logsumexp
 
 from .environment import generate_environment, symmetrize
 from .multilayer import (LineEnsemble, batch_diag_avoiding_profiles, curve_length,
                          line_ensemble)
+# lane_keys, log_gamma_draws, partition_table and walk_increment_matrix have
+# no caller here; bench/traced.py wraps them under this module
 from .polymer import batch_final_profiles, partition_table
-from .rng import LANE_BOUNDARY, lane_keys, log_gamma_draws
+from .rng import lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
 from .stats import (KS_MIN_SAMPLES, RESAMPLES, SIGNIFICANCE, Interval, TestResult,
                     bootstrap_ci, ks_test, normal_cdf)
-# partition_table and walk_increment_matrix have no caller here;
-# bench/traced.py wraps them under this module and probes them there
-from .walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
+from .walk import LimitingPmf, increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
 
 STREAM_BLOCK = 256          # environments per work item
 CI_STRIDE = 1 << 28         # bootstrap lane namespace per interval
@@ -204,6 +205,20 @@ def line_ensembles(params: ModelParams, order: int, kmax: int, seed: int,
             for i in range(count)]
 
 
+def _walks(config: ExperimentConfig, count: int, kmax: int) -> tuple[LimitingPmf, Check]:
+    """`count` walks numbered from config.stream, with S_0 .. S_kmax and Q
+    certified to a tail below 2^-53, half an ulp of Q >= 1, and the check
+    `walk_series_certified`: no walk reached the certificate's cap."""
+    streams = (np.asarray(config.stream, dtype=np.uint64)
+               + np.arange(count, dtype=np.uint64))
+    walks = limiting_endpoint_pmf(config.params, config.seed, streams, kmax, 2.0**-53)
+    done = int(walks.converged.sum())
+    return walks, Check(
+        "walk_series_certified", done == count,
+        f"{done}/{count} walks certified to tail <= 2^-53, max M "
+        f"{int(walks.m.max())}, max tail bound {walks.tail_bound.max():.3g}")
+
+
 # ---------------------------------------------------------------------------
 # trend checks
 
@@ -241,15 +256,14 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
     the log mass beyond k is KS-tested against the walks' logsumexp(-S_k ..
     -S_{N-1}) - log Q; log space keeps underflowing tails finite, and the
     sum of positive weights avoids the cancellation of 1 - (mass below k).
-    Rows give the median and 95% quantile of the mass at each k of `k_grid`.
+    The walks come from `_walks`, one per sample.  Rows give the median and
+    95% quantile of the mass at each k of `k_grid`.
     """
     rep = StatReport("pinning", _record(config, "pinning"),
                      ("N", "k", "median_tail", "upper_q95_tail"))
     sig = config.significance
-    streams = (np.asarray(config.stream, dtype=np.uint64)
-               + np.arange(config.samples, dtype=np.uint64))
-    walks = limiting_endpoint_pmf(config.params, config.seed, streams,
-                                  max(config.sizes) - 1, 2.0**-53)
+    walks, certified = _walks(config, config.samples, max(config.sizes) - 1)
+    rep.checks.append(certified)
     log_q = np.log(walks.q)
     profiles = _profiles(config, "standard", config.sizes)
     # far-below-maximum terms of a logsumexp and deep masses round to 0.0
@@ -313,30 +327,26 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
 
 
 def run_quenched_limit(config: ExperimentConfig) -> StatReport:
-    """Quenched endpoint pmf against the normalized walk series weights.
+    """Quenched endpoint pmf at one size against the walk series weights.
 
-    Each walk's weights e^{-S_r} / Q come from `limiting_endpoint_pmf` with
-    the tail of Q certified below 2^-53, half an ulp of Q >= 1; only Q and
-    S_r for r <= r_max are kept.  `walk_series_certified` fails
-    when any walk reaches the cap of the certificate uncertified.
+    The pmf at r = 0..r_max is KS-tested against e^{-S_r} / Q of the
+    `walk_samples` walks of `_walks`, and `q_beta_law` KS-tests their
+    (Q - 1) / Q = q1 / Q against its exact law Beta(theta + alpha, -2 alpha)
+    (beta-gamma algebra; Dufresne, Scand. Actuarial J. 1990).  More than
+    one size is refused, since only one would be read.
     """
+    if len(config.sizes) > 1:
+        raise ConfigError(f"quenched takes one size, got {list(config.sizes)}")
     rep = StatReport("quenched_limit", _record(config, "quenched"),
                      ("r", "ks_distance", "ks_pvalue", "polymer_mean",
                       "walk_mean", "polymer_var", "walk_var"))
     sig = config.significance
-    n = max(config.sizes)
+    n, = config.sizes
     prof, = _profiles(config, "standard", (n,))
     pmf = np.exp(prof - logsumexp(prof, axis=1)[:, None])
     r_hi = min(config.r_max, n - 1)
-    streams = (np.asarray(config.stream, dtype=np.uint64)
-               + np.arange(config.walk_samples, dtype=np.uint64))
-    walk = limiting_endpoint_pmf(config.params, config.seed, streams, r_hi,
-                                 2.0**-53)
-    done = int(walk.converged.sum())
-    rep.checks.append(Check(
-        "walk_series_certified", done == streams.size,
-        f"{done}/{streams.size} walks certified to tail <= 2^-53, max M "
-        f"{int(walk.m.max())}, max tail bound {walk.tail_bound.max():.3g}"))
+    walk, certified = _walks(config, config.walk_samples, r_hi)
+    rep.checks.append(certified)
     walk_pmf = walk.pmf
     for r in range(0, r_hi + 1):
         wside = walk_pmf[:, r]
@@ -346,14 +356,9 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
                          float(pmf[:, r].var(ddof=1)),
                          float(wside.var(ddof=1))))
         rep.checks.append(_ks_check(f"marginal_ks_r{r}", res, sig))
-
-    # boundary-weight product identity: Q R0 ~ inverse gamma of shape -2 alpha
-    keys = lane_keys(config.seed, streams, np.uint64(LANE_BOUNDARY))
-    r0 = np.exp(-log_gamma_draws(config.params.theta - config.params.alpha, keys))
-    shape = -2.0 * config.params.alpha
+    a, b = config.params.theta + config.params.alpha, -2.0 * config.params.alpha
     rep.checks.append(_ks_check(
-        "qr0_inverse_gamma", ks_test(walk.q * r0, lambda w: gammaincc(shape, 1.0 / w)),
-        sig))
+        "q_beta_law", ks_test(walk.q1 / walk.q, lambda x: betainc(a, b, x)), sig))
     return rep
 
 

@@ -12,9 +12,9 @@ key material, then walk a per-lane splitmix64 subsequence:
     word(seed, stream, lane, q)  = mix(lane_key + q * 0x9E3779B97F4A7C15)
     uniform = ((word >> 11) + 0.5) * 2**-53        in (0, 1)
 
-Weight lanes are lattice site codes; path codes, walk increments, boundary
-weights and bootstrap draws use lanes offset by the namespace constants
-below so they can never collide.
+Weight lanes are lattice site codes; path codes, walk increments and
+bootstrap draws use lanes offset by the namespace constants below so they
+can never collide.
 Three frozen test vectors are listed in tests/test_rng.py.
 """
 
@@ -37,7 +37,6 @@ _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 
 # Lane namespaces.  Site codes stay far below 2**48.
 LANE_CHAIN = 1 << 48       # sequential streams (path codes, walk increments)
-LANE_BOUNDARY = (1 << 49) - 1   # last chain lane: one boundary weight per stream
 LANE_BOOTSTRAP = 1 << 49
 
 _BLOCK_LANES = 1 << 16      # lanes per block of log_gamma_draws (speed only)

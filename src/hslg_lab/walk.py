@@ -11,7 +11,7 @@ stretch of a walk can be drawn on its own (`walk_increment_matrix` with
 `start=`) and batches reproduce regardless of threading.
 
 Q is summed left to right up to a certified index M of its own for each
-walk: the first M where the walk stays above its half-drift line,
+walk: the first M >= 1 where the walk stays above its half-drift line,
 S_{M+j} >= S_M + (tau/2) j for j = 1..window, and e^{-S_M} rho / (1 - rho)
 <= epsilon with rho = e^{-tau/2}, the geometric tail that line implies.
 The window, `_window(params)`, covers the 4 gamma / tau^2 steps (gamma the
@@ -111,14 +111,16 @@ class LimitingPmf:
     """Partial sums S_r for r = 0..kmax and the series Q, one row per walk;
     the endpoint weights are `pmf` = e^{-S_r} / Q.
 
-    Q = e^{-S_0} + .. + e^{-S_M}, added left to right.  A converged row's M
-    is its first certified index and `tail_bound` = e^{-S_M} rho / (1 - rho)
-    bounds the rest of its series.  A row that reached the cap has M = cap,
-    the least bound seen over 0..cap, and `converged` False.
+    Q = e^{-S_0} + .. + e^{-S_M} and `q1` = e^{-S_1} + .. + e^{-S_M}, each
+    added left to right (Q - 1 rounds away near Q = 1).  A converged row's
+    M >= 1 is its first certified index and `tail_bound` = e^{-S_M} rho /
+    (1 - rho) bounds the rest of its series.  A row that reached the cap
+    has M = cap, the least bound seen over 0..cap, and `converged` False.
     """
 
     s: np.ndarray               # (walks, kmax + 1)
     q: np.ndarray
+    q1: np.ndarray
     m: np.ndarray
     tail_bound: np.ndarray
     converged: np.ndarray
@@ -132,9 +134,9 @@ class LimitingPmf:
 
 def _first_block(tau: float, epsilon: float, window: int, cap: int) -> int:
     # the window plus twice the M at which the mean walk's bound
-    # e^{-tau M} rho / (1 - rho) reaches epsilon; at most cap + window
+    # e^{-tau M} rho / (1 - rho) reaches epsilon, and M >= 1; at most cap + window
     rho = math.exp(-0.5 * tau)
-    m = max(0, math.ceil(2.0 * math.log(rho / (1.0 - rho) / epsilon) / tau))
+    m = max(1, math.ceil(2.0 * math.log(rho / (1.0 - rho) / epsilon) / tau))
     return min(window + m, cap + window)
 
 
@@ -179,20 +181,20 @@ def limiting_endpoint_pmf(params: ModelParams, seed: int, streams, kmax: int,
 
 
 def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
-    """(S_0..S_kmax, Q, M, tail bound, converged) for one row block of walks."""
+    """(S_0..S_kmax, Q, q1, M, tail bound, converged) for one row block of walks."""
     n = streams.size
     half = 0.5 * constants(params).increment_drift
     rho = math.exp(-half)
     geom = rho / (1.0 - rho)
-    q, tail = np.empty(n), np.empty(n)
+    sums, tail = np.empty((2, n)), np.empty(n)    # sums: Q and q1
     m, conv = np.empty(n, dtype=np.int64), np.zeros(n, dtype=bool)
     s = np.zeros((n, first + 1))
     np.cumsum(walk_increment_matrix(params, n, first, seed, streams),
               axis=1, out=s[:, 1:])
     head = s[:, :kmax + 1].copy()
-    # open rows: their block indices, the Q partial sum and least bound so
-    # far; s holds S_lo .. S_{lo + width - 1} of each
-    idx, qsum, best = np.arange(n), np.zeros(n), np.full(n, np.inf)
+    # open rows: their block indices, the Q and q1 partial sums and least
+    # bound so far; s holds S_lo .. S_{lo + width - 1} of each
+    idx, part, best = np.arange(n), np.zeros((2, n)), np.full(n, np.inf)
     lo = 0
     with np.errstate(under="ignore"):       # deep partial sums: e^{-S} -> 0
         while True:
@@ -205,21 +207,25 @@ def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
             e = np.exp(-s[:, :cand])
             bound = e * geom
             best = np.minimum(best, bound.min(axis=1))
-            good = ok & (bound <= epsilon)
+            # M = 0 would leave q1 = 0, so no walk certifies before index 1
+            past0 = np.arange(lo, lo + cand) > 0
+            good = ok & (bound <= epsilon) & past0
             done = good.any(axis=1)
             j = good.argmax(axis=1)[done]
-            csum = np.cumsum(np.concatenate([qsum[:, None], e], axis=1), axis=1)
+            csum = np.empty((2, e.shape[0], cand + 1))
+            csum[:, :, 0], csum[0, :, 1:], csum[1, :, 1:] = part, e, e * past0
+            np.cumsum(csum, axis=2, out=csum)
             hit = idx[done]
-            q[hit], m[hit] = csum[done, j + 1], lo + j
+            sums[:, hit], m[hit] = csum[:, done, j + 1], lo + j
             tail[hit], conv[hit] = bound[done, j], True
             open_ = ~done
             if lo + cand > cap:             # flagged: Q through the cap
                 rest = idx[open_]
-                q[rest], m[rest], tail[rest] = csum[open_, cand], cap, best[open_]
+                sums[:, rest], m[rest], tail[rest] = csum[:, open_, cand], cap, best[open_]
                 break
             if not open_.any():
                 break
-            idx, qsum, best = idx[open_], csum[open_, cand], best[open_]
+            idx, part, best = idx[open_], csum[:, open_, cand], best[open_]
             s = s[open_, cand:]
             drawn = lo + width - 1
             inc = walk_increment_matrix(params, idx.size,
@@ -228,4 +234,4 @@ def _certify(params, seed, streams, kmax, epsilon, window, cap, block, first):
             inc[:, 0] += s[:, -1]
             s = np.concatenate([s, np.cumsum(inc, axis=1)], axis=1)
             lo += cand
-    return head, q, m, tail, conv
+    return head, sums[0], sums[1], m, tail, conv

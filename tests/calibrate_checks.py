@@ -10,8 +10,9 @@ at theta 1:
   200 samples, k grid 0,1,80,90);
 - walk and quenched at the benchmark's walklaw config (alpha -0.5; walk at
   sizes 50,100 with 1000 samples, quenched at size 100 with 1000 samples
-  and 50,000 walks), and walk's stationary flavor at the same sizes and
-  samples;
+  and 50,000 walks), walk's stationary flavor at the same sizes and
+  samples, and quenched at strong binding (alpha -0.9, otherwise the
+  walklaw config), where 1/Q rounds to 1.0 on about 3% of walks;
 - fluct at sizes 50,100,200 with 1000 samples, and at sizes 10,20 with 40
   samples (alpha -0.5);
 - lln at the benchmark's lattice config (alpha -0.3, sizes 25,50 with 200
@@ -37,12 +38,16 @@ recomputed from its rows (see `deleted_windows`).
   and -0.2, seeds 0-2, with column 1 below the corner drawn at shape
   2 theta or theta instead of theta - alpha (the increments are then no
   longer independent), and healthy; it lists the independence p-values.
+It also draws the walks of quenched at its walklaw config with increments
+at alpha +-0.02 and +-0.05, seeds 0-2, while the environments and every
+limit keep the nominal alpha; it lists each check's failed seeds and
+p-values.
 
     PYTHONPATH=src python tests/calibrate_checks.py [--seeds 20] [--threads 2]
         [--mutants] [--json calibration.json]
 
 The file name keeps pytest from collecting it.  A full run of 20 seeds
-takes about 15 minutes on two cores, and --mutants about 5 minutes.
+takes about 12 minutes on two cores, and --mutants about 4 minutes.
 """
 from __future__ import annotations
 
@@ -74,6 +79,8 @@ DRIVERS = {
                         dict(sizes=(50, 100), samples=1000, flavor="stationary")),
     "quenched": (experiments.run_quenched_limit, PARAMS,
                  dict(sizes=(100,), samples=1000, walk_samples=50_000)),
+    "quenched_strong": (experiments.run_quenched_limit, ModelParams(1.0, -0.9),
+                        dict(sizes=(100,), samples=1000, walk_samples=50_000)),
     "fluct": (experiments.run_gaussian_fluct, PARAMS,
               dict(sizes=(50, 100, 200), samples=1000)),
     "fluct_small": (experiments.run_gaussian_fluct, PARAMS,
@@ -178,6 +185,8 @@ def report(table: dict) -> None:
 
 FLUCT_MUTANT_SEEDS = 5
 INDEPENDENCE_SEEDS = 3
+WALK_SHIFTS = (-0.05, -0.02, 0.02, 0.05)
+WALK_SEEDS = 3
 
 
 @contextlib.contextmanager
@@ -191,6 +200,19 @@ def drawn_with(mutant):
         yield
     finally:
         environment.site_shapes = real
+
+
+@contextlib.contextmanager
+def walks_drawn_at(d):
+    """The drivers' walks draw their increments at alpha + d inside the
+    block; the environments and every limit keep the nominal params."""
+    real = experiments.limiting_endpoint_pmf
+    experiments.limiting_endpoint_pmf = lambda params, *args: real(
+        ModelParams(params.theta, params.alpha + d), *args)
+    try:
+        yield
+    finally:
+        experiments.limiting_endpoint_pmf = real
 
 
 def _alpha_shift(d):
@@ -259,9 +281,31 @@ def mutant_power(threads: int) -> dict:
                             pvals.setdefault(c.name, []).append(_p(c.detail))
                 independence[f"column1_{col}_alpha{alpha}_N{n}"] = pvals
     return {"seeds": {"fluct": list(range(FLUCT_MUTANT_SEEDS)),
-                      "independence": list(range(INDEPENDENCE_SEEDS))},
+                      "independence": list(range(INDEPENDENCE_SEEDS)),
+                      "walk_side": list(range(WALK_SEEDS))},
             "significance": SIGNIFICANCE,
-            "fluct": fluct, "independence": independence}
+            "fluct": fluct, "independence": independence,
+            "walk_side": walk_side_power(threads)}
+
+
+def walk_side_power(threads: int) -> dict:
+    """quenched at its walklaw config with the walks drawn at alpha + d, for
+    each d of `WALK_SHIFTS`: each check's failed seeds and p-values."""
+    driver, params, kwargs = DRIVERS["quenched"]
+    out = {}
+    for d in WALK_SHIFTS:
+        checks: dict[str, dict] = {}
+        for seed in range(WALK_SEEDS):
+            with walks_drawn_at(d):
+                rep = driver(ExperimentConfig(params, seed=seed, threads=threads,
+                                              **kwargs))
+            for c in rep.checks:
+                row = checks.setdefault(c.name, {"failed_seeds": [], "p": []})
+                row["p"].append(_p(c.detail))
+                if not c.passed:
+                    row["failed_seeds"].append(seed)
+        out[f"walks_alpha{d:+g}"] = checks
+    return out
 
 
 def report_mutants(table: dict) -> None:
@@ -281,6 +325,10 @@ def report_mutants(table: dict) -> None:
             print(f"{case:34s} {check:24s} p " + " ".join(f"{p:.3g}" for p in ps))
             failed[col] = failed.get(col, 0) + sum(p <= sig for p in ps)
     print("independence cases failed at", sig, failed)
+    for case, checks in table["walk_side"].items():
+        for check, row in checks.items():
+            ps = " ".join("-" if p is None else f"{p:.3g}" for p in row["p"])
+            print(f"quenched {case:18s} {check:24s} failed {row['failed_seeds']} p {ps}")
 
 
 def main() -> None:

@@ -246,13 +246,15 @@ def extend_walk(walk: WalkSample, n: int) -> WalkSample:
 
 @dataclass(frozen=True)
 class QSeries:
-    """Partial sums Q_0..Q_M with a certified (or flagged) truncation bound.
+    """Partial sums Q_0..Q_M with a certified (or flagged) truncation bound,
+    and q1 = e^{-S_1} + .. + e^{-S_M} summed on its own.
 
     `converged` is False when no index up to the cap passed the window check
     at the requested epsilon.
     """
 
     partials: np.ndarray
+    q1: float
     tail_bound: float
     converged: bool
 
@@ -269,7 +271,7 @@ def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
               window: int, cap: int) -> QSeries:
     """Q_M with certified tail <= epsilon, or a flagged result at the cap.
 
-    The certificate at M requires the lookahead drift check
+    The certificate at M >= 1 requires the lookahead drift check
     S_{M+j} >= S_M + (tau/2) j for j = 1..window together with the geometric
     bound sum_{j>=1} e^{-S_M - (tau/2) j} <= epsilon it then implies.  The
     walk is extended as needed; nothing is truncated silently.
@@ -298,20 +300,18 @@ def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
         with np.errstate(under="ignore"):
             bound = np.exp(-s[lo: hi + 1]) * geom
         best_bound = min(best_bound, float(bound.min(initial=math.inf)))
-        good = np.flatnonzero(ok_drift & (bound <= epsilon))
+        good = np.flatnonzero(ok_drift & (bound <= epsilon)
+                              & (np.arange(lo, hi + 1) >= 1))
         if good.size:
             m_found = lo + int(good[0])
             break
         lo = hi + 1
 
+    converged = m_found >= 0
     with np.errstate(under="ignore"):
-        if m_found < 0:
-            s = walk.values[: cap + 1]
-            partials = np.cumsum(np.exp(-s))
-            return QSeries(partials, best_bound, False)
-        partials = np.cumsum(np.exp(-walk.values[: m_found + 1]))
-        tail = float(np.exp(-walk.values[m_found]) * geom)
-    return QSeries(partials, tail, True)
+        e = np.exp(-walk.values[: (m_found if converged else cap) + 1])
+    tail = float(e[-1] * geom) if converged else best_bound
+    return QSeries(np.cumsum(e), float(np.cumsum(e[1:])[-1]), tail, converged)
 
 
 # ---------------------------------------------------------------------------

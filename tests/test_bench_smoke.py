@@ -19,6 +19,7 @@ import traced  # noqa: E402
 
 TINY = {"sizes": "10,20", "samples": "16", "walk-samples": "64",
         "small-sizes": "7,9,11", "small-samples": "2"}
+ONE_SIZE = {"quenched": {"sizes": "20"}}    # quenched takes one size
 PER_LAYER = [m["name"] for m in
              json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]]
 
@@ -33,9 +34,11 @@ def test_gate_passes_every_probe():
 
 @pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
 def test_traced_replay_measures_every_layer(workload, tmp_path):
-    actions = [(a.driver, bench_run.Action(
-                    a.driver, tuple((k, TINY.get(k, v)) for k, v in a.options)).argv(0))
-               for a in bench_run.WORKLOADS[workload].actions]
+    actions = []
+    for a in bench_run.WORKLOADS[workload].actions:
+        tiny = TINY | ONE_SIZE.get(a.driver, {})
+        actions.append((a.driver, bench_run.Action(
+            a.driver, tuple((k, tiny.get(k, v)) for k, v in a.options)).argv(0)))
     run = traced.run_traced(actions, 0, 0.0, tmp_path)
     assert _failed(run.probes) == []
     assert [m for m in PER_LAYER if run.metrics.get(m) is None] == []

@@ -112,6 +112,8 @@ class TestRefusedBeforeWork:
           "--samples", "100"], "r_max >= 2 and sizes >= 3"),
         (["walk", "--flavor", "stationary", "--sizes", "2", "--samples", "100"],
          "r_max >= 2 and sizes >= 3"),
+        # quenched reads one size; it would drop all but the largest
+        (["quenched", "--sizes", "10,20"], "quenched takes one size"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):

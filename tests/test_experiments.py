@@ -9,7 +9,7 @@ from hslg_lab import cli, environment, experiments, walk
 from hslg_lab.experiments import STREAM_BLOCK, ExperimentConfig
 from hslg_lab.multilayer import batch_diag_avoiding_profiles
 from hslg_lab.polymer import batch_final_profiles
-from hslg_lab.rng import LANE_BOOTSTRAP, LANE_BOUNDARY, LANE_CHAIN
+from hslg_lab.rng import LANE_BOOTSTRAP, LANE_CHAIN
 from hslg_lab.special import ModelParams
 from hslg_lab.stats import ks_test
 
@@ -27,8 +27,11 @@ def test_rows_identical_across_threads(driver):
     # 300 samples make two stream blocks (256 + 44), so with 2 threads the
     # blocks run concurrently and are stacked back in order
     assert CONFIG.samples > STREAM_BLOCK
-    one = driver(CONFIG)
-    two = driver(replace(CONFIG, threads=2))
+    # quenched takes one size
+    config = (replace(CONFIG, sizes=CONFIG.sizes[-1:])
+              if driver is experiments.run_quenched_limit else CONFIG)
+    one = driver(config)
+    two = driver(replace(config, threads=2))
     assert one.rows and one.rows == two.rows
     assert [(c.name, c.passed, c.detail) for c in one.checks] == \
            [(c.name, c.passed, c.detail) for c in two.checks]
@@ -102,13 +105,11 @@ class TestOneSweep:
             assert sum(cnt * size ** 2 for size, _, cnt in mine) == config.samples * n ** 2
 
 
-def test_walk_lanes_stay_below_the_reserved_r0_lane(monkeypatch):
-    # the quenched driver draws each walk's boundary weight at LANE_BOUNDARY
-    # of the walk's own stream, the top of the chain namespace; a walk drawn
-    # to the cap of its certificate must stay below it
-    # the window is at most the cap, so a walk draws at most 2 CAP steps
-    assert LANE_CHAIN < LANE_CHAIN + 2 * (walk.CAP + walk.CAP) + 1 < LANE_BOUNDARY
-    assert LANE_BOUNDARY == (1 << 49) - 1 < LANE_BOOTSTRAP
+def test_walk_lanes_stay_below_the_bootstrap_lanes(monkeypatch):
+    # a walk drawn to the cap of its certificate must stay in the chain
+    # namespace, below LANE_BOOTSTRAP, the next one; the window is at most
+    # the cap, so a walk draws at most 2 CAP steps
+    assert LANE_CHAIN < LANE_CHAIN + 2 * (walk.CAP + walk.CAP) + 1 < LANE_BOOTSTRAP
 
     seen = []
     keys = walk.lane_keys
@@ -134,18 +135,27 @@ def _failed(report, prefix):
 
 
 class TestPinningWalkLimit:
-    """Every check of `run_pinning` is a log-space tail KS against the walk
-    limit, at each k > 0 of `k_grid` and at ceil(deep_m sqrt(N)) (15 at
-    N = 50)."""
+    """`run_pinning` checks that every walk series is certified, and KS-tests
+    the log tail mass against the walk limit at each k > 0 of `k_grid` and at
+    ceil(deep_m sqrt(N)) (15 at N = 50)."""
 
     CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (50,), 1000, seed=1)
     DEPTHS = (1, 2, 4, 10, 15)
 
     def test_passes_against_the_walk_at_the_right_alpha(self):
         rep = experiments.run_pinning(self.CONFIG)
-        assert [c.name for c in rep.checks] == [
+        assert [c.name for c in rep.checks] == ["walk_series_certified"] + [
             f"tail_mass_k{k}_walk_limit_N50" for k in self.DEPTHS]
-        assert not _failed(rep, "tail_mass_k")
+        assert rep.passed
+
+    def test_fails_the_certificate_when_walks_reach_the_cap(self, monkeypatch):
+        # a 20-step cap leaves about half of these walks uncertified; the
+        # tail KS tests still run on them, so the certificate must fail
+        monkeypatch.setattr(walk, "_window", lambda params: 8)
+        monkeypatch.setattr(walk, "CAP", 20)
+        rep = experiments.run_pinning(
+            ExperimentConfig(ModelParams(1.0, -0.5), (10, 20), 200))
+        assert _failed(rep, "walk_series_certified") == ["walk_series_certified"]
 
     def test_fails_against_walks_at_a_wrong_alpha(self, monkeypatch):
         def wrong_alpha(params, *args):
@@ -272,7 +282,7 @@ class TestFluctExactMean:
 class TestQuenchedWalkLimit:
     """`run_quenched_limit` KS-tests the endpoint pmf at r = 0..r_max against
     the walk's e^{-S_r} / Q, and checks the walk side: every series is
-    certified and Q R0 is inverse gamma."""
+    certified and (Q - 1) / Q follows its exact Beta law."""
 
     CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (20,), 200, seed=1,
                               walk_samples=2000)
@@ -281,8 +291,21 @@ class TestQuenchedWalkLimit:
         rep = experiments.run_quenched_limit(self.CONFIG)
         assert [c.name for c in rep.checks] == (
             ["walk_series_certified"] + [f"marginal_ks_r{r}" for r in range(6)]
-            + ["qr0_inverse_gamma"])
+            + ["q_beta_law"])
         assert rep.passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fails_on_walks_drawn_at_a_shifted_alpha(self, monkeypatch, seed):
+        # the environments stay at alpha = -0.5 while the walks are drawn at
+        # -0.4
+        def shifted(params, *args):
+            return walk.limiting_endpoint_pmf(
+                ModelParams(params.theta, params.alpha + 0.1), *args)
+
+        monkeypatch.setattr(experiments, "limiting_endpoint_pmf", shifted)
+        rep = experiments.run_quenched_limit(replace(self.CONFIG, seed=seed))
+        assert _failed(rep, "q_beta_law") == ["q_beta_law"]
+        assert not _failed(rep, "walk_series_certified")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fails_on_polymers_drawn_at_a_shifted_alpha(self, monkeypatch, seed):
@@ -297,7 +320,7 @@ class TestQuenchedWalkLimit:
         monkeypatch.setattr(environment, "site_shapes", shifted)
         rep = experiments.run_quenched_limit(replace(self.CONFIG, seed=seed))
         assert "marginal_ks_r0" in _failed(rep, "marginal_ks")
-        assert not _failed(rep, "walk_series_certified") + _failed(rep, "qr0")
+        assert not _failed(rep, "walk_series_certified") + _failed(rep, "q_beta_law")
 
 
 class TestStationaryIndependence:

@@ -165,18 +165,18 @@ def oracle_q(params, walk_sample, epsilon):
 
 
 def oracle_rows(params, seed, streams, epsilon):
-    """(Q, M, tail bound, converged) of `oracles.q_partial`, one per stream."""
+    """(Q, q1, M, tail bound, converged) of `oracles.q_partial`, one per stream."""
     out = []
     for s in streams:
         qs = oracle_q(params, sample_walk(params, 0, seed=seed, stream=int(s)),
                       epsilon)
-        out.append((qs.q, qs.m, qs.tail_bound, qs.converged))
+        out.append((qs.q, qs.q1, qs.m, qs.tail_bound, qs.converged))
     return out
 
 
 def batched_rows(out):
-    return [(float(q), int(m), float(t), bool(c)) for q, m, t, c in
-            zip(out.q, out.m, out.tail_bound, out.converged)]
+    return [(float(q), float(q1), int(m), float(t), bool(c)) for q, q1, m, t, c in
+            zip(out.q, out.q1, out.m, out.tail_bound, out.converged)]
 
 
 def assert_same(a, b):
@@ -193,7 +193,8 @@ class TestQSeries:
         assert np.all(out.pmf > 0.0)
         assert out.converged.all()
         assert np.all(out.tail_bound <= 1e-8)
-        assert np.all(out.m >= 0)
+        assert np.all(out.m >= 1)
+        assert np.all(out.q1 > 0.0)
 
     def test_certificate_covers_the_true_tail(self, params):
         out = limiting_endpoint_pmf(params, 6, np.arange(30), 0, 1e-10)
@@ -238,6 +239,22 @@ class TestQSeries:
             params.theta - params.alpha, size=n)
         res = scipy.stats.kstest(q * r0,
                                  scipy.stats.invgamma(-2 * params.alpha).cdf)
+        assert res.pvalue > 1e-3
+
+
+    @pytest.mark.parametrize("theta, alpha", [(1.0, -0.5), (1.0, -0.3), (0.7, -0.2),
+                                              (1.0, -0.9), (1.0, -0.99)])
+    def test_q_minus_one_over_q_is_beta(self, theta, alpha):
+        # 1/Q ~ Beta(-2 alpha, theta + alpha) by beta-gamma algebra, so
+        # (Q - 1)/Q = q1/Q ~ Beta(theta + alpha, -2 alpha).  At alpha = -0.9,
+        # 1/Q rounds to 1.0 on about 3% of walks, and at -0.99 a walk
+        # certified at M = 0 would leave q1 = 0; q1 itself keeps both apart
+        out = limiting_endpoint_pmf(ModelParams(theta, alpha), 0, np.arange(4000), 0,
+                                    HALF_ULP)
+        assert out.converged.all()
+        with np.errstate(under="ignore"):
+            x = out.q1 / out.q
+        res = scipy.stats.kstest(x, scipy.stats.beta(theta + alpha, -2 * alpha).cdf)
         assert res.pvalue > 1e-3
 
 
@@ -311,7 +328,7 @@ class TestCertificateAgainstOracle:
         whole = limiting_endpoint_pmf(params, 23, streams, 5, HALF_ULP)
         calls = [limiting_endpoint_pmf(params, 23, part, 5, HALF_ULP)
                  for part in (streams[:1], streams[1:17], streams[17:])]
-        for name in ("pmf", "q", "m", "tail_bound", "converged"):
+        for name in ("pmf", "q", "q1", "m", "tail_bound", "converged"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(c, name) for c in calls]),
                 getattr(whole, name))
