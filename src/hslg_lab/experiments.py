@@ -18,19 +18,20 @@ walk law of the endpoint and of the free-energy increments, the Beta law
 of the walk series Q, the standard normal of the diagonal fluctuations, an
 exact finite-N mean), or the certificate of pinning and quenched that
 every walk series converged; endpoint tail masses are tested in log space,
-where deep tails stay finite.  Only the lln driver still checks
-directional trends along its size grid: its point estimates must be
-strictly ordered, and the ordering not contradicted by the 99% bootstrap
-intervals.
+where deep tails stay finite.  lln reports each rate's median beside its
+limit and checks only that the top-curve average stays below its ceiling.
 
-fluct's mean check has a null that holds at every size.  The stationary
+fluct's mean checks have nulls that hold at every size.  The stationary
 flavor draws column 1 below the corner at shape theta - alpha, and then its
 profile increments are i.i.d. walk increments at every N (the Burke
 property).  log Z(2N-1, 1) is the sum of column 1's log weights and
 log Z(N, N) - log Z(2N-1, 1) = S_{N-1}, so E[log Z_stat(N, N)] =
-rate N + psi(theta - alpha) exactly.  The standard model's mean sits an
-O(1) offset below rate N at finite N, so a test of "mean 0" in the limit
-fails healthy runs; fluct reports that offset on the same streams instead.
+rate N + psi(theta - alpha) exactly, and the point-to-line sum
+log sum_{r>=1} Z_stat(N+r, N-r) has that mean plus
+E[log sum_{1<=r<N} e^{-S_r}], taken from independent walks.  The standard
+model's mean sits an O(1) offset below rate N at finite N, so a test of
+"mean 0" in the limit fails healthy runs; fluct reports that offset on the
+same streams instead.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,18 +47,16 @@ from scipy.special import betainc, digamma, logsumexp
 from .environment import generate_environment, symmetrize
 from .multilayer import (LineEnsemble, batch_diag_avoiding_profiles, curve_length,
                          line_ensemble)
-# lane_keys, log_gamma_draws, partition_table and walk_increment_matrix have
-# no caller here; bench/traced.py wraps them under this module
+# bootstrap_ci, lane_keys, log_gamma_draws and partition_table have no
+# caller here; bench/traced.py wraps them under this module
 from .polymer import batch_final_profiles, partition_table
 from .rng import lane_keys, log_gamma_draws
 from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
-from .stats import (KS_MIN_SAMPLES, RESAMPLES, SIGNIFICANCE, Interval, TestResult,
-                    bootstrap_ci, ks_test, normal_cdf)
+from .stats import (KS_MIN_SAMPLES, SIGNIFICANCE, TestResult, bootstrap_ci, ks_test,
+                    normal_cdf)
 from .walk import LimitingPmf, increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
 
 STREAM_BLOCK = 256          # environments per work item
-CI_STRIDE = 1 << 28         # bootstrap lane namespace per interval
-MAX_BOOTSTRAP_VALUES = CI_STRIDE // RESAMPLES   # an interval uses RESAMPLES lanes per value
 
 
 class ConfigError(ValueError):
@@ -104,9 +102,8 @@ class ExperimentConfig:
         if min(self.samples, self.walk_samples) < KS_MIN_SAMPLES:
             raise ValueError(f"samples and walk_samples must be >= {KS_MIN_SAMPLES}, "
                              "the fewest a KS test takes")
-        if self.small_samples < 2:
-            raise ValueError("small_samples must be >= 2, the fewest a bootstrap "
-                             "interval takes")
+        if self.small_samples < 1:
+            raise ValueError("small_samples must be >= 1")
         if not 0.0 < self.significance < 1.0:
             raise ValueError("significance must lie in (0, 1)")
         if self.threads < 1:
@@ -117,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("k_grid must be increasing and nonnegative")
         if self.r_max < 1:
             raise ValueError("r_max must be >= 1")
+        if self.deep_m < 1:
+            raise ValueError("deep_m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,32 +219,6 @@ def _walks(config: ExperimentConfig, count: int, kmax: int) -> tuple[LimitingPmf
 
 
 # ---------------------------------------------------------------------------
-# trend checks
-
-
-def _gap_interval(ci: Interval, target: float) -> Interval:
-    lo, hi = abs(ci.lo - target), abs(ci.hi - target)
-    if ci.lo <= target <= ci.hi:
-        return Interval(0.0, max(lo, hi))
-    return Interval(min(lo, hi), max(lo, hi))
-
-
-def _trend(name: str, points, cis, *, increasing: bool = False) -> Check:
-    """Trend check: strictly ordered point estimates plus CI non-contradiction."""
-    pts = [float(p) for p in points]
-    if increasing:
-        ordered = all(b > a for a, b in zip(pts, pts[1:]))
-        contradicted = any(nxt.hi < cur.lo for cur, nxt in zip(cis, cis[1:]))
-    else:
-        ordered = all(b < a for a, b in zip(pts, pts[1:]))
-        contradicted = any(nxt.lo > cur.hi for cur, nxt in zip(cis, cis[1:]))
-    detail = " -> ".join(f"{p:.6g}" for p in pts)
-    if contradicted:
-        detail += " (contradicted at 99% CI)"
-    return Check(name, ordered and not contradicted, detail)
-
-
-# ---------------------------------------------------------------------------
 # drivers
 
 
@@ -329,11 +302,14 @@ def run_walk_attractor(config: ExperimentConfig) -> StatReport:
 def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     """Quenched endpoint pmf at one size against the walk series weights.
 
-    The pmf at r = 0..r_max is KS-tested against e^{-S_r} / Q of the
-    `walk_samples` walks of `_walks`, and `q_beta_law` KS-tests their
-    (Q - 1) / Q = q1 / Q against its exact law Beta(theta + alpha, -2 alpha)
-    (beta-gamma algebra; Dufresne, Scand. Actuarial J. 1990).  More than
-    one size is refused, since only one would be read.
+    The pmf at r = 1..r_max is KS-tested against e^{-S_r} / Q of the
+    `walk_samples` walks of `_walks`, and at r = 0 through the mass beyond
+    0 against q1 / Q: near 1, pmf[0] carries the rounding of log partition
+    functions of size N, which 1/Q does not, and the KS distance of the
+    complements is the same.  `q_beta_law` KS-tests (Q - 1) / Q = q1 / Q
+    against its exact law Beta(theta + alpha, -2 alpha) (beta-gamma
+    algebra; Dufresne, Scand. Actuarial J. 1990).  More than one size is
+    refused, since only one would be read.
     """
     if len(config.sizes) > 1:
         raise ConfigError(f"quenched takes one size, got {list(config.sizes)}")
@@ -343,14 +319,15 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     sig = config.significance
     n, = config.sizes
     prof, = _profiles(config, "standard", (n,))
-    pmf = np.exp(prof - logsumexp(prof, axis=1)[:, None])
+    total = logsumexp(prof, axis=1)
+    pmf = np.exp(prof - total[:, None])
     r_hi = min(config.r_max, n - 1)
     walk, certified = _walks(config, config.walk_samples, r_hi)
     rep.checks.append(certified)
-    walk_pmf = walk.pmf
     for r in range(0, r_hi + 1):
-        wside = walk_pmf[:, r]
-        res = ks_test(pmf[:, r], wside)
+        wside = walk.pmf[:, r]
+        res = (ks_test(np.exp(logsumexp(prof[:, 1:], axis=1) - total), walk.q1 / walk.q)
+               if r == 0 else ks_test(pmf[:, r], wside))
         rep.rows.append((r, res.statistic, res.pvalue,
                          float(pmf[:, r].mean()), float(wside.mean()),
                          float(pmf[:, r].var(ddof=1)),
@@ -380,10 +357,13 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
 
     At each size the stationary diagonal's mean is z-tested against its
     exact value rate N + psi(theta - alpha), with standard error
-    sd / sqrt(samples); the rows `coupled_offset_*` give the mean and sd of
-    D_N = F_N(standard) - F_N(stationary) on the same streams.  The standard
-    diagonal's variance is z-tested against 1, with standard error
-    sqrt((m4 - m2^2) / samples) from the sample central moments.
+    sd / sqrt(samples), and so is the stationary point-to-line mean less the
+    mean of log sum_{1<=r<N} e^{-S_r} over `samples` independent walks, with
+    the two samples' variances summed; the rows `coupled_offset_*` give the
+    mean and sd of D_N = F_N(standard) - F_N(stationary) on the same
+    streams.  The standard diagonal's variance is z-tested against 1, with
+    standard error sqrt((m4 - m2^2) / samples) from the sample central
+    moments.
     """
     if config.sizes[0] < 2:
         raise ConfigError(f"sizes must be >= 2 for an off-diagonal, got {config.sizes[0]}")
@@ -393,8 +373,12 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     c = constants(config.params)
     rate, tau = c.free_energy_rate, c.increment_drift
     sigma = math.sqrt(c.clt_variance)
+    exact = float(digamma(config.params.shape_boundary))    # mean less rate N
     standard = _profiles(config, "standard", config.sizes)
     stat_profiles = _profiles(config, "stationary", config.sizes)
+    walk_sums = np.cumsum(walk_increment_matrix(config.params, config.samples,
+                                                config.sizes[-1] - 1, config.seed,
+                                                config.stream), axis=1)
     for n, prof, stat in zip(config.sizes, standard, stat_profiles):
         stationary = stat[:, 0]
         g = max(1, int(n ** 0.25))
@@ -416,55 +400,50 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
         d2 = (z - m) ** 2
         m2, m4 = float(d2.mean()), float((d2 * d2).mean())
         rep.checks.append(_z_check(
-            f"diag_mean_exact_N{n}", float(stationary.mean()),
-            rate * n + float(digamma(config.params.shape_boundary)),
+            f"diag_mean_exact_N{n}", float(stationary.mean()), rate * n + exact,
             float(stationary.std(ddof=1)) / math.sqrt(stationary.size), sig))
+        ptl = logsumexp(stat[:, 1:], axis=1)
+        walk_ptl = logsumexp(-walk_sums[:, :n - 1], axis=1)
+        rep.checks.append(_z_check(
+            f"ptl_mean_exact_N{n}", float(ptl.mean() - walk_ptl.mean()), rate * n + exact,
+            math.sqrt((ptl.var(ddof=1) + walk_ptl.var(ddof=1)) / ptl.size), sig))
         rep.checks.append(_z_check(f"diag_variance_one_N{n}", v, 1.0,
                                    math.sqrt((m4 - m2 * m2) / z.size), sig))
     return rep
 
 
 def run_lln_profile(config: ExperimentConfig) -> StatReport:
-    """Free-energy rates against their limits, and the top-curve average."""
+    """Free-energy rates beside their limits, and the top-curve average.
+
+    Each row gives a statistic's median over the samples at one size with
+    its limit: `rate` for the point-to-line rate, (2/q) log at q = 2N under
+    the alpha -> 0 diagonal law for the diagonal-avoiding rate, and 0 for
+    the margin of the top 2k* curves' average below its ceiling
+    rate - delta_{k*} / 2.  The one check is that margin at the last small
+    order.
+    """
     if config.sizes[0] < 2:
         raise ConfigError(f"sizes must be >= 2 for diagonal avoidance, got {config.sizes[0]}")
-    if max(config.samples, config.small_samples) > MAX_BOOTSTRAP_VALUES:
-        raise ConfigError(f"samples and small_samples must be <= {MAX_BOOTSTRAP_VALUES}, "
-                          "or bootstrap intervals would share lanes")
     rep = StatReport("lln_profile", _record(config, "lln"),
-                     ("N", "statistic", "median", "ci_lo", "ci_hi"))
+                     ("N", "statistic", "median", "limit"))
     k = k_star(config.params)
     for order in config.small_sizes:
         if order < 2 * k + 1:
             raise ConfigError(f"small size {order} is below 2k*+1 = {2 * k + 1}, "
                               "too small for the top-curve average")
-    lanes = count(0, CI_STRIDE)     # each bootstrap interval's own lane block
-    c = constants(config.params)
-    rate = c.free_energy_rate
+    rate = constants(config.params).free_energy_rate
 
-    # (row, trend check, below the diagonal, flavor, first position summed,
-    # limit): the point-to-line rate, and the diagonal-avoiding one, (2/q) log
-    # at q = 2n, under the alpha -> 0 diagonal law
-    rates = (("ptl_rate", "ptl_rate", False, "standard", 1, rate),
-             ("diag_avoiding_rate", "diag_avoiding", True, "alpha-zero-diagonal", 0,
+    # (row, below the diagonal, flavor, first position summed, limit)
+    rates = (("ptl_rate", False, "standard", 1, rate),
+             ("diag_avoiding_rate", True, "alpha-zero-diagonal", 0,
               diagonal_rate_alpha_zero(config.params.theta)))
-    for row, trend, below, flavor, first, limit in rates:
-        gaps, gap_cis = [], []
+    for row, below, flavor, first, limit in rates:
         for n, prof in zip(config.sizes, _profiles(config, flavor, config.sizes, below)):
             v = logsumexp(prof[:, first:], axis=1) / n
-            med = float(np.median(v))
-            ci = bootstrap_ci(v, np.median, seed=config.seed,
-                              stream=config.stream, lane_base=next(lanes))
-            rep.rows.append((n, row, med, ci.lo, ci.hi))
-            gaps.append(abs(med - limit))
-            gap_cis.append(_gap_interval(ci, limit))
-        if len(config.sizes) >= 2:
-            rep.checks.append(_trend(f"{trend}_gap_to_limit_shrinking",
-                                     gaps, gap_cis))
+            rep.rows.append((n, row, float(np.median(v)), limit))
 
     # sup over positions of the averaged top curves, small orders only
     dk = delta_k(config.params, k)
-    margins, margin_cis = [], []
     for order in config.small_sizes:
         width = curve_length(order, 2 * k)
         vals = np.empty(config.small_samples)
@@ -472,19 +451,11 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
                                                config.stream, config.small_samples)):
             avg = np.mean([ens.curves[j][:width] for j in range(2 * k)], axis=0)
             vals[i] = float(avg.max()) / order - (rate - 0.5 * dk)
-        med = float(np.median(vals))
-        ci = bootstrap_ci(vals, np.median, seed=config.seed,
-                          stream=config.stream, lane_base=next(lanes))
-        rep.rows.append((order, "top_avg_margin", med, ci.lo, ci.hi))
-        margins.append(med)
-        margin_cis.append(ci)
-    # finite sizes sit below the averaged-growth ceiling and rise toward it
-    rep.checks.append(Check("top_avg_margin_nonpositive", margins[-1] <= 0.0,
-                            f"margin {margins[-1]:.4f} at order "
-                            f"{config.small_sizes[-1]}"))
-    if len(config.small_sizes) >= 2:
-        rep.checks.append(_trend("top_avg_margin_rising_toward_ceiling",
-                                 margins, margin_cis, increasing=True))
+        margin = float(np.median(vals))
+        rep.rows.append((order, "top_avg_margin", margin, 0.0))
+    # finite sizes sit below the averaged-growth ceiling
+    rep.checks.append(Check("top_avg_margin_nonpositive", margin <= 0.0,
+                            f"margin {margin:.4f} at order {config.small_sizes[-1]}"))
     return rep
 
 
@@ -511,7 +482,7 @@ EXPERIMENTS = {
                            _READ_BY_ALL + ("significance", "r_max", "walk_samples")),
     "fluct": Experiment("normalized free-energy fluctuations", run_gaussian_fluct,
                         _READ_BY_ALL + ("significance",)),
-    "lln": Experiment("free-energy rate trends and top-curve bound",
+    "lln": Experiment("free-energy rates and top-curve bound",
                       run_lln_profile,
                       _READ_BY_ALL + ("small_sizes", "small_samples")),
 }

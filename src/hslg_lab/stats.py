@@ -1,9 +1,9 @@
 """Statistical machinery for the experiment drivers.
 
 Kolmogorov-Smirnov one- and two-sample tests (asymptotic p-values with the
-Stephens small-sample factor), the normal CDF of the drivers' z tests, and
-percentile bootstrap intervals drawn from the bootstrap lane namespace so
-every interval is reproducible.
+Stephens small-sample factor) and the normal CDF of the drivers' z tests.
+The percentile bootstrap interval, drawn from the bootstrap lane namespace,
+has no driver caller; the benchmark times it on a fixed probe.
 """
 
 from __future__ import annotations
@@ -92,15 +92,12 @@ def normal_cdf(x):
     return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def bootstrap_ci(values, stat=np.median, *, seed: int = 0, stream: int = 0,
-                 lane_base: int = 0) -> Interval:
+def bootstrap_ci(values, stat=np.median, *, seed: int = 0) -> Interval:
     """`CI_LEVEL` percentile bootstrap interval from `RESAMPLES` resamples;
     `stat` must accept an axis argument.
 
-    Resample r, draw i consumes the dedicated lane
-    LANE_BOOTSTRAP + lane_base + r*n + i, so intervals are independent of
-    call order and thread count; disjoint `lane_base` ranges keep multiple
-    intervals under one (seed, stream) independent.
+    Resample r, draw i consumes the dedicated lane LANE_BOOTSTRAP + r*n + i
+    of stream 0, so an interval does not depend on call order.
     """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
@@ -108,11 +105,11 @@ def bootstrap_ci(values, stat=np.median, *, seed: int = 0, stream: int = 0,
         raise ValueError("bootstrap needs at least 2 values")
     out = np.empty(RESAMPLES)
     chunk = max(1, int(2e7) // n)
-    base = np.uint64(LANE_BOOTSTRAP) + np.uint64(lane_base)
+    base = np.uint64(LANE_BOOTSTRAP)
     for r0 in range(0, RESAMPLES, chunk):
         r1 = min(r0 + chunk, RESAMPLES)
         lanes = base + np.arange(r0 * n, r1 * n, dtype=np.uint64)
-        u = uniforms(lane_keys(seed, stream, lanes), 0).reshape(r1 - r0, n)
+        u = uniforms(lane_keys(seed, 0, lanes), 0).reshape(r1 - r0, n)
         idx = np.minimum((u * n).astype(np.int64), n - 1)
         out[r0:r1] = stat(vals[idx], axis=1)
     a = (1.0 - CI_LEVEL) / 2.0

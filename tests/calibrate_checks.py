@@ -11,8 +11,9 @@ at theta 1:
 - walk and quenched at the benchmark's walklaw config (alpha -0.5; walk at
   sizes 50,100 with 1000 samples, quenched at size 100 with 1000 samples
   and 50,000 walks), walk's stationary flavor at the same sizes and
-  samples, and quenched at strong binding (alpha -0.9, otherwise the
-  walklaw config), where 1/Q rounds to 1.0 on about 3% of walks;
+  samples, and quenched at strong binding (alpha -0.9 and -0.99, otherwise
+  the walklaw config), where 1/Q rounds to 1.0 on about 3% of walks at
+  -0.9 and pmf[0] rounds to 1.0 on most environments at -0.99;
 - fluct at sizes 50,100,200 with 1000 samples, and at sizes 10,20 with 40
   samples (alpha -0.5);
 - lln at the benchmark's lattice config (alpha -0.3, sizes 25,50 with 200
@@ -23,10 +24,11 @@ It prints for each check the seeds it failed on with their p-values, and
 for each config the seeds on which the CLI would exit 1.  Every check runs
 at the default significance 0.001, so on healthy code a check should fail
 on about one seed in a thousand; one that fails on 2 or more of 20 seeds
-is a defect of the check or of the code.  The lln checks are trend checks
-with no p-value; their failed seeds are listed alone.  For fluct it also
-lists the seeds that the fixed windows fluct once had would have failed,
-recomputed from its rows (see `deleted_windows`).
+is a defect of the check or of the code.  lln's one check, that the
+top-curve average's margin is nonpositive, is a bound with no p-value; its
+failed seeds are listed alone.  For fluct it also lists the seeds that the
+fixed windows fluct once had would have failed, recomputed from its rows
+(see `deleted_windows`).
 
 --mutants instead draws the environments from a patched
 `environment.site_shapes` while every limit stays at the nominal alpha:
@@ -37,17 +39,20 @@ recomputed from its rows (see `deleted_windows`).
 - walk's stationary flavor at sizes 4 and 8 with 5000 samples, alpha -0.5
   and -0.2, seeds 0-2, with column 1 below the corner drawn at shape
   2 theta or theta instead of theta - alpha (the increments are then no
-  longer independent), and healthy; it lists the independence p-values.
+  longer independent), and healthy; it lists the independence p-values;
+- fluct at sizes 5 and 10 with 2000 samples, alpha -0.5, seeds 0-2, with
+  the same column-1 shapes; it lists the p-values of `ptl_mean_exact`.
 It also draws the walks of quenched at its walklaw config with increments
 at alpha +-0.02 and +-0.05, seeds 0-2, while the environments and every
 limit keep the nominal alpha; it lists each check's failed seeds and
 p-values.
 
     PYTHONPATH=src python tests/calibrate_checks.py [--seeds 20] [--threads 2]
-        [--mutants] [--json calibration.json]
+        [--configs lln,fluct] [--mutants] [--json calibration.json]
 
+--configs runs only the named configs (and `verify_gibbs` only if named).
 The file name keeps pytest from collecting it.  A full run of 20 seeds
-takes about 12 minutes on two cores, and --mutants about 4 minutes.
+takes about 15 minutes on two cores, and --mutants about 5 minutes.
 """
 from __future__ import annotations
 
@@ -81,6 +86,8 @@ DRIVERS = {
                  dict(sizes=(100,), samples=1000, walk_samples=50_000)),
     "quenched_strong": (experiments.run_quenched_limit, ModelParams(1.0, -0.9),
                         dict(sizes=(100,), samples=1000, walk_samples=50_000)),
+    "quenched_strongest": (experiments.run_quenched_limit, ModelParams(1.0, -0.99),
+                           dict(sizes=(100,), samples=1000, walk_samples=50_000)),
     "fluct": (experiments.run_gaussian_fluct, PARAMS,
               dict(sizes=(50, 100, 200), samples=1000)),
     "fluct_small": (experiments.run_gaussian_fluct, PARAMS,
@@ -118,9 +125,13 @@ def deleted_windows(rep) -> dict[str, bool]:
             "offdiag_corr": row["offdiag_corr"] > 0.9}
 
 
-def calibrate(seeds: int, threads: int) -> dict:
+def calibrate(seeds: int, threads: int, configs: list[str]) -> dict:
     out = {}
-    for name, (driver, params, kwargs) in DRIVERS.items():
+    for name in configs:
+        if name == "verify_gibbs":
+            out[name] = calibrate_gibbs(seeds)
+            continue
+        driver, params, kwargs = DRIVERS[name]
         checks: dict[str, dict] = {}
         windows: dict[str, dict] = {}
         exit1 = []
@@ -140,7 +151,6 @@ def calibrate(seeds: int, threads: int) -> dict:
                      "seconds": round(time.perf_counter() - t0, 1)}
         if windows:
             out[name]["deleted_windows"] = windows
-    out["verify_gibbs"] = calibrate_gibbs(seeds)
     return out
 
 
@@ -244,6 +254,23 @@ COLUMN1_SHAPES = {"2theta": lambda p: 2.0 * p.theta, "theta": lambda p: p.theta,
                   "healthy": lambda p: p.theta - p.alpha}
 
 
+def ptl_power(threads: int) -> dict:
+    """fluct at sizes 5 and 10 with column 1 drawn at each of
+    `COLUMN1_SHAPES`: the p-values of `ptl_mean_exact` over seeds."""
+    out = {}
+    for col, shape in COLUMN1_SHAPES.items():
+        pvals: dict[str, list] = {}
+        for seed in range(INDEPENDENCE_SEEDS):
+            with drawn_with(_column1_shape(shape)):
+                rep = experiments.run_gaussian_fluct(ExperimentConfig(
+                    PARAMS, (5, 10), 2000, seed=seed, threads=threads))
+            for c in rep.checks:
+                if c.name.startswith("ptl_mean_exact"):
+                    pvals.setdefault(c.name, []).append(_p(c.detail))
+        out[f"column1_{col}"] = pvals
+    return out
+
+
 def mutant_power(threads: int) -> dict:
     fluct = {}
     for name, mutant in FLUCT_MUTANTS.items():
@@ -282,9 +309,11 @@ def mutant_power(threads: int) -> dict:
                 independence[f"column1_{col}_alpha{alpha}_N{n}"] = pvals
     return {"seeds": {"fluct": list(range(FLUCT_MUTANT_SEEDS)),
                       "independence": list(range(INDEPENDENCE_SEEDS)),
+                      "ptl_mean_exact": list(range(INDEPENDENCE_SEEDS)),
                       "walk_side": list(range(WALK_SEEDS))},
             "significance": SIGNIFICANCE,
             "fluct": fluct, "independence": independence,
+            "ptl_mean_exact": ptl_power(threads),
             "walk_side": walk_side_power(threads)}
 
 
@@ -325,6 +354,9 @@ def report_mutants(table: dict) -> None:
             print(f"{case:34s} {check:24s} p " + " ".join(f"{p:.3g}" for p in ps))
             failed[col] = failed.get(col, 0) + sum(p <= sig for p in ps)
     print("independence cases failed at", sig, failed)
+    for case, pvals in table["ptl_mean_exact"].items():
+        for check, ps in pvals.items():
+            print(f"fluct {case:18s} {check:24s} p " + " ".join(f"{p:.3g}" for p in ps))
     for case, checks in table["walk_side"].items():
         for check, row in checks.items():
             ps = " ".join("-" if p is None else f"{p:.3g}" for p in row["p"])
@@ -335,6 +367,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--threads", type=int, default=2)
+    ap.add_argument("--configs", default=",".join(list(DRIVERS) + ["verify_gibbs"]),
+                    help="comma-separated configs to calibrate (default: all)")
     ap.add_argument("--mutants", action="store_true",
                     help="measure power against the mutant grid instead")
     ap.add_argument("--json", help="also write the table to this file")
@@ -343,7 +377,7 @@ def main() -> None:
         table = mutant_power(args.threads)
         report_mutants(table)
     else:
-        table = calibrate(args.seeds, args.threads)
+        table = calibrate(args.seeds, args.threads, args.configs.split(","))
         report(table)
     if args.json:
         with open(args.json, "w") as fh:

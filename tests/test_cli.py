@@ -2,15 +2,14 @@
 and the options each action accepts."""
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from hslg_lab import cli, experiments
-from hslg_lab.experiments import CI_STRIDE, ExperimentConfig, StatReport
+from hslg_lab.experiments import ExperimentConfig, StatReport
 from hslg_lab.special import ModelParams
-from hslg_lab.stats import KS_MIN_SAMPLES, RESAMPLES
+from hslg_lab.stats import KS_MIN_SAMPLES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import run as bench_run  # noqa: E402  (importable only once bench/ is on the path)
@@ -37,47 +36,24 @@ def reached(*args, **kwargs):
     raise Reached
 
 
-class TestBootstrapLanes:
-    """Only lln draws bootstrap intervals, so only lln refuses more values
-    than an interval's lane block holds; the other drivers take any count."""
-    LIMIT = CI_STRIDE // RESAMPLES
-
-    @pytest.mark.parametrize("field", ["samples", "small_samples"])
-    def test_config_rejects_overlapping_lanes(self, field, monkeypatch):
-        monkeypatch.setattr(experiments, "_profiles", reached)
-        kwargs = {"samples": 10, field: self.LIMIT}
-        config = ExperimentConfig(ModelParams(1.0, -0.5), (5,), **kwargs)
-        with pytest.raises(Reached):
-            experiments.run_lln_profile(config)
-        config = replace(config, **{field: self.LIMIT + 1})
-        with pytest.raises(experiments.ConfigError, match="would share lanes"):
-            experiments.run_lln_profile(config)
-
-    def test_cli_exit_status(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "_profiles", reached)
-        out = tmp_path / "lln.csv"
-        argv = ["experiment", "lln", "--sizes", "5", "--samples",
-                str(self.LIMIT + 1), "--out", str(out)]
-        assert cli.main(argv) == 2
-        assert "268435" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("action", ["pinning", "walk", "quenched", "fluct"])
-    def test_other_drivers_take_more_values(self, action, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "_profiles", reached)
-        monkeypatch.setattr(experiments, "limiting_endpoint_pmf", reached)
-        argv = ["experiment", action, "--sizes", "5", "--samples",
-                str(self.LIMIT + 1), "--out", str(tmp_path / "big.csv")]
-        with pytest.raises(Reached):
-            cli.main(argv)
+@pytest.mark.parametrize("action", ["pinning", "walk", "quenched", "fluct", "lln"])
+def test_drivers_take_large_sample_counts(action, tmp_path, monkeypatch):
+    # no driver caps its sample count: each gets as far as its first work
+    monkeypatch.setattr(experiments, "_profiles", reached)
+    monkeypatch.setattr(experiments, "limiting_endpoint_pmf", reached)
+    argv = ["experiment", action, "--sizes", "5", "--samples", "300000",
+            "--out", str(tmp_path / "big.csv")]
+    with pytest.raises(Reached):
+        cli.main(argv)
 
 
 class TestRefusedBeforeWork:
     @pytest.mark.parametrize("field, low, ok", [
         ("samples", KS_MIN_SAMPLES - 1, KS_MIN_SAMPLES),
         ("walk_samples", KS_MIN_SAMPLES - 1, KS_MIN_SAMPLES),
-        ("small_samples", 1, 2),
+        ("small_samples", 0, 1),
         ("small_sizes", (), (5,)),
+        ("deep_m", 0, 1),
     ])
     def test_config_lower_limits(self, field, low, ok):
         params = ModelParams(1.0, -0.5)
@@ -92,8 +68,8 @@ class TestRefusedBeforeWork:
         (["lln", "--small-sizes", "2"], "small size 2"),
         (["walk", "--samples", "5"], "samples and walk_samples"),
         (["pinning", "--samples", "1"], "samples and walk_samples"),
-        # every driver takes strictly increasing sizes; lln compares them
-        # in the order given (its trends, and its margin at the last order)
+        # every driver takes strictly increasing sizes; lln checks its
+        # margin at the last small order
         (["lln", "--sizes", "50,25"], "sizes must be strictly increasing"),
         (["fluct", "--sizes", "25,25"], "sizes must be strictly increasing"),
         (["lln", "--small-sizes", "11,9,7"], "small_sizes must be strictly"),
@@ -114,6 +90,9 @@ class TestRefusedBeforeWork:
          "r_max >= 2 and sizes >= 3"),
         # quenched reads one size; it would drop all but the largest
         (["quenched", "--sizes", "10,20"], "quenched takes one size"),
+        # a deep depth ceil(deep_m sqrt(N)) of 0 or less drops the deep check
+        (["pinning", "--sizes", "10,20", "--samples", "40", "--deep-m", "-3"],
+         "deep_m must be >= 1"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):

@@ -279,10 +279,37 @@ class TestFluctExactMean:
         assert offset == {"coupled_offset_mean": 0.0, "coupled_offset_sd": 0.0}
 
 
+class TestFluctPointToLineMean:
+    """E[log sum_{r>=1} Z_stat(N+r, N-r)] = rate N + psi(theta - alpha) +
+    E[log sum_{1<=r<N} e^{-S_r}] holds at every N on the stationary flavor;
+    `ptl_mean_exact_N{n}` z-tests it against independent walks.  With column
+    1 drawn at the bulk shape 2 theta the increments are no longer walk
+    increments, and at N = 5 the check fails."""
+
+    CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (5,), 2000)
+
+    def test_passes_on_the_stationary_flavor(self):
+        rep = experiments.run_gaussian_fluct(self.CONFIG)
+        assert [c.name for c in rep.checks if c.name.startswith("ptl_mean")] \
+            == ["ptl_mean_exact_N5"]
+        assert not _failed(rep, "ptl_mean_exact")
+
+    def test_fails_with_column_1_drawn_at_the_bulk_shape(self, monkeypatch):
+        shapes = environment.site_shapes
+
+        def bulk_column(params, flavor, i, j):
+            return shapes(params, "standard", i, j)
+
+        monkeypatch.setattr(environment, "site_shapes", bulk_column)
+        rep = experiments.run_gaussian_fluct(self.CONFIG)
+        assert _failed(rep, "ptl_mean_exact") == ["ptl_mean_exact_N5"]
+
+
 class TestQuenchedWalkLimit:
-    """`run_quenched_limit` KS-tests the endpoint pmf at r = 0..r_max against
-    the walk's e^{-S_r} / Q, and checks the walk side: every series is
-    certified and (Q - 1) / Q follows its exact Beta law."""
+    """`run_quenched_limit` KS-tests the endpoint pmf at r = 1..r_max against
+    the walk's e^{-S_r} / Q, and at r = 0 the mass beyond 0 against
+    (Q - 1) / Q, and checks the walk side: every series is certified and
+    (Q - 1) / Q follows its exact Beta law."""
 
     CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (20,), 200, seed=1,
                               walk_samples=2000)
@@ -321,6 +348,18 @@ class TestQuenchedWalkLimit:
         rep = experiments.run_quenched_limit(replace(self.CONFIG, seed=seed))
         assert "marginal_ks_r0" in _failed(rep, "marginal_ks")
         assert not _failed(rep, "walk_series_certified") + _failed(rep, "q_beta_law")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_r0_passes_at_strong_binding(self, seed):
+        # at alpha = -0.99, pmf[0] = exp(log Z_0 - log Z) rounds to 1.0 more
+        # often than 1/Q does; KS-testing pmf[0] itself against 1/Q gave p
+        # <= 5.2e-5 at seeds 0-2, the masses beyond 0 give p >= 0.33.  The
+        # sweep's logaddexp underflows there, harmlessly: a far-below term
+        # adds 0
+        with np.errstate(under="ignore"):
+            rep = experiments.run_quenched_limit(ExperimentConfig(
+                ModelParams(1.0, -0.99), (30,), 2000, seed=seed, walk_samples=4000))
+        assert not _failed(rep, "marginal_ks_r0")
 
 
 class TestStationaryIndependence:
@@ -387,10 +426,13 @@ def test_walk_standard_flavor_runs_the_per_size_ks_checks():
 
 
 def test_pinning_fluct_walk_draw_no_bootstrap(monkeypatch):
+    # no driver draws a bootstrap interval; `experiments.bootstrap_ci` is
+    # imported only for the benchmark's wrapper
     def refuse(*args, **kwargs):
         raise AssertionError("bootstrap interval drawn")
 
     monkeypatch.setattr(experiments, "bootstrap_ci", refuse)
     for driver in (experiments.run_pinning, experiments.run_walk_attractor,
-                   experiments.run_gaussian_fluct):
+                   experiments.run_gaussian_fluct, experiments.run_lln_profile):
         assert driver(CONFIG).checks
+    assert experiments.run_quenched_limit(replace(CONFIG, sizes=CONFIG.sizes[-1:])).checks

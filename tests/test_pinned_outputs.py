@@ -7,6 +7,10 @@ collector (the quenched, fluct and stationary-walk cases before the
 chi-square independence test and the checks without a level were
 replaced or deleted), and a refactor that leaves every number alone keeps
 them.
+Two digests were recorded again when checks changed what the CSV holds:
+lln's, when its rows lost their bootstrap interval columns for a limit
+column, and quenched's, when its r = 0 KS came to compare the masses
+beyond 0 (the distance moved in its last digit).
 The quenched case runs at --sizes 20; its digest was recorded at
 --sizes 10,20, of which quenched read only the largest.
 `.meta` files are not pinned: they carry the package version.
@@ -45,10 +49,10 @@ CASES = {
 DIGESTS = {
     "env_gen_exact": "c8b62887a8afd73a8c475659591e5e961395bd430b687c31aa2735aa454f4767",
     "env_gen_float": "88b75ff39352d68046b6b258babebcc3788b26d9d5356b188ab6dda8dd1d7dca",
-    "experiment_lln": "d4f83f926e23e145703794ac4711d120584e16c88cfc54c7061c440ba2c03bc8",
+    "experiment_lln": "9a95954d132c38e6eb99da681eeec770aadf19339d3ae6a5058badd704529495",
     "experiment_fluct": "80b97aaafbd9064e9d67c586e4503a7c1fde1f68567e9e289473bbb3b34b9515",
     "experiment_pinning": "f5fa2401b07cea5599e24f8926a55046822781a841ed23e76ee73b3827def9f1",
-    "experiment_quenched": "8c5b393d37057081cb455e28e261a5050c40a3d3a15d28521ed52bc954d65dfd",
+    "experiment_quenched": "cd4644fccbd72729afd7bc964993e5e026870e3acd5d8fb6323d2f5561182ebd",
     "experiment_walk": "a2c54eb3f3b806d27f4bce25a0efa2142f26cd529eb5ececa3edc5ad1931f011",
     "experiment_walk_stationary":
         "385982ef4e38f79c0ec5044a2d9cc9d79b85642c45432311bc818939f866afb6",
