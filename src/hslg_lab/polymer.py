@@ -62,7 +62,8 @@ def sweep(diagonals, ring):
             a, b = max(shift, 0), min(shift + prev.shape[-1], width + 1)
             if a < b:
                 ext[..., a:b] = prev[..., a - shift:b - shift]
-            z = times(w, plus(ext[..., 1:], ext[..., :-1]))
+            with np.errstate(under="ignore"):   # a far-smaller term adds 0
+                z = times(w, plus(ext[..., 1:], ext[..., :-1]))
         yield lo, z
         prev, prev_lo = z, lo
 

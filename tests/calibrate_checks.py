@@ -41,16 +41,17 @@ fixed windows fluct once had would have failed, recomputed from its rows
   2 theta or theta instead of theta - alpha (the increments are then no
   longer independent), and healthy; it lists the independence p-values;
 - fluct at sizes 5 and 10 with 2000 samples, alpha -0.5, seeds 0-2, with
-  the same column-1 shapes; it lists the p-values of `ptl_mean_exact`.
+  the same column-1 shapes, and with its walks drawn at alpha +-0.05; it
+  lists the p-values of `ptl_mean_exact` and, beside them, of
+  `diag_mean_exact`, which reads no walk.
 It also draws the walks of quenched at its walklaw config with increments
 at alpha +-0.02 and +-0.05, seeds 0-2, while the environments and every
 limit keep the nominal alpha; it lists each check's failed seeds and
 p-values.
 
     PYTHONPATH=src python tests/calibrate_checks.py [--seeds 20] [--threads 2]
-        [--configs lln,fluct] [--mutants] [--json calibration.json]
+        [--mutants] [--json calibration.json]
 
---configs runs only the named configs (and `verify_gibbs` only if named).
 The file name keeps pytest from collecting it.  A full run of 20 seeds
 takes about 15 minutes on two cores, and --mutants about 5 minutes.
 """
@@ -125,13 +126,9 @@ def deleted_windows(rep) -> dict[str, bool]:
             "offdiag_corr": row["offdiag_corr"] > 0.9}
 
 
-def calibrate(seeds: int, threads: int, configs: list[str]) -> dict:
+def calibrate(seeds: int, threads: int) -> dict:
     out = {}
-    for name in configs:
-        if name == "verify_gibbs":
-            out[name] = calibrate_gibbs(seeds)
-            continue
-        driver, params, kwargs = DRIVERS[name]
+    for name, (driver, params, kwargs) in DRIVERS.items():
         checks: dict[str, dict] = {}
         windows: dict[str, dict] = {}
         exit1 = []
@@ -151,6 +148,7 @@ def calibrate(seeds: int, threads: int, configs: list[str]) -> dict:
                      "seconds": round(time.perf_counter() - t0, 1)}
         if windows:
             out[name]["deleted_windows"] = windows
+    out["verify_gibbs"] = calibrate_gibbs(seeds)
     return out
 
 
@@ -216,13 +214,14 @@ def drawn_with(mutant):
 def walks_drawn_at(d):
     """The drivers' walks draw their increments at alpha + d inside the
     block; the environments and every limit keep the nominal params."""
-    real = experiments.limiting_endpoint_pmf
-    experiments.limiting_endpoint_pmf = lambda params, *args: real(
-        ModelParams(params.theta, params.alpha + d), *args)
+    real = experiments.limiting_endpoint_pmf, experiments.walk_increment_matrix
+    shifted = lambda params: ModelParams(params.theta, params.alpha + d)
+    experiments.limiting_endpoint_pmf = lambda params, *args: real[0](shifted(params), *args)
+    experiments.walk_increment_matrix = lambda params, *args: real[1](shifted(params), *args)
     try:
         yield
     finally:
-        experiments.limiting_endpoint_pmf = real
+        experiments.limiting_endpoint_pmf, experiments.walk_increment_matrix = real
 
 
 def _alpha_shift(d):
@@ -256,18 +255,23 @@ COLUMN1_SHAPES = {"2theta": lambda p: 2.0 * p.theta, "theta": lambda p: p.theta,
 
 def ptl_power(threads: int) -> dict:
     """fluct at sizes 5 and 10 with column 1 drawn at each of
-    `COLUMN1_SHAPES`: the p-values of `ptl_mean_exact` over seeds."""
+    `COLUMN1_SHAPES`, and with the walks drawn at alpha +-0.05: the p-values
+    of `ptl_mean_exact` and of `diag_mean_exact` over seeds."""
+    cases = {f"column1_{col}": lambda s=shape: drawn_with(_column1_shape(s))
+             for col, shape in COLUMN1_SHAPES.items()}
+    cases.update({f"walks_alpha{d:+g}": lambda d=d: walks_drawn_at(d)
+                  for d in (-0.05, 0.05)})
     out = {}
-    for col, shape in COLUMN1_SHAPES.items():
+    for case, mutated in cases.items():
         pvals: dict[str, list] = {}
         for seed in range(INDEPENDENCE_SEEDS):
-            with drawn_with(_column1_shape(shape)):
+            with mutated():
                 rep = experiments.run_gaussian_fluct(ExperimentConfig(
                     PARAMS, (5, 10), 2000, seed=seed, threads=threads))
             for c in rep.checks:
-                if c.name.startswith("ptl_mean_exact"):
+                if c.name.startswith(("ptl_mean_exact", "diag_mean_exact")):
                     pvals.setdefault(c.name, []).append(_p(c.detail))
-        out[f"column1_{col}"] = pvals
+        out[case] = pvals
     return out
 
 
@@ -367,8 +371,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--threads", type=int, default=2)
-    ap.add_argument("--configs", default=",".join(list(DRIVERS) + ["verify_gibbs"]),
-                    help="comma-separated configs to calibrate (default: all)")
     ap.add_argument("--mutants", action="store_true",
                     help="measure power against the mutant grid instead")
     ap.add_argument("--json", help="also write the table to this file")
@@ -377,7 +379,7 @@ def main() -> None:
         table = mutant_power(args.threads)
         report_mutants(table)
     else:
-        table = calibrate(args.seeds, args.threads, args.configs.split(","))
+        table = calibrate(args.seeds, args.threads)
         report(table)
     if args.json:
         with open(args.json, "w") as fh:

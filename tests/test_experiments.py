@@ -280,11 +280,13 @@ class TestFluctExactMean:
 
 
 class TestFluctPointToLineMean:
-    """E[log sum_{r>=1} Z_stat(N+r, N-r)] = rate N + psi(theta - alpha) +
-    E[log sum_{1<=r<N} e^{-S_r}] holds at every N on the stationary flavor;
-    `ptl_mean_exact_N{n}` z-tests it against independent walks.  With column
-    1 drawn at the bulk shape 2 theta the increments are no longer walk
-    increments, and at N = 5 the check fails."""
+    """On the stationary flavor log sum_{r>=1} Z_stat(N+r, N-r) / Z_stat(N, N)
+    has the law of log sum_{1<=r<N} e^{-S_r} at every N, and
+    `ptl_mean_exact_N{n}` z-tests its mean against independent walks.  With
+    column 1 drawn at theta instead of theta - alpha the increments are no
+    longer walk increments, and with the walks drawn at another alpha the
+    walk side is wrong while the diagonal mean is not: at N = 5 the check
+    fails in both."""
 
     CONFIG = ExperimentConfig(ModelParams(1.0, -0.5), (5,), 2000)
 
@@ -294,15 +296,26 @@ class TestFluctPointToLineMean:
             == ["ptl_mean_exact_N5"]
         assert not _failed(rep, "ptl_mean_exact")
 
-    def test_fails_with_column_1_drawn_at_the_bulk_shape(self, monkeypatch):
+    def test_fails_with_column_1_drawn_at_theta(self, monkeypatch):
         shapes = environment.site_shapes
 
-        def bulk_column(params, flavor, i, j):
-            return shapes(params, "standard", i, j)
+        def column1_at_theta(params, flavor, i, j):
+            s = shapes(params, flavor, i, j)
+            if flavor == "stationary":
+                s[(np.asarray(j) == 1) & (np.asarray(i) >= 2)] = params.theta
+            return s
 
-        monkeypatch.setattr(environment, "site_shapes", bulk_column)
+        monkeypatch.setattr(environment, "site_shapes", column1_at_theta)
         rep = experiments.run_gaussian_fluct(self.CONFIG)
         assert _failed(rep, "ptl_mean_exact") == ["ptl_mean_exact_N5"]
+
+    def test_fails_with_the_walks_drawn_at_another_alpha(self, monkeypatch):
+        draw = experiments.walk_increment_matrix
+        monkeypatch.setattr(experiments, "walk_increment_matrix", lambda params, *args:
+                            draw(ModelParams(params.theta, params.alpha - 0.1), *args))
+        rep = experiments.run_gaussian_fluct(self.CONFIG)
+        assert _failed(rep, "ptl_mean_exact") == ["ptl_mean_exact_N5"]
+        assert not _failed(rep, "diag_mean_exact")
 
 
 class TestQuenchedWalkLimit:
@@ -353,12 +366,9 @@ class TestQuenchedWalkLimit:
     def test_r0_passes_at_strong_binding(self, seed):
         # at alpha = -0.99, pmf[0] = exp(log Z_0 - log Z) rounds to 1.0 more
         # often than 1/Q does; KS-testing pmf[0] itself against 1/Q gave p
-        # <= 5.2e-5 at seeds 0-2, the masses beyond 0 give p >= 0.33.  The
-        # sweep's logaddexp underflows there, harmlessly: a far-below term
-        # adds 0
-        with np.errstate(under="ignore"):
-            rep = experiments.run_quenched_limit(ExperimentConfig(
-                ModelParams(1.0, -0.99), (30,), 2000, seed=seed, walk_samples=4000))
+        # <= 5.2e-5 at seeds 0-2, the masses beyond 0 give p >= 0.33
+        rep = experiments.run_quenched_limit(ExperimentConfig(
+            ModelParams(1.0, -0.99), (30,), 2000, seed=seed, walk_samples=4000))
         assert not _failed(rep, "marginal_ks_r0")
 
 
