@@ -12,9 +12,9 @@ key material, then walk a per-lane splitmix64 subsequence:
     word(seed, stream, lane, q)  = mix(lane_key + q * 0x9E3779B97F4A7C15)
     uniform = ((word >> 11) + 0.5) * 2**-53        in (0, 1)
 
-Weight lanes are lattice site codes; path codes, walk increments and
-bootstrap draws use lanes offset by the namespace constants below so they
-can never collide.
+Weight lanes are lattice site codes; path codes, walk increments, bootstrap
+draws and the tail draws of the walk series use lanes offset by the
+namespace constants below so they can never collide.
 Three frozen test vectors are listed in tests/test_rng.py.
 """
 
@@ -38,6 +38,7 @@ _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 # Lane namespaces.  Site codes stay far below 2**48.
 LANE_CHAIN = 1 << 48       # sequential streams (path codes, walk increments)
 LANE_BOOTSTRAP = 1 << 49
+LANE_TAIL = 1 << 60        # the two tail gammas of each walk's series Q
 
 _BLOCK_LANES = 1 << 16      # lanes per block of log_gamma_draws (speed only)
 _MAX_ROUNDS = 128           # rejection rounds before log_gamma_draws gives up

@@ -11,9 +11,13 @@ at theta 1:
 - walk and quenched at the benchmark's walklaw config (alpha -0.5; walk at
   sizes 50,100 with 1000 samples, quenched at size 100 with 1000 samples
   and 50,000 walks), walk's stationary flavor at the same sizes and
-  samples, and quenched at strong binding (alpha -0.9 and -0.99, otherwise
+  samples, quenched at strong binding (alpha -0.9 and -0.99, otherwise
   the walklaw config), where 1/Q rounds to 1.0 on about 3% of walks at
-  -0.9 and pmf[0] rounds to 1.0 on most environments at -0.99;
+  -0.9 and pmf[0] rounds to 1.0 on most environments at -0.99, and at weak
+  binding (alpha -0.05, size 10, 100 samples, 50,000 walks), where
+  (Q - 1)/Q rounds to 1.0 on about 2.5% of walks; at that size the polymer
+  is far from its walk limit, so its `marginal_ks_r*` checks are expected
+  to fail there, and only `q_beta_law` reads no polymer;
 - fluct at sizes 50,100,200 with 1000 samples, and at sizes 10,20 with 40
   samples (alpha -0.5);
 - lln at the benchmark's lattice config (alpha -0.3, sizes 25,50 with 200
@@ -89,6 +93,8 @@ DRIVERS = {
                         dict(sizes=(100,), samples=1000, walk_samples=50_000)),
     "quenched_strongest": (experiments.run_quenched_limit, ModelParams(1.0, -0.99),
                            dict(sizes=(100,), samples=1000, walk_samples=50_000)),
+    "quenched_weak": (experiments.run_quenched_limit, ModelParams(1.0, -0.05),
+                      dict(sizes=(10,), samples=100, walk_samples=50_000)),
     "fluct": (experiments.run_gaussian_fluct, PARAMS,
               dict(sizes=(50, 100, 200), samples=1000)),
     "fluct_small": (experiments.run_gaussian_fluct, PARAMS,

@@ -6,10 +6,10 @@ determinants are signed sums over permutations, the walk increment
 density is the convolution integral of its two log-gamma terms, the
 Gibbs log-density is the literal sum of log edge weights, the gamma
 sampler gathers the pending lanes and evaluates every test on each of
-them, round by round, and the series Q is certified one walk at a time by
-extending the walk in doubling chunks, so they share no code with the
-recurrences, the elimination, the closed form, the single-site rule, the
-lane-dense sampler and the row-blocked certificate under test.
+them, round by round, and the series Q of one walk is summed term by term
+with its two tail gammas drawn one at a time, so they share no code with
+the recurrences, the elimination, the closed form, the single-site rule,
+the lane-dense sampler and the row-blocked log-space sums under test.
 
 The last section holds references that only the tests call: the
 path-code encoder, the increment density, the diagonal-avoiding values
@@ -29,8 +29,8 @@ from scipy.special import betaln
 from hslg_lab.environment import Environment, SymmetrizedEnvironment
 from hslg_lab.multilayer import _diag_avoiding_table
 from hslg_lab.polymer import EXACT, LOG
-from hslg_lab.rng import LANE_CHAIN, lane_keys, log_gamma_draws, uniforms
-from hslg_lab.special import ModelParams, constants
+from hslg_lab.rng import LANE_CHAIN, LANE_TAIL, lane_keys, log_gamma_draws, uniforms
+from hslg_lab.special import ModelParams
 from hslg_lab.umap import Path, apply_umap, enumerate_disjoint_pairs
 
 _U64 = np.uint64
@@ -185,7 +185,7 @@ def gather_log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
 
 
 # ---------------------------------------------------------------------------
-# the scalar walk and its Q certificate, one walk at a time
+# the scalar walk and its series Q, one walk at a time
 
 
 @dataclass(frozen=True)
@@ -244,74 +244,20 @@ def extend_walk(walk: WalkSample, n: int) -> WalkSample:
     return WalkSample(walk.params, values, walk.seed, walk.stream)
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Partial sums Q_0..Q_M with a certified (or flagged) truncation bound,
-    and q1 = e^{-S_1} + .. + e^{-S_M} summed on its own.
+def q_exact(params: ModelParams, seed: int, stream: int, k: int) -> tuple[float, float]:
+    """(Q, q1) of one walk: e^{-S_0} + .. + e^{-S_{k-1}} + e^{-S_k} (1 + G_b / G_a)
+    and the same sum without e^{-S_0}, term by term with `math.fsum`.
 
-    `converged` is False when no index up to the cap passed the window check
-    at the requested epsilon.
+    G_a ~ Gamma(-2 alpha) and G_b ~ Gamma(theta + alpha) are drawn one at a
+    time on the lanes LANE_TAIL and LANE_TAIL + 1 of the walk's stream.
     """
-
-    partials: np.ndarray
-    q1: float
-    tail_bound: float
-    converged: bool
-
-    @property
-    def q(self) -> float:
-        return float(self.partials[-1])
-
-    @property
-    def m(self) -> int:
-        return self.partials.size - 1
-
-
-def q_partial(params: ModelParams, walk: WalkSample, epsilon: float, *,
-              window: int, cap: int) -> QSeries:
-    """Q_M with certified tail <= epsilon, or a flagged result at the cap.
-
-    The certificate at M >= 1 requires the lookahead drift check
-    S_{M+j} >= S_M + (tau/2) j for j = 1..window together with the geometric
-    bound sum_{j>=1} e^{-S_M - (tau/2) j} <= epsilon it then implies.  The
-    walk is extended as needed; nothing is truncated silently.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    tau = constants(params).increment_drift
-    rho = math.exp(-0.5 * tau)
-    geom = rho / (1.0 - rho)
-
-    best_bound = math.inf
-    m_found = -1
-    lo = 0
-    while lo <= cap:
-        hi = min(max(2 * lo, 1024), cap)
-        walk = extend_walk(walk, hi + window)
-        s = walk.values
-        # drift line A_k = S_k - (tau/2) k: certificate at M is
-        # min_{M < k <= M+window} A_k >= A_M
-        a = s - 0.5 * tau * np.arange(s.size)
-        ahead = np.full(hi + 1 - lo, np.inf)
-        for j in range(1, window + 1):
-            ahead = np.minimum(ahead, a[lo + j: hi + 1 + j])
-        ok_drift = ahead >= a[lo: hi + 1]
-        # deep partial sums underflow harmlessly: the bound only shrinks
-        with np.errstate(under="ignore"):
-            bound = np.exp(-s[lo: hi + 1]) * geom
-        best_bound = min(best_bound, float(bound.min(initial=math.inf)))
-        good = np.flatnonzero(ok_drift & (bound <= epsilon)
-                              & (np.arange(lo, hi + 1) >= 1))
-        if good.size:
-            m_found = lo + int(good[0])
-            break
-        lo = hi + 1
-
-    converged = m_found >= 0
-    with np.errstate(under="ignore"):
-        e = np.exp(-walk.values[: (m_found if converged else cap) + 1])
-    tail = float(e[-1] * geom) if converged else best_bound
-    return QSeries(np.cumsum(e), float(np.cumsum(e[1:])[-1]), tail, converged)
+    s = sample_walk(params, k, seed, stream).values
+    log_ga, log_gb = (float(log_gamma_draws(shape, lane_keys(seed, stream, _U64(lane))))
+                      for shape, lane in ((-2.0 * params.alpha, LANE_TAIL),
+                                          (params.theta + params.alpha, LANE_TAIL + 1)))
+    terms = [math.exp(-v) for v in s[1:-1]]
+    terms.append(math.exp(-s[-1]) * (1.0 + math.exp(log_gb - log_ga)))
+    return math.fsum([1.0] + terms), math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ them.
 Two digests were recorded again when checks changed what the CSV holds:
 lln's, when its rows lost their bootstrap interval columns for a limit
 column, and quenched's, when its r = 0 KS came to compare the masses
-beyond 0 (the distance moved in its last digit).
+beyond 0 (the distance moved in its last digit).  Quenched's was recorded
+once more when the walks' series Q came to be drawn exactly, with one pair
+of tail gammas per walk, in place of a certified long sum: every walk-side
+number moved.
 The quenched case runs at --sizes 20; its digest was recorded at
 --sizes 10,20, of which quenched read only the largest.
 `.meta` files are not pinned: they carry the package version.
@@ -52,7 +55,7 @@ DIGESTS = {
     "experiment_lln": "9a95954d132c38e6eb99da681eeec770aadf19339d3ae6a5058badd704529495",
     "experiment_fluct": "80b97aaafbd9064e9d67c586e4503a7c1fde1f68567e9e289473bbb3b34b9515",
     "experiment_pinning": "f5fa2401b07cea5599e24f8926a55046822781a841ed23e76ee73b3827def9f1",
-    "experiment_quenched": "cd4644fccbd72729afd7bc964993e5e026870e3acd5d8fb6323d2f5561182ebd",
+    "experiment_quenched": "5d28ff560ef2056219e4a2f615f00d93e129587664a0b57da2705675cf4e08b8",
     "experiment_walk": "a2c54eb3f3b806d27f4bce25a0efa2142f26cd529eb5ececa3edc5ad1931f011",
     "experiment_walk_stationary":
         "385982ef4e38f79c0ec5044a2d9cc9d79b85642c45432311bc818939f866afb6",

@@ -13,10 +13,12 @@ one, so the checks integrate instead: the density is checked against
 the library CDF against quadrature of the density, which that check ties
 to the convolution.
 
-The batched Q certificate `limiting_endpoint_pmf` is checked bit for bit
-against `oracles.q_partial`, which certifies one walk at a time, at the
-window `walk._window` derives and the cap `walk.CAP` (tests that need a
-short window or cap patch those two).
+The series Q of `limiting_endpoint_pmf` is exact: the walk's first K terms
+plus e^{-S_K} times an independent copy of Q drawn as 1 + G_b / G_a.  It is
+checked against `oracles.q_exact`, which sums one walk at a time; against
+direct sums of long walks, where the rest of the series is below an ulp;
+and against its closed-form law, the logit of Beta(theta + alpha, -2 alpha)
+for log q1 = logit((Q - 1) / Q).
 """
 import math
 
@@ -24,13 +26,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from scipy.special import expit, logsumexp
 
 import oracles
 from hslg_lab import walk
 from hslg_lab.special import ModelParams, constants
 from hslg_lab.walk import increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
-from oracles import (extend_walk, increment_density, q_partial, sample_walk,
-                     walk_increments)
+from oracles import extend_walk, increment_density, q_exact, sample_walk, walk_increments
 
 
 def quadrature_density(params, x):
@@ -74,23 +76,12 @@ class TestWalkDraws:
             np.testing.assert_array_equal(
                 mat[s], walk_increments(params, 25, seed=1, stream=7 + s))
 
-    def test_matrix_start_offsets_the_increments(self, params):
-        for start in (0, 1, 17, 400):
-            mat = walk_increment_matrix(params, 3, 9, seed=2, stream=5,
-                                        start=start)
-            for s in range(3):
-                np.testing.assert_array_equal(
-                    mat[s], walk_increments(params, 9, seed=2, stream=5 + s,
-                                            start=start))
-
     def test_matrix_takes_a_stream_per_row(self, params):
         streams = np.array([9, 2, 40], dtype=np.uint64)
-        mat = walk_increment_matrix(params, 3, 6, seed=1, stream=streams,
-                                    start=3)
+        mat = walk_increment_matrix(params, 3, 6, seed=1, stream=streams)
         for row, s in zip(mat, streams):
             np.testing.assert_array_equal(
-                row, walk_increments(params, 6, seed=1, stream=int(s),
-                                     start=3))
+                row, walk_increments(params, 6, seed=1, stream=int(s)))
         with pytest.raises(ValueError):
             walk_increment_matrix(params, 2, 6, stream=streams)
 
@@ -155,86 +146,76 @@ class TestIncrementLaw:
         assert isinstance(increment_cdf(params, 0.5), float)
 
 
-HALF_ULP = 2.0**-53
+def logit_beta_cdf(a, b, v):
+    """CDF of logit(B) for B ~ Beta(a, b), from scipy.stats; the upper half
+    through the survival function of Beta(b, a), which keeps its digits."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(under="ignore"):
+        return np.where(v < 0.0, scipy.stats.beta(a, b).cdf(expit(v)),
+                        scipy.stats.beta(b, a).sf(expit(-v)))
 
 
-def oracle_q(params, walk_sample, epsilon):
-    """`oracles.q_partial` at the library's current window and cap."""
-    return q_partial(params, walk_sample, epsilon, window=walk._window(params),
-                     cap=walk.CAP)
-
-
-def oracle_rows(params, seed, streams, epsilon):
-    """(Q, q1, M, tail bound, converged) of `oracles.q_partial`, one per stream."""
-    out = []
-    for s in streams:
-        qs = oracle_q(params, sample_walk(params, 0, seed=seed, stream=int(s)),
-                      epsilon)
-        out.append((qs.q, qs.q1, qs.m, qs.tail_bound, qs.converged))
-    return out
-
-
-def batched_rows(out):
-    return [(float(q), float(q1), int(m), float(t), bool(c)) for q, q1, m, t, c in
-            zip(out.q, out.q1, out.m, out.tail_bound, out.converged)]
-
-
-def assert_same(a, b):
-    np.testing.assert_array_equal(a.pmf, b.pmf)
-    assert batched_rows(a) == batched_rows(b)
+def direct_log_q1(params, seed, streams, steps):
+    """log(e^{-S_1} + .. + e^{-S_steps}) of the walks `streams`, summed
+    directly."""
+    s = np.cumsum(walk_increment_matrix(params, len(streams), steps, seed,
+                                        np.asarray(streams, dtype=np.uint64)), axis=1)
+    with np.errstate(under="ignore"):
+        return logsumexp(-s, axis=1)
 
 
 class TestQSeries:
     def test_q0_is_one_and_monotone(self, params):
-        out = limiting_endpoint_pmf(params, 5, np.arange(20), 3, 1e-8)
-        # Q = 1 + (positive terms), and every weight e^{-S_r} / Q is positive
-        assert np.all(out.pmf[:, 0] == 1.0 / out.q)
-        assert np.all(out.q > 1.0)
+        out = limiting_endpoint_pmf(params, 5, np.arange(20), 3)
+        # Q = 1 + q1 with q1 > 0, and every weight e^{-S_r} / Q is positive
+        np.testing.assert_allclose(np.exp(out.log_q), 1.0 + np.exp(out.log_q1),
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(out.s[:, 0], 0.0)
+        assert np.all(out.log_q > 0.0)
         assert np.all(out.pmf > 0.0)
-        assert out.converged.all()
-        assert np.all(out.tail_bound <= 1e-8)
-        assert np.all(out.m >= 1)
-        assert np.all(out.q1 > 0.0)
 
-    def test_certificate_covers_the_true_tail(self, params):
-        out = limiting_endpoint_pmf(params, 6, np.arange(30), 0, 1e-10)
-        assert out.converged.all()
-        inc = walk_increment_matrix(params, 30, int(out.m.max()) + 3000, seed=6)
-        s = np.cumsum(inc, axis=1)          # column k - 1 holds S_k
-        with np.errstate(under="ignore"):
-            for row, m in enumerate(out.m):
-                direct = np.exp(-s[row, m:]).sum()
-                assert 0.0 <= direct <= out.tail_bound[row]
+    @pytest.mark.parametrize("theta, alpha", [(1.0, -0.5), (0.7, -0.2), (1.0, -0.9)])
+    def test_exact_tail_matches_long_direct_sums(self, theta, alpha):
+        # at drift tau >= 1.2 the terms past 400 steps lie below e^{-300}
+        # on every walk, so the direct sum is Q to the last bit; with K = 1
+        # the drawn tail carries almost all of the exact route's q1
+        params = ModelParams(theta, alpha)
+        assert constants(params).increment_drift > 1.2
+        n = 4000
+        exact = limiting_endpoint_pmf(params, 0, np.arange(n), 1).log_q1
+        direct = direct_log_q1(params, 0, n + np.arange(n), 400)
+        assert scipy.stats.ks_2samp(exact, direct).pvalue > 1e-3
 
-    def test_start_length_does_not_change_q(self, params, monkeypatch):
-        # the walks draw a first stretch, then extend; no number may depend
-        # on how long the first stretch was
-        streams = np.arange(40)
-        ref = limiting_endpoint_pmf(params, 17, streams, 5, 1e-10)
-        for extra in (1, 700):
-            monkeypatch.setattr(walk, "_first_block",
-                                lambda tau, eps, window, cap: window + extra)
-            assert_same(limiting_endpoint_pmf(params, 17, streams, 5, 1e-10),
-                        ref)
+    def test_start_length_does_not_change_q(self, params):
+        # the walk's first K steps are summed and the rest of the series is
+        # drawn; the law of Q may not depend on where the draw takes over.
+        # At K = 1 the tail draw carries most of q1, at K = 60 the walk does
+        n = 4000
+        short = limiting_endpoint_pmf(params, 3, np.arange(n), 1).log_q1
+        long = limiting_endpoint_pmf(params, 3, n + np.arange(n), 60).log_q1
+        assert scipy.stats.ks_2samp(short, long).pvalue > 1e-3
 
-    def test_cap_flags_without_truncating_silently(self, params, monkeypatch):
-        monkeypatch.setattr(walk, "_window", lambda p: 8)
-        monkeypatch.setattr(walk, "CAP", 50)
-        out = limiting_endpoint_pmf(params, 8, [0, 1], 1, 1e-300)
-        assert not out.converged.any()
-        assert np.all(out.m == 50)
-        assert np.all(out.tail_bound > 1e-300)
-        assert batched_rows(out) == oracle_rows(params, 8, [0, 1], 1e-300)
-
-    def test_epsilon_guard(self, params):
-        with pytest.raises(ValueError):
-            limiting_endpoint_pmf(params, 0, [0], 1, 0.0)
+    @pytest.mark.parametrize("theta, alpha", [(1.0, -0.5), (1.0, -0.3), (0.7, -0.2),
+                                              (1.0, -0.9), (1.0, -0.99), (1.0, -0.05)])
+    def test_q_minus_one_over_q_is_beta(self, theta, alpha):
+        # 1/Q ~ Beta(-2 alpha, theta + alpha) by beta-gamma algebra, so
+        # (Q - 1)/Q = q1/Q ~ Beta(theta + alpha, -2 alpha), and its logit is
+        # log q1.  At alpha = -0.05 about 2.5% of that law lies within an
+        # ulp of 1 and -0.99 puts q1 near e^{-1000}; log q1 keeps both apart.
+        # K = 1 tests the tail draw alone, K = 5 the walk's head with it
+        for kmax in (0, 5):
+            out = limiting_endpoint_pmf(ModelParams(theta, alpha), 0, np.arange(20_000),
+                                        kmax)
+            assert np.isfinite(out.log_q1).all()
+            res = scipy.stats.kstest(out.log_q1, lambda v: logit_beta_cdf(
+                theta + alpha, -2.0 * alpha, v))
+            assert res.pvalue > 1e-3
 
     def test_q_times_r0_is_inverse_gamma(self, params):
         # e^{-S} series times an independent inverse-Gamma(theta - alpha)
         # front factor collapses to inverse-Gamma(-2 alpha)
         n = 4000
-        q = limiting_endpoint_pmf(params, 9, np.arange(n), 0, 1e-9).q
+        q = np.exp(limiting_endpoint_pmf(params, 9, np.arange(n), 0).log_q)
         r0 = 1.0 / np.random.default_rng(10).gamma(
             params.theta - params.alpha, size=n)
         res = scipy.stats.kstest(q * r0,
@@ -242,121 +223,71 @@ class TestQSeries:
         assert res.pvalue > 1e-3
 
 
-    @pytest.mark.parametrize("theta, alpha", [(1.0, -0.5), (1.0, -0.3), (0.7, -0.2),
-                                              (1.0, -0.9), (1.0, -0.99)])
-    def test_q_minus_one_over_q_is_beta(self, theta, alpha):
-        # 1/Q ~ Beta(-2 alpha, theta + alpha) by beta-gamma algebra, so
-        # (Q - 1)/Q = q1/Q ~ Beta(theta + alpha, -2 alpha).  At alpha = -0.9,
-        # 1/Q rounds to 1.0 on about 3% of walks, and at -0.99 a walk
-        # certified at M = 0 would leave q1 = 0; q1 itself keeps both apart
-        out = limiting_endpoint_pmf(ModelParams(theta, alpha), 0, np.arange(4000), 0,
-                                    HALF_ULP)
-        assert out.converged.all()
-        with np.errstate(under="ignore"):
-            x = out.q1 / out.q
-        res = scipy.stats.kstest(x, scipy.stats.beta(theta + alpha, -2 * alpha).cdf)
-        assert res.pvalue > 1e-3
-
-
 class TestLimitingPmf:
     def test_entry_zero_is_reciprocal_q(self, params):
-        out = limiting_endpoint_pmf(params, 11, np.arange(10), 6, 1e-10)
+        out = limiting_endpoint_pmf(params, 11, np.arange(10), 6)
         assert out.pmf.shape == (10, 7)
-        assert np.all(out.pmf[:, 0] == 1.0 / out.q)
+        np.testing.assert_array_equal(out.pmf[:, 0], np.exp(-out.log_q))
 
     def test_truncation_accounting(self, params):
-        eps = 1e-9
-        out = limiting_endpoint_pmf(params, 12, [0], 5, eps)
-        qs = oracle_q(params, sample_walk(params, 0, seed=12), eps)
-        assert out.q[0] == qs.q
-        deficit = 1.0 - out.pmf[0].sum()
-        assert deficit == pytest.approx(
-            (qs.q - qs.partials[5]) / qs.q, abs=1e-15)
-        m = int(out.m[0])
-        full = limiting_endpoint_pmf(params, 12, [0], m, eps)
-        assert full.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        beyond = limiting_endpoint_pmf(params, 12, [0], m + 50, eps)
-        assert beyond.q[0] == qs.q
-        assert beyond.pmf.sum() <= 1.0 + eps
+        # the weights 0..K leave out e^{-S_K} G_b / G_a of Q, the tail less
+        # its first term
+        out = limiting_endpoint_pmf(params, 12, [0], 5)
+        s = sample_walk(params, 5, seed=12).values
+        q, _ = q_exact(params, 12, 0, 5)
+        rest = q - math.fsum(np.exp(-s))
+        assert 1.0 - out.pmf[0].sum() == pytest.approx(rest / q, abs=1e-15)
+
+    def test_kmax_zero_draws_one_step(self, params):
+        # q1 needs S_1 on every walk, so K = max(kmax, 1)
+        out = limiting_endpoint_pmf(params, 0, [0, 1], 0)
+        assert out.s.shape == (2, 2)
 
     def test_kmax_guard(self, params):
         with pytest.raises(ValueError):
-            limiting_endpoint_pmf(params, 0, [0], -1, 1e-10)
+            limiting_endpoint_pmf(params, 0, [0], -1)
 
 
-class TestCertificateAgainstOracle:
+class TestExactQAgainstOracle:
     @pytest.mark.parametrize("alpha", [-0.5, -0.2, -0.02])
-    def test_rows_match_q_partial_bitwise(self, alpha):
+    def test_rows_match_the_one_walk_oracle(self, alpha):
         params = ModelParams(1.0, alpha)
         streams = np.arange(40)
-        out = limiting_endpoint_pmf(params, 21, streams, 5, HALF_ULP)
-        assert batched_rows(out) == oracle_rows(params, 21, streams, HALF_ULP)
-        assert out.converged.all()
-        if alpha == -0.02:
-            # a fixed 400-step walk would have cut these series short
-            assert out.m.max() > 400
+        out = limiting_endpoint_pmf(params, 21, streams, 5)
+        want = np.array([q_exact(params, 21, int(s), 5) for s in streams])
+        np.testing.assert_allclose(np.exp(out.log_q), want[:, 0], rtol=1e-13)
+        np.testing.assert_allclose(np.exp(out.log_q1), want[:, 1], rtol=1e-13)
         for row, s in enumerate(streams):
-            values = sample_walk(params, 5, seed=21, stream=int(s)).values
-            np.testing.assert_array_equal(out.pmf[row],
-                                          np.exp(-values) / out.q[row])
+            np.testing.assert_array_equal(out.s[row],
+                                          sample_walk(params, 5, seed=21, stream=int(s)).values)
 
-    def test_rows_flagged_at_the_cap_report_the_least_bound_seen(self,
-                                                                 monkeypatch):
-        # the cap also bounds the window: min(CAP, 4096) = 400 here
-        params = ModelParams(1.0, -0.02)
-        monkeypatch.setattr(walk, "CAP", 400)
-        assert walk._window(params) == 400
-        streams = np.arange(40)
-        out = limiting_endpoint_pmf(params, 22, streams, 5, HALF_ULP)
-        assert 0 < out.converged.sum() < streams.size
-        assert np.all(out.m[~out.converged] == 400)
-        assert batched_rows(out) == oracle_rows(params, 22, streams, HALF_ULP)
-
-    def test_pmf_columns_are_the_fixed_length_walk_sums(self, params):
-        # S_1..S_5 are the first columns of the old (walks, 400) cumsum
+    def test_pmf_columns_are_the_walk_sums(self, params):
+        # S_1..S_5 are the first columns of a (walks, 400) cumsum
         old = np.cumsum(walk_increment_matrix(params, 50, 400, seed=3,
                                               stream=100), axis=1)
-        out = limiting_endpoint_pmf(params, 3, 100 + np.arange(50), 5,
-                                    HALF_ULP)
-        np.testing.assert_array_equal(out.pmf[:, 0], 1.0 / out.q)
+        out = limiting_endpoint_pmf(params, 3, 100 + np.arange(50), 5)
+        np.testing.assert_array_equal(out.s[:, 1:], old[:, :5])
         np.testing.assert_array_equal(out.pmf[:, 1:],
-                                      np.exp(-old[:, :5]) / out.q[:, None])
+                                      np.exp(-old[:, :5] - out.log_q[:, None]))
 
-    def test_blocking_does_not_change_rows(self, monkeypatch):
+    @pytest.mark.parametrize("kmax", [5, 40])
+    def test_splitting_and_blocking_do_not_change_rows(self, kmax, monkeypatch):
+        # a row sum of 5 terms runs left to right, one of 40 through
+        # numpy's unrolled accumulators
         params = ModelParams(1.0, -0.2)
         streams = np.arange(50, 90)
-        whole = limiting_endpoint_pmf(params, 23, streams, 5, HALF_ULP)
-        calls = [limiting_endpoint_pmf(params, 23, part, 5, HALF_ULP)
+        whole = limiting_endpoint_pmf(params, 23, streams, kmax)
+        calls = [limiting_endpoint_pmf(params, 23, part, kmax)
                  for part in (streams[:1], streams[1:17], streams[17:])]
-        for name in ("pmf", "q", "q1", "m", "tail_bound", "converged"):
-            np.testing.assert_array_equal(
-                np.concatenate([getattr(c, name) for c in calls]),
-                getattr(whole, name))
-        for lanes in (1, 700):              # one walk per block; a few walks
+        for lanes in (1, 7 * (kmax + 1), 700):      # one walk per block; a few walks
             monkeypatch.setattr(walk, "_ROW_LANES", lanes)
-            assert_same(limiting_endpoint_pmf(params, 23, streams, 5, HALF_ULP),
-                        whole)
-
-
-class TestDerivedWindow:
-    def test_window_follows_the_drift(self):
-        # 4 gamma / tau^2 rounded up to a power of two, never below 64
-        got = {a: walk._window(ModelParams(1.0, a))
-               for a in (-0.5, -0.14, -0.1, -0.05, -0.02)}
-        assert got == {-0.5: 64, -0.14: 64, -0.1: 128, -0.05: 512, -0.02: 4096}
-
-    def test_small_drift_q_matches_a_long_window(self, monkeypatch):
-        # a 64-step window certifies some of these walks before their drift
-        # shows, and their Q comes out short; the derived window does not
-        params = ModelParams(1.0, -0.02)
-        streams = np.arange(200)
-        derived = limiting_endpoint_pmf(params, 0, streams, 5, HALF_ULP).q
-        monkeypatch.setattr(walk, "_window", lambda p: 16384)
-        long = limiting_endpoint_pmf(params, 0, streams, 5, HALF_ULP).q
-        np.testing.assert_array_equal(derived, long)
-        monkeypatch.setattr(walk, "_window", lambda p: 64)
-        short = limiting_endpoint_pmf(params, 0, streams, 5, HALF_ULP).q
-        assert np.any(short != long)
+            calls.append(limiting_endpoint_pmf(params, 23, streams, kmax))
+        for name in ("s", "log_q", "log_q1"):
+            ref = getattr(whole, name)
+            np.testing.assert_array_equal(np.concatenate([getattr(c, name)
+                                                          for c in calls[:3]]), ref)
+            for c in calls[3:]:
+                np.testing.assert_array_equal(getattr(c, name), ref)
 
 
 def dips(params, steps, lam, samples, seed):
