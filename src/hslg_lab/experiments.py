@@ -297,10 +297,11 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     """Quenched endpoint pmf at one size against the walk series weights.
 
     The pmf at r = 1..r_max is KS-tested against e^{-S_r} / Q of the
-    `walk_samples` walks of `_walks`, and at r = 0 through the mass beyond
-    0 against q1 / Q: near 1, pmf[0] carries the rounding of log partition
-    functions of size N, which 1/Q does not, and the KS distance of the
-    complements is the same.  (Q - 1) / Q = q1 / Q has the exact law
+    `walk_samples` walks of `_walks`, and at r = 0 through log q1 = log(Q -
+    1), the log of the mass beyond 0 over the mass at 0: pmf[0] near 1 and
+    the mass beyond 0 near 1 (weak binding) both round, log q1 at neither
+    end, and the KS distance is that of pmf[0] = 1 / (1 + q1).
+    (Q - 1) / Q = q1 / Q has the exact law
     Beta(theta + alpha, -2 alpha) (beta-gamma algebra; Dufresne, Scand.
     Actuarial J. 1990), and `q_beta_law` KS-tests its logit, log q1,
     against the logit of that law.  At weak binding a few percent of the
@@ -324,11 +325,10 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     with np.errstate(under="ignore"):
         total = logsumexp(prof, axis=1)
         pmf = np.exp(prof - total[:, None])
-        beyond_0 = np.exp(logsumexp(prof[:, 1:], axis=1) - total)
-        walk_beyond_0 = np.exp(walk.log_q1 - walk.log_q)
+        log_q1 = logsumexp(prof[:, 1:], axis=1) - prof[:, 0]
     for r in range(0, r_hi + 1):
         wside = walk_pmf[:, r]
-        res = (ks_test(beyond_0, walk_beyond_0) if r == 0
+        res = (ks_test(log_q1, walk.log_q1) if r == 0
                else ks_test(pmf[:, r], wside))
         rep.rows.append((r, res.statistic, res.pvalue,
                          float(pmf[:, r].mean()), float(wside.mean()),

@@ -14,8 +14,9 @@ line i + j = s form one run of columns, in one of two semirings.
 stores what it returns as a table.  Here they run on the wedge, in
 `multilayer` on symmetrized quadrants and below the diagonal.  log Z grows
 linearly in the size, so the float path works in the log domain throughout
-(raw products overflow binary64 around size 150).  The exact path carries
-Fractions and is meant for small verification instances only.
+(raw products overflow binary64 around size 150); its plus is explained at
+`LOG`.  The exact path carries Fractions and is meant for small
+verification instances only.
 """
 
 from __future__ import annotations
@@ -31,9 +32,25 @@ from .special import ModelParams
 
 NEG_INF = -np.inf
 
+
+def _log_plus(a, b):
+    """log(e^a + e^b), the plus of `LOG`."""
+    hi = np.maximum(a, b)
+    t = np.minimum(a, b)
+    t -= hi
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += hi
+    return np.fmax(t, hi, out=t)
+
+
 # Semirings for `sweep`: (plus, times, zero, dtype).  LOG runs on log
-# weights, EXACT on numpy object arrays of Fractions.
-LOG = (np.logaddexp, np.add, NEG_INF, float)
+# weights, EXACT on numpy object arrays of Fractions.  LOG's plus is
+# hi + log1p(exp(lo - hi)) in numpy's vectorized exp and log1p, within an
+# ulp of max(1, |a|, |b|) of np.logaddexp, a scalar loop.  A -inf term leaves
+# the other exactly; with two, lo - hi is nan (an invalid operation, which
+# the caller ignores) and the closing fmax with hi gives -inf.
+LOG = (_log_plus, np.add, NEG_INF, float)
 EXACT = (np.add, np.multiply, Fraction(0), object)
 
 # Path codes pack 2n - 2 moves into int64 bits.
@@ -62,7 +79,9 @@ def sweep(diagonals, ring):
             a, b = max(shift, 0), min(shift + prev.shape[-1], width + 1)
             if a < b:
                 ext[..., a:b] = prev[..., a - shift:b - shift]
-            with np.errstate(under="ignore"):   # a far-smaller term adds 0
+            # a far-smaller term adds 0; a cell with neither neighbour
+            # forms -inf - -inf in the log plus
+            with np.errstate(under="ignore", invalid="ignore"):
                 z = times(w, plus(ext[..., 1:], ext[..., :-1]))
         yield lo, z
         prev, prev_lo = z, lo

@@ -165,12 +165,13 @@ def _mt_round(keys, d, c, q, out=None):
     accept = _squeeze(u3, z, gap)
     ok = v > 0.0
     accept &= ok
-    full = np.logical_and(ok, ~accept, out=ok)
-    if full.any():
-        vf = v[full]
-        zf = z[full]
-        df = np.broadcast_to(d, keys.shape)[full]
-        accept[full] = np.log(u3[full]) < 0.5 * zf * zf + df * (1.0 - vf + np.log(vf))
+    # the lanes the squeeze leaves open, gathered once by flat index
+    idx = np.flatnonzero(np.logical_and(ok, ~accept, out=ok))
+    if idx.size:
+        vf, zf = np.take(v, idx), np.take(z, idx)
+        df = _gather(d, keys.shape, idx)
+        accept.reshape(-1)[idx] = (np.log(np.take(u3, idx))
+                                   < 0.5 * zf * zf + df * (1.0 - vf + np.log(vf)))
     v *= d
     rejected = np.logical_not(accept, out=accept)
     v[rejected] = 1.0
@@ -229,7 +230,8 @@ def log_gamma_draws(shape, keys):
     lane (`_squeeze`: a product-form bound within 2e-13 of the ``z**4``
     one, and a 1e-12 guard band re-decided with ``z**4``, so every
     decision is that of ``z**4``), and the full log-acceptance test runs
-    only on the lanes the squeeze leaves open.  The boost
+    only on the lanes the squeeze leaves open, gathered once by flat index
+    and written back through the same index.  The boost
     correction runs densely when every lane is boosted.  Large key arrays
     go through in blocks of whole rows of about `_BLOCK_LANES` lanes, which
     keeps the temporaries in cache.  Every lane goes through the same

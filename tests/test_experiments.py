@@ -362,6 +362,24 @@ class TestQuenchedWalkLimit:
             ModelParams(1.0, -0.05), (10,), 100, seed=seed, walk_samples=50_000))
         assert not _failed(rep, "q_beta_law")
 
+    def test_r0_walk_values_do_not_round_at_weak_binding(self, monkeypatch):
+        # at alpha = -0.05 the mass beyond 0, q1 / Q, rounds to 1.0 on 3.7%
+        # of 50,000 walks (seed 0); marginal_ks_r0 compares log q1, which
+        # keeps every walk's value apart
+        compared = []
+        ks_test = experiments.ks_test
+
+        def spy(x, y):
+            compared.append(y)
+            return ks_test(x, y)
+
+        monkeypatch.setattr(experiments, "ks_test", spy)
+        experiments.run_quenched_limit(ExperimentConfig(
+            ModelParams(1.0, -0.05), (10,), 100, seed=0, walk_samples=50_000))
+        walk_side = compared[0]         # r = 0 is tested first
+        assert walk_side.shape == (50_000,)
+        assert np.unique(walk_side).size == walk_side.size
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_r0_passes_at_strong_binding(self, seed):
         # at alpha = -0.99, pmf[0] = exp(log Z_0 - log Z) rounds to 1.0 more

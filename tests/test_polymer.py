@@ -10,10 +10,46 @@ from scipy.special import logsumexp
 import oracles
 from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment)
-from hslg_lab.polymer import (batch_final_profiles, endpoint_pmf,
+from hslg_lab.polymer import (LOG, batch_final_profiles, endpoint_pmf,
                               exact_partition_table, partition_table,
-                              sample_path_codes)
+                              sample_path_codes, sweep)
 from oracles import path_code
+
+
+class TestLogPlus:
+    """LOG's plus, hi + log1p(exp(lo - hi)), against np.logaddexp."""
+
+    plus = staticmethod(LOG[0])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    @pytest.mark.parametrize("offset", [-700.0, 0.0, 700.0])
+    def test_agrees_with_logaddexp(self, scale, offset):
+        gen = np.random.default_rng([int(scale * 1e3), int(offset) + 700])
+        a, b = gen.normal(offset, scale, (2, 200_000))
+        with np.errstate(under="ignore"):   # exp of far-apart terms
+            got, want = self.plus(a, b), np.logaddexp(a, b)
+        ulp = np.spacing(np.maximum.reduce([np.ones_like(a), abs(a), abs(b), abs(want)]))
+        assert np.all(np.abs(got - want) <= 2 * ulp)
+
+    def test_inf_terms_and_ties(self):
+        x = np.array([-745.5, -3.25, 0.0, 1e-300, 2.5, 800.0])
+        ninf = np.full_like(x, -np.inf)
+        np.testing.assert_array_equal(self.plus(ninf, x), x)
+        np.testing.assert_array_equal(self.plus(x, ninf), x)
+        with np.errstate(invalid="ignore"):     # -inf - -inf
+            np.testing.assert_array_equal(self.plus(ninf, ninf), ninf)
+        np.testing.assert_array_equal(self.plus(x, x), x + math.log(2.0))
+
+    def test_sweep_leaves_cells_with_no_neighbour_at_minus_inf(self):
+        # the second diagonal starts two columns past the first, so its
+        # cell at column 3 has only its left neighbour, at column 2, and
+        # its cell at column 4 has none; conftest raises on every float error
+        w1 = np.array([[0.5, 1.25], [-2.0, 3.0]])
+        w2 = np.array([[0.25, -1.5], [4.0, 0.75]])
+        _, (lo, z) = list(sweep([(1, w1), (3, w2)], LOG))
+        assert lo == 3
+        np.testing.assert_array_equal(z[:, 0], w2[:, 0] + w1[:, 1])
+        np.testing.assert_array_equal(z[:, 1], [-np.inf, -np.inf])
 
 
 class TestExactTable:

@@ -298,6 +298,19 @@ def test_matches_gather_oracle(shape):
                                       gather_log_gamma_draws(row, keys, q_base))
 
 
+def test_matches_gather_oracle_at_a_shape_per_lane():
+    # a shape array the full shape of the keys, so every round gathers d
+    # by flat index from a full array; the keys span two blocks
+    keys = rng.lane_keys(34, np.arange(200, dtype=np.uint64)[:, None],
+                         np.arange(400, dtype=np.uint64)[None, :])
+    assert keys.size > rng._BLOCK_LANES
+    pick = np.random.default_rng(5).integers(0, 5, keys.shape)
+    shape = np.array([0.005, 0.5, 1.5, 2.0, 7.5])[pick]
+    for q_base in (0, 17):
+        np.testing.assert_array_equal(rng.log_gamma_draws(shape, advance(keys, q_base)),
+                                      gather_log_gamma_draws(shape, keys, q_base))
+
+
 class TestSqueeze:
     """The product-form squeeze with its guard band against ``z**4``."""
 
