@@ -19,8 +19,8 @@ of the walk series Q, the standard normal of the diagonal fluctuations, an
 exact finite-N mean).  Endpoint tail masses are tested in log space, where
 deep tails stay finite.  The walks of pinning and quenched carry their
 series Q exactly (`walk.limiting_endpoint_pmf`), so no check rests on a
-truncated sum.  lln reports each rate's median beside its limit and checks
-only that the top-curve average stays below its ceiling.
+truncated sum.  lln reports the point-to-line rate's median beside its
+limit and checks only that the top-curve average stays below its ceiling.
 
 fluct's mean checks have nulls that hold at every size.  The stationary
 flavor draws column 1 below the corner at shape theta - alpha, and then its
@@ -47,16 +47,17 @@ import numpy as np
 from scipy.special import betainc, digamma, expit, logsumexp
 
 from .environment import generate_environment, symmetrize
-from .multilayer import (LineEnsemble, batch_diag_avoiding_profiles, curve_length,
-                         line_ensemble)
-# bootstrap_ci, lane_keys, log_gamma_draws and partition_table have no
-# caller here; bench/traced.py wraps them under this module
-from .polymer import batch_final_profiles, partition_table
+from .multilayer import LineEnsemble, curve_length, line_ensemble
+from .polymer import batch_final_profiles
+from .special import ModelParams, constants, delta_k, k_star
+from .stats import KS_MIN_SAMPLES, SIGNIFICANCE, TestResult, ks_test, normal_cdf
+from .walk import LimitingPmf, increment_cdf, limiting_endpoint_pmf
+# no caller here; bench/traced.py wraps these under this module
+from .multilayer import batch_diag_avoiding_profiles
+from .polymer import partition_table
 from .rng import lane_keys, log_gamma_draws
-from .special import ModelParams, constants, delta_k, diagonal_rate_alpha_zero, k_star
-from .stats import (KS_MIN_SAMPLES, SIGNIFICANCE, TestResult, bootstrap_ci, ks_test,
-                    normal_cdf)
-from .walk import LimitingPmf, increment_cdf, limiting_endpoint_pmf, walk_increment_matrix
+from .stats import bootstrap_ci
+from .walk import walk_increment_matrix
 
 STREAM_BLOCK = 256          # environments per work item
 
@@ -168,11 +169,10 @@ def _stream_blocks(config: ExperimentConfig, total: int):
             for lo in range(0, total, STREAM_BLOCK)]
 
 
-def _profiles(config: ExperimentConfig, flavor: str, sizes: tuple[int, ...],
-              below_diagonal: bool = False) -> list[np.ndarray]:
-    """The (samples, width) profile at each of the increasing `sizes`, one
-    row per environment stream: `batch_final_profiles`, or with
-    `below_diagonal` `batch_diag_avoiding_profiles` (N - 1 columns at N).
+def _profiles(config: ExperimentConfig, flavor: str,
+              sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """The (samples, N) profile at each N of the increasing `sizes`, one
+    row per environment stream, from `batch_final_profiles`.
 
     Each stream block makes one call, a sweep to n = max(sizes), and every
     size's profile is read off that sweep.  The call goes through this
@@ -183,14 +183,11 @@ def _profiles(config: ExperimentConfig, flavor: str, sizes: tuple[int, ...],
     def work(block):
         start, cnt = block
         streams = np.arange(start, start + cnt, dtype=np.uint64)
-        if below_diagonal:
-            return batch_diag_avoiding_profiles(config.params, n, flavor, config.seed,
-                                                streams, sizes)
         return batch_final_profiles(config.params, n, flavor, config.seed, streams, sizes)
 
     prof = np.vstack(_map_blocks(work, _stream_blocks(config, config.samples),
                                  config.threads))
-    ends = np.cumsum([m - below_diagonal for m in sizes])
+    ends = np.cumsum(sizes)
     return np.split(prof, ends[:-1], axis=1)
 
 
@@ -364,12 +361,12 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     exact value rate N + psi(theta - alpha), with standard error
     sd / sqrt(samples).  The point-to-line sum less the diagonal on the
     same streams is z-tested against log sum_{1<=r<N} e^{-S_r} of `samples`
-    independent walks, two means with the two variances summed, so the
-    diagonal's O(N) variance does not enter.  The rows `coupled_offset_*`
-    give the mean and sd of D_N = F_N(standard) - F_N(stationary) on the
-    same streams.  The standard diagonal's variance is z-tested against 1,
-    with standard error sqrt((m4 - m2^2) / samples) from the sample central
-    moments.
+    independent walks from `_walks`, two means with the two variances
+    summed, so the diagonal's O(N) variance does not enter.  The rows
+    `coupled_offset_*` give the mean and sd of D_N = F_N(standard) -
+    F_N(stationary) on the same streams.  The standard diagonal's variance
+    is z-tested against 1, with standard error sqrt((m4 - m2^2) / samples)
+    from the sample central moments.
     """
     if config.sizes[0] < 2:
         raise ConfigError(f"sizes must be >= 2 for an off-diagonal, got {config.sizes[0]}")
@@ -381,9 +378,7 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
     sigma = math.sqrt(c.clt_variance)
     standard = _profiles(config, "standard", config.sizes)
     stat_profiles = _profiles(config, "stationary", config.sizes)
-    walk_sums = np.cumsum(walk_increment_matrix(config.params, config.samples,
-                                                config.sizes[-1] - 1, config.seed,
-                                                config.stream), axis=1)
+    walks = _walks(config, config.samples, config.sizes[-1] - 1)
     for n, prof, stat in zip(config.sizes, standard, stat_profiles):
         stationary = stat[:, 0]
         g = max(1, int(n ** 0.25))
@@ -409,7 +404,7 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
             rate * n + float(digamma(config.params.shape_boundary)),
             float(stationary.std(ddof=1)) / math.sqrt(stationary.size), sig))
         ptl = logsumexp(stat[:, 1:], axis=1) - stationary
-        walk_ptl = logsumexp(-walk_sums[:, :n - 1], axis=1)
+        walk_ptl = logsumexp(-walks.s[:, 1:n], axis=1)
         rep.checks.append(_z_check(
             f"ptl_mean_exact_N{n}", float(ptl.mean() - walk_ptl.mean()), 0.0,
             math.sqrt((ptl.var(ddof=1) + walk_ptl.var(ddof=1)) / ptl.size), sig))
@@ -419,17 +414,17 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
 
 
 def run_lln_profile(config: ExperimentConfig) -> StatReport:
-    """Free-energy rates beside their limits, and the top-curve average.
+    """The point-to-line rate beside its limit, and the top-curve average.
 
     Each row gives a statistic's median over the samples at one size with
-    its limit: `rate` for the point-to-line rate, (2/q) log at q = 2N under
-    the alpha -> 0 diagonal law for the diagonal-avoiding rate, and 0 for
-    the margin of the top 2k* curves' average below its ceiling
-    rate - delta_{k*} / 2.  The one check is that margin at the last small
-    order.
+    its limit: `rate` for the point-to-line rate (1/N) log sum_{p>=1}
+    Z(N+p, N-p), and 0 for the margin of the top 2k* curves' average
+    below its ceiling rate - delta_{k*} / 2.  The one check is that margin
+    at the last small order.
     """
     if config.sizes[0] < 2:
-        raise ConfigError(f"sizes must be >= 2 for diagonal avoidance, got {config.sizes[0]}")
+        raise ConfigError("sizes must be >= 2 for a point-to-line sum off the "
+                          f"diagonal, got {config.sizes[0]}")
     rep = StatReport("lln_profile", _record(config, "lln"),
                      ("N", "statistic", "median", "limit"))
     k = k_star(config.params)
@@ -438,15 +433,9 @@ def run_lln_profile(config: ExperimentConfig) -> StatReport:
             raise ConfigError(f"small size {order} is below 2k*+1 = {2 * k + 1}, "
                               "too small for the top-curve average")
     rate = constants(config.params).free_energy_rate
-
-    # (row, below the diagonal, flavor, first position summed, limit)
-    rates = (("ptl_rate", False, "standard", 1, rate),
-             ("diag_avoiding_rate", True, "alpha-zero-diagonal", 0,
-              diagonal_rate_alpha_zero(config.params.theta)))
-    for row, below, flavor, first, limit in rates:
-        for n, prof in zip(config.sizes, _profiles(config, flavor, config.sizes, below)):
-            v = logsumexp(prof[:, first:], axis=1) / n
-            rep.rows.append((n, row, float(np.median(v)), limit))
+    for n, prof in zip(config.sizes, _profiles(config, "standard", config.sizes)):
+        v = logsumexp(prof[:, 1:], axis=1) / n
+        rep.rows.append((n, "ptl_rate", float(np.median(v)), rate))
 
     # sup over positions of the averaged top curves, small orders only
     dk = delta_k(config.params, k)
@@ -488,7 +477,7 @@ EXPERIMENTS = {
                            _READ_BY_ALL + ("significance", "r_max", "walk_samples")),
     "fluct": Experiment("normalized free-energy fluctuations", run_gaussian_fluct,
                         _READ_BY_ALL + ("significance",)),
-    "lln": Experiment("free-energy rates and top-curve bound",
+    "lln": Experiment("point-to-line rate and top-curve bound",
                       run_lln_profile,
                       _READ_BY_ALL + ("small_sizes", "small_samples")),
 }

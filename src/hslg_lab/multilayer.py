@@ -330,14 +330,13 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
 
 
 def batch_diag_avoiding_profiles(params: ModelParams, n: int, flavor: str,
-                                 seed: int, streams, sizes=None) -> np.ndarray:
-    """log of diagonal-avoiding values at (N+p, N-p), p = 1..N-1, batched.
+                                 seed: int, streams) -> np.ndarray:
+    """log of diagonal-avoiding values at (n+p, n-p), p = 1..n-1, batched.
 
     Streams `sweep` below the diagonal the same way the polymer batch
-    does; the (1,1) weight enters once, halved, as the source.  Without
-    `sizes` the result is the (streams, n - 1) profile of size n; with
-    `sizes`, increasing from 2 to n, every size's N - 1 columns side by
-    side, read off diagonal 2N of this one sweep (`diagonal_profiles`).
+    does; the (1,1) weight enters once, halved, as the source.  The result
+    is the (streams, n - 1) profile of size n, diagonal 2n of the sweep
+    (`diagonal_profiles`).  No driver calls it; the benchmark times it.
     """
     if n < 2:
         raise ValueError("diagonal-avoiding profile needs n >= 2")
@@ -346,4 +345,4 @@ def batch_diag_avoiding_profiles(params: ModelParams, n: int, flavor: str,
         for s, _, logw in stream_log_weights(params, n, flavor, seed, streams):
             yield 1, (logw - math.log(2.0) if s == 2 else logw[:, : (s - 1) // 2])
 
-    return diagonal_profiles(sweep(diagonals(), LOG), n, sizes, 1)
+    return diagonal_profiles(sweep(diagonals(), LOG), n, None, 1)

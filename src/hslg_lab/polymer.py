@@ -95,7 +95,9 @@ def diagonal_profiles(swept, n: int, sizes, short: int) -> np.ndarray:
     Its N - `short` columns are reversed, to run from the diagonal outward,
     and the blocks of `sizes` (default (n,)) sit side by side in that order
     in one (streams, columns) array.  `sizes` must increase strictly, from
-    above `short` to n.
+    above `short` to n.  `batch_final_profiles` reads several sizes (short
+    0); `multilayer.batch_diag_avoiding_profiles` reads only n, one column
+    short, since the region below the diagonal misses the diagonal cell.
     """
     sizes = (n,) if sizes is None else tuple(sizes)
     if list(sizes) != sorted(set(sizes)) or sizes[0] <= short or sizes[-1] != n:

@@ -201,15 +201,12 @@ def _draw_block(keys, shape, d, c, out):
         raise RuntimeError("gamma rejection sampler failed to terminate")
 
     boosted = shape < 1.0
-    if boosted.all():
-        ub = uniforms(keys, 0)
-        np.log(ub, out=ub)
-        ub /= shape
-        out += ub
-    elif boosted.any():
+    if boosted.any():
         todo = np.flatnonzero(np.broadcast_to(boosted, keys.shape))
         ub = uniforms(keys.reshape(-1)[todo], 0)
-        flat_out[todo] += np.log(ub) / _gather(shape, keys.shape, todo)
+        np.log(ub, out=ub)
+        ub /= _gather(shape, keys.shape, todo)
+        flat_out[todo] += ub
 
 
 def log_gamma_draws(shape, keys):
@@ -231,12 +228,12 @@ def log_gamma_draws(shape, keys):
     one, and a 1e-12 guard band re-decided with ``z**4``, so every
     decision is that of ``z**4``), and the full log-acceptance test runs
     only on the lanes the squeeze leaves open, gathered once by flat index
-    and written back through the same index.  The boost
-    correction runs densely when every lane is boosted.  Large key arrays
-    go through in blocks of whole rows of about `_BLOCK_LANES` lanes, which
-    keeps the temporaries in cache.  Every lane goes through the same
-    float operations as in a lane-by-lane loop, so the draws are bit for
-    bit independent of batch shape.
+    and written back through the same index.  The boost correction runs
+    on the boosted lanes alone, gathered the same way, even when every
+    lane is boosted.  Large key arrays go through in blocks of whole rows
+    of about `_BLOCK_LANES` lanes, which keeps the temporaries in cache.
+    Every lane goes through the same float operations as in a lane-by-lane
+    loop, so the draws are bit for bit independent of batch shape.
     """
     keys = np.asarray(keys, dtype=np.uint64, order="C")
     shape = np.asarray(shape, dtype=float)

@@ -51,7 +51,6 @@ class Constants:
     free_energy_rate: float       # R: diagonal growth rate of log Z
     increment_drift: float        # tau: mean of one walk increment, > 0
     clt_variance: float           # sigma^2 in the Gaussian fluctuation law
-    walk_increment_var: float     # variance of one walk increment
 
 
 def constants(params: ModelParams) -> Constants:
@@ -62,15 +61,7 @@ def constants(params: ModelParams) -> Constants:
         free_energy_rate=-psi_a - psi_b,
         increment_drift=psi_b - psi_a,
         clt_variance=tri_a - tri_b,
-        walk_increment_var=tri_a + tri_b,
     )
-
-
-def diagonal_rate_alpha_zero(theta: float) -> float:
-    """Growth rate -2 psi(theta): the alpha -> 0 limit of the diagonal rate."""
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
-    return -2.0 * float(digamma(theta))
 
 
 def _psi_gap(params: ModelParams) -> float:

@@ -220,14 +220,13 @@ def drawn_with(mutant):
 def walks_drawn_at(d):
     """The drivers' walks draw their increments at alpha + d inside the
     block; the environments and every limit keep the nominal params."""
-    real = experiments.limiting_endpoint_pmf, experiments.walk_increment_matrix
-    shifted = lambda params: ModelParams(params.theta, params.alpha + d)
-    experiments.limiting_endpoint_pmf = lambda params, *args: real[0](shifted(params), *args)
-    experiments.walk_increment_matrix = lambda params, *args: real[1](shifted(params), *args)
+    real = experiments.limiting_endpoint_pmf
+    experiments.limiting_endpoint_pmf = lambda params, *args: real(
+        ModelParams(params.theta, params.alpha + d), *args)
     try:
         yield
     finally:
-        experiments.limiting_endpoint_pmf, experiments.walk_increment_matrix = real
+        experiments.limiting_endpoint_pmf = real
 
 
 def _alpha_shift(d):

@@ -7,7 +7,6 @@ from scipy.special import digamma
 
 from hslg_lab import cli, environment, experiments, walk
 from hslg_lab.experiments import STREAM_BLOCK, ExperimentConfig
-from hslg_lab.multilayer import batch_diag_avoiding_profiles
 from hslg_lab.polymer import batch_final_profiles
 from hslg_lab.rng import LANE_BOOTSTRAP, LANE_CHAIN, LANE_TAIL
 from hslg_lab.special import ModelParams
@@ -52,8 +51,7 @@ class TestOneSweep:
     STREAMS = np.arange(STREAM_BLOCK + 44, dtype=np.uint64)   # two blocks' worth
 
     @pytest.mark.parametrize("flavor", environment.FLAVORS)
-    @pytest.mark.parametrize("batch, short", [(batch_final_profiles, 0),
-                                              (batch_diag_avoiding_profiles, 1)])
+    @pytest.mark.parametrize("batch, short", [(batch_final_profiles, 0)])
     def test_size_slices_equal_single_size_calls(self, batch, short, flavor):
         n = self.SIZES[-1]
         whole = batch(CONFIG.params, n, flavor, CONFIG.seed, self.STREAMS, self.SIZES)
@@ -69,7 +67,6 @@ class TestOneSweep:
         (batch_final_profiles, (3, 10)),          # does not end at n
         (batch_final_profiles, (10, 3, 17)),      # not increasing
         (batch_final_profiles, (0, 17)),
-        (batch_diag_avoiding_profiles, (1, 17)),  # size 1 has no strict wedge
     ])
     def test_sizes_must_increase_to_n(self, batch, sizes):
         with pytest.raises(ValueError, match="sizes must increase strictly"):
@@ -81,12 +78,12 @@ class TestOneSweep:
         (experiments.run_walk_attractor, "stationary", {(FINAL, "stationary")}),
         (experiments.run_gaussian_fluct, "standard",
          {(FINAL, "standard"), (FINAL, "stationary")}),
-        (experiments.run_lln_profile, "standard",
-         {(FINAL, "standard"), (BELOW, "alpha-zero-diagonal")}),
+        (experiments.run_lln_profile, "standard", {(FINAL, "standard")}),
     ])
     def test_one_call_per_stream_block_per_flavor(self, driver, flavor, swept,
                                                   monkeypatch):
         # counting wrappers at the module attributes, where the bench wraps
+        # (BELOW too: no driver may call it)
         calls = []
         for name in (FINAL, BELOW):
             def counted(*args, name=name, fn=getattr(experiments, name), **kwargs):
@@ -302,8 +299,8 @@ class TestFluctPointToLineMean:
         assert _failed(rep, "ptl_mean_exact") == ["ptl_mean_exact_N5"]
 
     def test_fails_with_the_walks_drawn_at_another_alpha(self, monkeypatch):
-        draw = experiments.walk_increment_matrix
-        monkeypatch.setattr(experiments, "walk_increment_matrix", lambda params, *args:
+        draw = experiments.limiting_endpoint_pmf
+        monkeypatch.setattr(experiments, "limiting_endpoint_pmf", lambda params, *args:
                             draw(ModelParams(params.theta, params.alpha - 0.1), *args))
         rep = experiments.run_gaussian_fluct(self.CONFIG)
         assert _failed(rep, "ptl_mean_exact") == ["ptl_mean_exact_N5"]

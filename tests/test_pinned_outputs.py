@@ -17,6 +17,9 @@ number moved.
 Pinning's and fluct's were recorded again when the log-space plus of the
 sweep moved from np.logaddexp to hi + log1p(exp(lo - hi)): a tail median
 and three fluct figures moved in their last digits, by about 1e-16.
+lln's was recorded once more when its diagonal-avoiding rate rows went:
+they were computed under the alpha -> 0 diagonal law, so they read the
+same at every alpha; the rows that stay kept their bytes.
 The quenched case runs at --sizes 20; its digest was recorded at
 --sizes 10,20, of which quenched read only the largest.
 `.meta` files are not pinned: they carry the package version.
@@ -55,7 +58,7 @@ CASES = {
 DIGESTS = {
     "env_gen_exact": "c8b62887a8afd73a8c475659591e5e961395bd430b687c31aa2735aa454f4767",
     "env_gen_float": "88b75ff39352d68046b6b258babebcc3788b26d9d5356b188ab6dda8dd1d7dca",
-    "experiment_lln": "9a95954d132c38e6eb99da681eeec770aadf19339d3ae6a5058badd704529495",
+    "experiment_lln": "12ddbd5494a74521ccee88ffa69bdfff561e6aef90850612cfc06ad134385bf1",
     "experiment_fluct": "1f255a2163cc1a0067c5da53acb72b85102757c07a78d6ea4b6c50f444cb79fc",
     "experiment_pinning": "902f084423bdf2de1b06d74967cffccc6aeb3b134c1a1214ec28dcf0263a7813",
     "experiment_quenched": "5d28ff560ef2056219e4a2f615f00d93e129587664a0b57da2705675cf4e08b8",

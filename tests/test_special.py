@@ -12,8 +12,7 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from hslg_lab.special import (Constants, ModelParams, constants, delta_k,
-                              digamma, diagonal_rate_alpha_zero, k_star,
-                              polygamma)
+                              digamma, k_star, polygamma)
 
 EULER = 0.57721566490153286060651209
 
@@ -130,7 +129,8 @@ class TestConstants:
             2 * EULER + 4 * math.log(2) - 2, abs=1e-12)
         assert c.increment_drift == pytest.approx(2.0, abs=1e-12)
         assert c.clt_variance == pytest.approx(4.0, abs=1e-12)
-        assert c.walk_increment_var == pytest.approx(math.pi ** 2 - 4, abs=1e-12)
+        assert polygamma(1, 0.5) + polygamma(1, 1.5) == pytest.approx(
+            math.pi ** 2 - 4, abs=1e-12)
 
     def test_formulas_any_point(self, params_grid):
         for p in params_grid:
@@ -141,10 +141,9 @@ class TestConstants:
                 digamma(p.theta - p.alpha) - digamma(p.theta + p.alpha))
             assert c.increment_drift > 0  # binding means positive decay
             assert c.clt_variance > 0
-            assert c.walk_increment_var > c.clt_variance
-
-    def test_diagonal_rate_alpha_zero(self):
-        assert diagonal_rate_alpha_zero(1.0) == pytest.approx(2 * EULER, abs=1e-12)
+            increment_var = (polygamma(1, p.theta + p.alpha)
+                             + polygamma(1, p.theta - p.alpha))
+            assert increment_var > c.clt_variance
 
 
 class TestDeltaK:

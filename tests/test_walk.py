@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, polygamma
 
 import oracles
 from hslg_lab import walk
@@ -93,7 +93,7 @@ class TestWalkDraws:
         assert abs(ends.mean() - tau) < 3 * se + 1e-12
 
     def test_increment_variance(self, params):
-        gamma = constants(params).walk_increment_var
+        gamma = polygamma(1, params.shape_diag) + polygamma(1, params.shape_boundary)
         mat = walk_increment_matrix(params, 1000, 1000, seed=3)
         assert mat.var() == pytest.approx(gamma, rel=0.01)
 
@@ -303,7 +303,7 @@ class TestMaximalInequality:
         assert not dips(params, 10, 1e6, 2000, seed=13).any()
 
     def test_moderate_level_within_bound(self, params):
-        gamma = constants(params).walk_increment_var
+        gamma = polygamma(1, params.shape_diag) + polygamma(1, params.shape_boundary)
         lam = 5.0 * math.sqrt(gamma * 10)
         p_hat = dips(params, 10, lam, 20_000, seed=15).mean()
         assert p_hat <= 10 * gamma / lam**2
