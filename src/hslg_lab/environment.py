@@ -49,6 +49,22 @@ def wedge_count(n: int) -> int:
     return n * n
 
 
+def _lift(w: np.ndarray, shift) -> list[int]:
+    """w * 2^shift as exact integers, elementwise (`shift` broadcasts).
+
+    A weight with more than `shift` fraction bits raises ValueError: the
+    lift never rounds.
+    """
+    out = []
+    for x, sh in zip(w.tolist(), np.broadcast_to(shift, w.shape).tolist()):
+        num, den = x.as_integer_ratio()
+        bits = sh - (den.bit_length() - 1)
+        if bits < 0:
+            raise ValueError(f"weight {x!r} has more than {sh} fraction bits")
+        out.append(num << bits)
+    return out
+
+
 def diag_sites(n: int, s: int):
     """(i, j) arrays of the wedge anti-diagonal i + j = s, s in [2, 2n]."""
     j = np.arange(1, s // 2 + 1)
@@ -110,6 +126,16 @@ class Environment:
     def sites(self):
         return wedge_sites(self.n)
 
+    @property
+    def dyadic_scale(self) -> int:
+        """1 + the largest denominator exponent of the weights: every weight,
+        and every half weight, times 2^dyadic_scale is an integer."""
+        return max(x.as_integer_ratio()[1].bit_length() for x in self.w.tolist())
+
+    def dyadic_weights(self, i, j, scale: int) -> list[int]:
+        """`weights` times 2^scale, as exact integers."""
+        return _lift(self.weights(i, j), scale)
+
 
 class SymmetrizedEnvironment:
     """Quadrant view of an environment: reflect across the diagonal and
@@ -129,15 +155,26 @@ class SymmetrizedEnvironment:
             i, j = j, i
         return Fraction(self.env.weight(i, j))
 
+    @property
+    def dyadic_scale(self) -> int:
+        return self.env.dyadic_scale
+
     def weights(self, i, j) -> np.ndarray:
         """Symmetrized weights over index arrays of quadrant sites.
 
-        Halving a normal binary64 value is exact, so Fractions of these
-        values equal `weight_fraction`.
+        Halving a normal binary64 value is exact; halving a subnormal one
+        rounds, which `dyadic_weights` never does.
         """
         i, j = np.asarray(i), np.asarray(j)
         w = self.env.weights(np.maximum(i, j), np.minimum(i, j))
         return np.where(i == j, w / 2.0, w)
+
+    def dyadic_weights(self, i, j, scale: int) -> list[int]:
+        """`weight_fraction` times 2^scale over index arrays, as exact
+        integers: a diagonal weight is lifted one bit less."""
+        i, j = np.asarray(i), np.asarray(j)
+        return _lift(self.env.weights(np.maximum(i, j), np.minimum(i, j)),
+                     scale - (i == j))
 
 
 def symmetrize(env: Environment) -> SymmetrizedEnvironment:

@@ -11,8 +11,9 @@ enumeration (small instances, exact arithmetic) and the determinant of
 single-path values (Lindstrom-Gessel-Viennot).  The line ensemble stacks
 log-ratios of consecutive layer counts along the staircase
 (N + floor(p/2), N - ceil(p/2) + 1).  Its float determinants fall back to
-exact ones when they cancel; exact determinants are fraction-free Bareiss
-elimination over integers, O(k^3) per k x k matrix, so exact mode is not
+exact ones when they cancel.  An exact layer is the fraction-free Bareiss
+elimination of the integer cells of the exact quadrant sweeps, O(k^3) per
+k x k matrix and taken once per layer and site, so exact mode is not
 limited to small sizes.
 
 Every single-path table here (quadrant values from a start column, and the
@@ -31,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .environment import SymmetrizedEnvironment, stream_log_weights
-from .polymer import (EXACT, LOG, NEG_INF, collect, diagonal_profiles, sweep,
-                      sweep_region)
+from .polymer import (EXACT, LOG, NEG_INF, collect, diagonal_profiles, exact_values,
+                      sweep, sweep_region)
 from .special import ModelParams
 
 # Exhaustive enumeration guard: r paths of m+n-r sites each.
@@ -46,11 +47,17 @@ class InstanceTooLarge(ValueError):
     pass
 
 
-def fraction_log(fr: Fraction) -> float:
-    """log of a positive Fraction without overflowing through float."""
-    if fr <= 0:
-        raise ValueError("fraction_log requires a positive value")
-    return math.log(fr.numerator) - math.log(fr.denominator)
+def _dyadic_log(value, bits: int) -> float:
+    """log(value / 2^bits) of a positive int or Fraction, without overflowing
+    through float.
+
+    The quotient is reduced by stripping common factors of two, not by a
+    gcd, and its log is log(numerator) - log(denominator) of the reduced
+    form: the same float whichever way the quotient was reached.
+    """
+    num, den = value.numerator, value.denominator
+    strip = min((num & -num).bit_length() - 1, bits)
+    return math.log(num >> strip) - math.log(den << (bits - strip))
 
 
 def enumerate_quadrant_paths(start, end):
@@ -139,16 +146,18 @@ def quadrant_log_table(senv: SymmetrizedEnvironment, start_col: int,
 def quadrant_exact_table(senv: SymmetrizedEnvironment, start_col: int,
                          imax: int, jmax: int) -> dict[tuple[int, int], Fraction]:
     """Fraction values of `quadrant_log_table`, keyed (i, j), reachable sites only."""
-    return _quadrant_table(senv, start_col, imax, jmax, EXACT)
+    return exact_values(_quadrant_table(senv, start_col, imax, jmax, EXACT),
+                        senv, start_col + 1)
 
 
-def exact_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination, O(k^3).
+def exact_det(matrix: list[list[int | Fraction]]) -> Fraction:
+    """Exact determinant of integer or Fraction entries by fraction-free
+    Bareiss elimination, O(k^3).
 
-    Each row is scaled to integers by the lcm of its denominators (powers
-    of two for dyadic weights).  Every elimination step then divides
-    exactly by the previous pivot, so entries stay integers; a zero pivot
-    swaps in a later row and flips the sign.
+    Each row is scaled to integers by the lcm of its denominators (1 for
+    integers, powers of two for dyadic weights).  Every elimination step
+    then divides exactly by the previous pivot, so entries stay integers; a
+    zero pivot swaps in a later row and flips the sign.
     """
     rows, scale = [], 1
     for row in matrix:
@@ -220,7 +229,8 @@ def _diag_avoiding_table(senv, imax, jmax, ring):
     def bounds(s):
         return (1, 1) if s == 2 else (max(1, s - imax), min(jmax, (s - 1) // 2))
     cells = itertools.islice(sweep_region(senv, ring, 2, bounds), 1, None)
-    return collect(cells, ring, imax, jmax)
+    table = collect(cells, ring, imax, jmax)
+    return table if ring is LOG else exact_values(table, senv, 2)
 
 
 def _line_sum(table: dict, q: int) -> Fraction:
@@ -279,9 +289,12 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
 
     Float mode assembles k x k determinants from per-start quadrant tables
     and redoes a layer in exact arithmetic when its determinant cancels;
-    exact mode uses Fractions throughout.  An exact layer costs the
-    Fraction quadrant tables once per start column plus an O(k^3) integer
-    elimination (`exact_det`) per determinant.
+    exact mode takes every layer exactly.  Exact layers read the integer
+    cells of the EXACT quadrant sweeps, built once per start column on
+    first use.  In the k x k matrix at staircase site (m, n) the cells'
+    row and column powers of two cancel to 2^(scale * k(m + n - k)) det Z,
+    so an exact layer is one integer elimination (`exact_det`), taken once
+    per (k, m, n) however many curves read it.
     """
     n = order if order is not None else senv.n - 1
     if n < 1:
@@ -295,12 +308,14 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
         tables = [quadrant_log_table(senv, c, imax, jmax) for c in range(1, kmax + 1)]
     elif mode != "exact":
         raise ValueError("mode must be 'float' or 'exact'")
-    exact: dict[int, dict] = {}     # exact tables by start column, built on first use
+    scale = senv.dyadic_scale
+    exact: dict[int, dict] = {}     # integer tables by start column, built on first use
+    layers: dict[tuple[int, int, int], float] = {}    # exact layer logs by (k, m, n)
 
-    def exact_entry(c: int, site) -> Fraction:
+    def exact_entry(c: int, site) -> int:
         if c not in exact:
-            exact[c] = quadrant_exact_table(senv, c, imax, jmax)
-        return exact[c].get(site, Fraction(0))
+            exact[c] = _quadrant_table(senv, c, imax, jmax, EXACT)
+        return exact[c].get(site, 0)
 
     def layer_log(k: int, m: int, ncol: int) -> float:
         if k == 0:
@@ -313,11 +328,13 @@ def line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str = "float",
                 return log_det_scaled(logm)
             except FloatingPointError:
                 pass
-        det = exact_det(lgv_matrix(exact_entry, k, m, ncol))
-        # staircase layers always hold disjoint tuples, so the sum is positive
-        if det <= 0:
-            raise FloatingPointError("non-positive determinant in exact mode")
-        return fraction_log(det)
+        if (k, m, ncol) not in layers:
+            det = exact_det(lgv_matrix(exact_entry, k, m, ncol))
+            # staircase layers always hold disjoint tuples, so the sum is positive
+            if det <= 0:
+                raise FloatingPointError("non-positive determinant in exact mode")
+            layers[k, m, ncol] = _dyadic_log(det, scale * k * (m + ncol - k))
+        return layers[k, m, ncol]
 
     curves = []
     for k in range(1, kmax + 1):

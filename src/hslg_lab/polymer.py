@@ -15,8 +15,12 @@ stores what it returns as a table.  Here they run on the wedge, in
 `multilayer` on symmetrized quadrants and below the diagonal.  log Z grows
 linearly in the size, so the float path works in the log domain throughout
 (raw products overflow binary64 around size 150); its plus is explained at
-`LOG`.  The exact path carries Fractions and is meant for small
-verification instances only.
+`LOG`.  The exact path carries integers: binary64 weights are dyadic, so
+each lifts to w * 2^scale, and a cell of an exact sweep is its value times
+one such power of two per path cell (see `sweep_region`).  No gcd is taken
+on any add or multiply; `exact_values` turns cells into Fractions for the
+tables that hand them out, and `multilayer.line_ensemble` reads them as
+they are.
 """
 
 from __future__ import annotations
@@ -45,13 +49,14 @@ def _log_plus(a, b):
 
 
 # Semirings for `sweep`: (plus, times, zero, dtype).  LOG runs on log
-# weights, EXACT on numpy object arrays of Fractions.  LOG's plus is
+# weights, EXACT on numpy object arrays of Python ints, the lifted weights
+# of `sweep_region`, exact at any size.  LOG's plus is
 # hi + log1p(exp(lo - hi)) in numpy's vectorized exp and log1p, within an
 # ulp of max(1, |a|, |b|) of np.logaddexp, a scalar loop.  A -inf term leaves
 # the other exactly; with two, lo - hi is nan (an invalid operation, which
 # the caller ignores) and the closing fmax with hi gives -inf.
 LOG = (_log_plus, np.add, NEG_INF, float)
-EXACT = (np.add, np.multiply, Fraction(0), object)
+EXACT = (np.add, np.multiply, 0, object)
 
 # Path codes pack 2n - 2 moves into int64 bits.
 MAX_CODE_N = 32
@@ -120,19 +125,22 @@ def sweep_region(env, ring, first: int, bounds):
     `SymmetrizedEnvironment`); yields (i, j, z) per diagonal.
 
     Diagonal s = first, first + 1, ... covers the columns bounds(s) = (lo,
-    hi), its weights lifted to `ring` (exactly: binary64 is dyadic).  The
-    sweep stops at the first empty diagonal and at the wedge boundary
-    i + j = 2n: past it no cell has a weight or feeds one that has.
+    hi).  LOG sweeps the log weights.  EXACT sweeps the integers w * 2^scale,
+    scale = env.dyadic_scale (`dyadic_weights`), so a cell on diagonal s is
+    Z * 2^(scale * (s - first + 1)): every path to it has s - first + 1
+    cells.  The sweep stops at the first empty diagonal and at the wedge
+    boundary i + j = 2n: past it no cell has a weight or feeds one that has.
     """
+    scale = env.dyadic_scale if ring is EXACT else None
+
     def diagonals():
         for s in range(first, 2 * env.n + 1):
             lo, hi = bounds(s)
             if lo > hi:
                 return
             j = np.arange(lo, hi + 1)
-            w = env.weights(s - j, j)
-            yield lo, np.log(w) if ring is LOG else np.array(
-                [Fraction(x) for x in w], dtype=object)
+            yield lo, np.log(env.weights(s - j, j)) if ring is LOG else np.array(
+                env.dyadic_weights(s - j, j, scale), dtype=object)
 
     for s, (lo, z) in enumerate(sweep(diagonals(), ring), first):
         j = np.arange(lo, lo + z.shape[-1])
@@ -141,7 +149,8 @@ def sweep_region(env, ring, first: int, bounds):
 
 def collect(cells, ring, imax: int, jmax: int):
     """Swept cells as a table: a float [i, j] grid on [0..imax] x [0..jmax],
-    -inf off the region, or an exact dict keyed (i, j), region cells only."""
+    -inf off the region, or a dict of the EXACT integer cells keyed (i, j),
+    region cells only."""
     if ring is LOG:
         t = np.full((imax + 1, jmax + 1), NEG_INF)
         for i, j, z in cells:
@@ -149,6 +158,15 @@ def collect(cells, ring, imax: int, jmax: int):
         return t
     return {(a, b): v for i, j, z in cells
             for a, b, v in zip(i.tolist(), j.tolist(), z)}
+
+
+def exact_values(table: dict, env, first: int) -> dict[tuple[int, int], Fraction]:
+    """The Fractions that the integer cells of an EXACT sweep of `env` from
+    diagonal `first` stand for: cell (i, j) over 2^(scale * (i + j - first
+    + 1)), scale = env.dyadic_scale."""
+    scale = env.dyadic_scale
+    return {(i, j): Fraction(z, 1 << scale * (i + j - first + 1))
+            for (i, j), z in table.items()}
 
 
 def _wedge_table(env: Environment, ring):
@@ -176,7 +194,7 @@ def partition_table(env: Environment) -> PartitionTable:
 
 def exact_partition_table(env: Environment) -> dict[tuple[int, int], Fraction]:
     """Fraction-valued table; exact because binary64 weights are dyadic."""
-    return _wedge_table(env, EXACT)
+    return exact_values(_wedge_table(env, EXACT), env, 2)
 
 
 def endpoint_pmf(table: PartitionTable) -> np.ndarray:

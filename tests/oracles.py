@@ -14,7 +14,10 @@ the lane-dense sampler and the row-blocked log-space sums under test.
 The last section holds references that only the tests call: the
 path-code encoder, the increment density, the diagonal-avoiding values
 (read from `multilayer._diag_avoiding_table`, the table `vq_tilde_exact`
-sums) and the image counts of the pair rewiring.
+sums), the image counts of the pair rewiring, and the Fraction route of
+the line ensemble: quadrant tables of Fractions by their recurrence over
+`weight_fraction`, each layer's Fraction determinant taken at every
+evaluation, and its log read off the reduced numerator and denominator.
 """
 import itertools
 import math
@@ -27,7 +30,8 @@ from scipy.integrate import quad
 from scipy.special import betaln
 
 from hslg_lab.environment import Environment, SymmetrizedEnvironment
-from hslg_lab.multilayer import _diag_avoiding_table
+from hslg_lab.multilayer import (_diag_avoiding_table, curve_length, exact_det, lgv_matrix,
+                                 log_det_scaled, quadrant_log_table, staircase_site)
 from hslg_lab.polymer import EXACT, LOG
 from hslg_lab.rng import LANE_CHAIN, LANE_TAIL, lane_keys, log_gamma_draws, uniforms
 from hslg_lab.special import ModelParams
@@ -313,3 +317,61 @@ def count_preimages(m: int, n: int, x: int) -> dict[tuple[Path, Path], int]:
         image = apply_umap(p1, p2)
         counts[image] = counts.get(image, 0) + 1
     return counts
+
+
+def fraction_log(fr: Fraction) -> float:
+    """log of a positive Fraction without overflowing through float."""
+    if fr <= 0:
+        raise ValueError("fraction_log requires a positive value")
+    return math.log(fr.numerator) - math.log(fr.denominator)
+
+
+def quadrant_fraction_table(senv: SymmetrizedEnvironment, start_col: int,
+                            imax: int, jmax: int) -> dict[tuple[int, int], Fraction]:
+    """Zq((1, start_col) -> (i, j)) for i <= imax, start_col <= j <= jmax and
+    i + j <= 2n, by Z = W * (Z_up + Z_left) in Fractions of `weight_fraction`."""
+    z: dict[tuple[int, int], Fraction] = {}
+    for s in range(start_col + 1, 2 * senv.n + 1):
+        for j in range(start_col, min(jmax, s - 1) + 1):
+            i = s - j
+            if i > imax:
+                continue
+            feed = (Fraction(1) if (i, j) == (1, start_col)
+                    else z.get((i - 1, j), Fraction(0)) + z.get((i, j - 1), Fraction(0)))
+            z[i, j] = senv.weight_fraction(i, j) * feed
+    return z
+
+
+def fraction_line_ensemble(senv: SymmetrizedEnvironment, kmax: int, mode: str,
+                           order: int) -> list[np.ndarray]:
+    """The curves of `multilayer.line_ensemble` by the Fraction route.
+
+    Float mode takes `log_det_scaled` of the float LGV matrix first; a
+    cancelled layer, and in exact mode every layer, is `exact_det` of the
+    Fraction matrix and `fraction_log` of it, recomputed at each evaluation.
+    """
+    imax, jmax = 2 * order, order + 1
+    logs = ([quadrant_log_table(senv, c, imax, jmax) for c in range(1, kmax + 1)]
+            if mode == "float" else None)
+    fracs = {c: quadrant_fraction_table(senv, c, imax, jmax) for c in range(1, kmax + 1)}
+
+    def layer(k, m, ncol):
+        if k == 0:
+            return 0.0
+        if mode == "float":
+            try:
+                return log_det_scaled(np.array(
+                    lgv_matrix(lambda c, site: logs[c - 1][site], k, m, ncol)))
+            except FloatingPointError:
+                pass
+        return fraction_log(exact_det(lgv_matrix(
+            lambda c, site: fracs[c].get(site, Fraction(0)), k, m, ncol)))
+
+    curves = []
+    for k in range(1, kmax + 1):
+        vals = np.empty(curve_length(order, k))
+        for p in range(1, vals.size + 1):
+            m, ncol = staircase_site(order, p)
+            vals[p - 1] = math.log(2.0) + layer(k, m, ncol) - layer(k - 1, m, ncol)
+        curves.append(vals)
+    return curves

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hslg_lab import rng
-from hslg_lab.environment import (EnvFormatError,
+from hslg_lab.environment import (EnvFormatError, Environment, _lift,
                                   generate_dyadic_environment,
                                   generate_environment, read_environment,
                                   site_code, site_shapes, stream_log_weights,
@@ -136,6 +136,53 @@ class TestSymmetrize:
             assert w == (env.weight(a, a) / 2 if a == b else env.weight(hi, lo))
             assert w == senv.weights(b, a)
             assert Fraction(w) == senv.weight_fraction(a, b)
+
+
+class TestDyadicLift:
+    def test_scale_is_one_past_the_largest_denominator_exponent(self, params):
+        env = generate_environment(params, 5, seed=13)
+        bits = max(Fraction(float(x)).denominator.bit_length() - 1 for x in env.w)
+        assert env.dyadic_scale == symmetrize(env).dyadic_scale == bits + 1
+
+    def test_lifted_weights_are_exact(self, params):
+        env = generate_environment(params, 5, seed=14)
+        senv = symmetrize(env)
+        scale = env.dyadic_scale
+        i, j = np.meshgrid(np.arange(1, 10), np.arange(1, 10), indexing="ij")
+        inside = i + j <= 10
+        i, j = i[inside], j[inside]
+        for a, b, z in zip(i, j, senv.dyadic_weights(i, j, scale)):
+            assert Fraction(z, 1 << scale) == senv.weight_fraction(a, b)
+        i, j = np.array(list(wedge_sites(5))).T
+        for a, b, z in zip(i, j, env.dyadic_weights(i, j, scale)):
+            assert Fraction(z, 1 << scale) == Fraction(env.weight(a, b))
+
+    def test_subnormal_diagonal_halves_exactly(self, params):
+        # float halving of 3 * 2^-1074 rounds to 2^-1073; the lift does not
+        w = np.full(wedge_count(2), 0.75)
+        w[2] = math.ldexp(3.0, -1074)       # site (2, 2)
+        senv = symmetrize(Environment(params, 2, "standard", w))
+        with np.errstate(under="ignore"):
+            assert Fraction(float(senv.weights(2, 2))) != senv.weight_fraction(2, 2)
+        scale = senv.dyadic_scale
+        assert scale == 1075
+        (z,) = senv.dyadic_weights(np.array([2]), np.array([2]), scale)
+        assert Fraction(z, 1 << scale) == senv.weight_fraction(2, 2)
+
+    def test_lift_needing_a_negative_shift_raises(self, params):
+        assert _lift(np.array([0.75, 3.0]), 2) == [3, 12]
+        assert _lift(np.array([0.75, 0.75]), np.array([2, 3])) == [3, 6]
+        with pytest.raises(ValueError, match="fraction bits"):
+            _lift(np.array([0.1]), 3)
+        env = generate_environment(params, 4, seed=15)
+        senv = symmetrize(env)
+        i, j = np.array(list(wedge_sites(4))).T
+        # the largest denominator exponent is dyadic_scale - 1 by definition
+        with pytest.raises(ValueError, match="fraction bits"):
+            env.dyadic_weights(i, j, env.dyadic_scale - 2)
+        with pytest.raises(ValueError, match="fraction bits"):
+            senv.dyadic_weights(np.concatenate([i, j]), np.concatenate([j, i]),
+                                senv.dyadic_scale - 2)
 
 
 class TestDyadic:

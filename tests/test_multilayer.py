@@ -6,19 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from hslg_lab import multilayer
-from hslg_lab.environment import (generate_dyadic_environment,
-                                  generate_environment, symmetrize)
+from hslg_lab.environment import (Environment, generate_dyadic_environment,
+                                  generate_environment, symmetrize, wedge_count)
 from hslg_lab.multilayer import (InstanceTooLarge, batch_diag_avoiding_profiles,
                                  enumerate_quadrant_paths, exact_det,
-                                 curve_length, fraction_log, line_ensemble,
+                                 curve_length, line_ensemble,
                                  log_det_scaled,
                                  multilayer_brute, multilayer_lgv,
-                                 quadrant_log_table, staircase_site, vq_exact,
-                                 vq_tilde_exact)
-from hslg_lab.polymer import exact_partition_table
+                                 quadrant_exact_table, quadrant_log_table,
+                                 staircase_site, vq_exact, vq_tilde_exact)
+from hslg_lab.polymer import EXACT, collect, exact_partition_table, sweep_region
 from hslg_lab.special import ModelParams
-from oracles import diag_avoiding_exact, diag_avoiding_log_table, permutation_det
+from oracles import (diag_avoiding_exact, diag_avoiding_log_table, fraction_log,
+                     fraction_line_ensemble, permutation_det, quadrant_fraction_table)
 
 
 def senv_of(params, n, seed, dyadic=True):
@@ -258,11 +260,23 @@ class TestBatchDiagAvoiding:
 
 
 LATTICE_PARAMS = ModelParams(1.0, -0.3)
+LATTICE_ORDERS = (7, 9, 11)
 
 
-def lattice_senv(order):
-    """Stream 0 of seed 0 at the lattice point, sized for an ensemble of `order`."""
-    return symmetrize(generate_environment(LATTICE_PARAMS, order + 1, seed=0))
+def lattice_senv(order, stream=0):
+    """A seed-0 environment at the lattice point, sized for an ensemble of
+    `order`; streams 0-7 at orders 7, 9 and 11 are the lattice workload's."""
+    return symmetrize(generate_environment(LATTICE_PARAMS, order + 1, seed=0,
+                                           stream=stream))
+
+
+def extreme_senv(params):
+    """Size 3 with dyadic weights, a subnormal diagonal weight whose float
+    halving rounds, at (2, 2), and a weight near 1e300 at (4, 1)."""
+    w = np.linspace(0.25, 1.75, wedge_count(3))
+    w[2] = math.ldexp(5.0, -1074)       # halved in float: 2^-1073, not 2.5 * 2^-1074
+    w[6] = 1.5e300
+    return Environment(params, 3, "standard", w)
 
 
 def staircase_matrices(senv, order, k):
@@ -329,7 +343,90 @@ class TestExactDet:
             assert det == permutation_det(m)
 
 
+class TestExactCells:
+    """The integer cells of an EXACT sweep, over 2^(scale * path cells), are
+    the Fraction values: nothing truncates."""
+
+    def test_wedge_cells_on_dyadic_environments(self, params):
+        for seed in range(3):
+            env = generate_dyadic_environment(params, 5, seed=seed)
+            cells = collect(sweep_region(env, EXACT, 2, lambda s: (1, s // 2)),
+                            EXACT, 9, 5)
+            want = oracles.brute_table(env)
+            assert {site: Fraction(z, 2 ** (env.dyadic_scale * (site[0] + site[1] - 1)))
+                    for site, z in cells.items()} == want
+            assert exact_partition_table(env) == want
+
+    @pytest.mark.parametrize("order", LATTICE_ORDERS)
+    def test_quadrant_cells_on_lattice_environments(self, order):
+        senv = lattice_senv(order)
+        scale = senv.dyadic_scale
+        for c in range(1, 7):
+            cells = multilayer._quadrant_table(senv, c, 2 * order, order + 1, EXACT)
+            want = quadrant_fraction_table(senv, c, 2 * order, order + 1)
+            assert all(isinstance(z, int) for z in cells.values())
+            assert {site: Fraction(z, 2 ** (scale * (site[0] + site[1] - c)))
+                    for site, z in cells.items()} == want
+            assert quadrant_exact_table(senv, c, 2 * order, order + 1) == want
+
+    def test_subnormal_and_huge_weights(self, params):
+        env = extreme_senv(params)
+        senv = symmetrize(env)
+        assert exact_partition_table(env) == oracles.brute_table(env)
+        for c in (1, 2, 3):
+            assert quadrant_exact_table(senv, c, 5, 3) == \
+                quadrant_fraction_table(senv, c, 5, 3)
+        for m in range(1, 6):
+            for n in range(1, min(m, 6 - m) + 1):
+                for r in range(1, n + 1):
+                    assert multilayer_lgv(senv, m, n, r) == multilayer_brute(senv, m, n, r)
+        ours = line_ensemble(senv, 2, mode="exact", order=2)
+        ref = fraction_line_ensemble(senv, 2, "exact", 2)
+        for a, b in zip(ours.curves, ref, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestFractionRoute:
+    """The integer route against the Fraction one, bitwise, on the lattice
+    workload's 24 environments."""
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("order", LATTICE_ORDERS)
+    def test_curves_bitwise_equal(self, order, mode):
+        for stream in range(8):
+            senv = lattice_senv(order, stream)
+            ours = line_ensemble(senv, 6, mode=mode, order=order)
+            ref = fraction_line_ensemble(senv, 6, mode, order)
+            for a, b in zip(ours.curves, ref, strict=True):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestEnsembleFallback:
+    @pytest.mark.parametrize("order", LATTICE_ORDERS)
+    def test_each_cancelled_layer_taken_once(self, monkeypatch, order):
+        # what the benchmark's layer_evals_match_determinants probe counts
+        kmax = 6
+        float_calls, cancelled, exact_calls = [0], set(), [0]
+
+        def counted_float(log_matrix):
+            float_calls[0] += 1
+            try:
+                return log_det_scaled(log_matrix)
+            except FloatingPointError:
+                cancelled.add(log_matrix.tobytes())
+                raise
+
+        def counted_exact(matrix):
+            exact_calls[0] += 1
+            return exact_det(matrix)
+
+        monkeypatch.setattr(multilayer, "log_det_scaled", counted_float)
+        monkeypatch.setattr(multilayer, "exact_det", counted_exact)
+        line_ensemble(lattice_senv(order), kmax, order=order)
+        assert float_calls[0] == sum(curve_length(order, k) * (2 if k >= 2 else 1)
+                                     for k in range(1, kmax + 1))
+        assert exact_calls[0] == len(cancelled) > 0
+
     def test_fallback_curves_bitwise_equal_to_oracle(self, monkeypatch):
         senv = lattice_senv(7)
         calls = {"library": 0, "oracle": 0}
