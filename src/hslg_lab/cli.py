@@ -10,7 +10,8 @@ Groups and actions:
 Exit status: 0 when every check passes, 1 when an assertion or statistical
 check fails, 2 on usage errors (bad flags, bad config file, missing
 required flag, an integer option outside its range, a seed or a run of
-streams outside [0, 2**64), settings an experiment driver refuses).
+streams outside [0, 2**64), settings an experiment driver refuses, a
+``verify lgv`` instance past the enumeration cap).
 
 Each action accepts only the options its handler reads (`_ACTIONS` lists
 them, ``-h`` prints them).  An experiment's options are theta, alpha and the
@@ -51,8 +52,9 @@ from .environment import (FLAVORS, EnvFormatError, generate_dyadic_environment,
                           wedge_count, wedge_sites, write_environment)
 from .experiments import (EXPERIMENTS, ConfigError, ExperimentConfig, StatReport,
                           line_ensembles)
-from .gibbs import conditional_cdf, gibbs_region, ordering_check, site_law
-from .multilayer import curve_length, line_ensemble, multilayer_brute, multilayer_lgv
+from .gibbs import conditional_cdf, gibbs_region, site_law
+from .multilayer import (InstanceTooLarge, check_brute_size, curve_length, line_ensemble,
+                         multilayer_brute, multilayer_lgv)
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
 from .rng import in_u64
 from .special import ModelParams
@@ -426,20 +428,26 @@ def _verify_lgv(o) -> int:
     n = _int_option(o, "n", 4, 1)
     envs = _streams(o, _int_option(o, "envs", 25, 1))
     r_top = _int_option(o, "r", 2, 1)
+    cases = [(i, j, r) for i, j in wedge_sites(n) for r in range(1, min(r_top, j) + 1)]
+    for i, j, r in cases:
+        try:
+            check_brute_size(i, j, r)
+        except InstanceTooLarge as exc:
+            raise UsageError(f"--n {n} --r {r_top} reaches site ({i},{j}) at "
+                             f"r={r}: {exc}") from None
     checked = 0
     for e in range(envs):
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
         senv = symmetrize(env)
-        for i, j in wedge_sites(n):
-            for r in range(1, min(r_top, j) + 1):
-                det = multilayer_lgv(senv, i, j, r)
-                brute = multilayer_brute(senv, i, j, r)
-                if det != brute:
-                    print(f"FAIL: environment {e} (stream={o['stream'] + e}), "
-                          f"site ({i},{j}), layers r={r}: "
-                          f"determinant {det} != enumeration {brute}")
-                    return 1
-                checked += 1
+        for i, j, r in cases:
+            det = multilayer_lgv(senv, i, j, r)
+            brute = multilayer_brute(senv, i, j, r)
+            if det != brute:
+                print(f"FAIL: environment {e} (stream={o['stream'] + e}), "
+                      f"site ({i},{j}), layers r={r}: "
+                      f"determinant {det} != enumeration {brute}")
+                return 1
+            checked += 1
     print(f"PASS: determinant = exhaustive non-intersecting enumeration at "
           f"{checked} (site, r) cases ({envs} dyadic environments, n={n}, "
           f"r <= {r_top}), exact rational equality")
@@ -450,11 +458,15 @@ def _verify_sbd(o) -> int:
     params = _params(o)
     n = _int_option(o, "n", 6, 1)
     envs = _streams(o, _int_option(o, "envs", 100, 1))
-    ks = (1, 2) if o["k"] is None else (_int_option(o, "k", 1, 1),)
     m, site_n = n + 1, n - 1
-    for k in ks:
-        if 2 * k > site_n:
-            raise UsageError(f"--k {k} needs n >= {2 * k + 1}")
+    if o["k"] is None:
+        ks = tuple(k for k in (1, 2) if 2 * k <= site_n)
+        if not ks:
+            raise UsageError(f"--n must be >= 3 for a k with 2k <= n - 1, got {n}")
+    else:
+        ks = (_int_option(o, "k", 1, 1),)
+        if 2 * ks[0] > site_n:
+            raise UsageError(f"--k {ks[0]} needs n >= {2 * ks[0] + 1}")
     for e in range(envs):
         env = generate_dyadic_environment(params, n, o["seed"], o["stream"] + e)
         senv = symmetrize(env)
@@ -484,9 +496,6 @@ def _verify_gibbs(o) -> int:
                           lambda x: x) for s in sites}
     worst = min(sites, key=lambda s: results[s].pvalue)
     floor = significance / len(sites)
-    rates = ordering_check(ensembles, kmax - 1).rates
-    print(f"ordering violation rates (curves 1..{kmax}, slack log(n)^2): "
-          + ", ".join(f"{r:.4f}" for r in rates))
     print(f"worst site {worst}: KS D = {results[worst].statistic:.4f}, "
           f"p = {results[worst].pvalue:.3g} (floor {floor:.3g} = "
           f"{significance:g} / {len(sites)} sites)")

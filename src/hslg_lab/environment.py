@@ -65,8 +65,8 @@ def _lift(w: np.ndarray, shift) -> list[int]:
     return out
 
 
-def diag_sites(n: int, s: int):
-    """(i, j) arrays of the wedge anti-diagonal i + j = s, s in [2, 2n]."""
+def diag_sites(s: int):
+    """(i, j) arrays of the wedge anti-diagonal i + j = s, j = 1..s//2."""
     j = np.arange(1, s // 2 + 1)
     return s - j, j
 
@@ -212,7 +212,7 @@ def stream_log_weights(params: ModelParams, n: int, flavor: str,
     """
     streams = np.asarray(streams, dtype=np.uint64)
     for s in range(2, 2 * n + 1):
-        i, j = diag_sites(n, s)
+        i, j = diag_sites(s)
         shapes = site_shapes(params, flavor, i, j)
         lanes = site_code(i, j).astype(np.uint64)
         keys = rng.lane_keys(seed, streams[:, None], lanes[None, :])

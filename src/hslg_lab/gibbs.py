@@ -24,15 +24,10 @@ single-site conditionals (Brook 1964), and when the ensemble has the Gibbs
 property, F(H(i, j)) with F the conditional CDF is Uniform(0, 1) across
 independent ensembles (Rosenblatt 1952), so the property is tested without
 sampling.
-
-The curve-ordering check counts how often sampled line ensembles break the
-four ordering inequalities between neighbouring curves by more than the
-slack log(n)^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,56 +181,3 @@ def conditional_cdf(a, b, c, u):
     left = mass(-edge, z)
     return left / (left + mass(z, edge))
 
-
-# ---------------------------------------------------------------------------
-# curve-ordering check
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Violation counts of the four slack ordering inequalities.
-
-    Index order: (1) odd-above-right H(i, 2p+1) vs H(i, 2p); (2)
-    odd-above-left H(i, 2p-1) vs H(i, 2p); (3) next-curve vs right odd;
-    (4) next-curve vs left odd.
-    """
-
-    violations: np.ndarray
-    trials: np.ndarray
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self.violations / np.maximum(self.trials, 1)
-
-
-def ordering_check(ensembles, k: int) -> OrderingReport:
-    """Empirical violation rates of the four ordering inequalities.
-
-    Compares curves i = 1..k against curve i+1 at every even position, with
-    additive slack log(n)^2, aggregated over a nonempty sequence of
-    ensembles.
-    """
-    if not ensembles:
-        raise ValueError("no ensembles supplied")
-    violations = np.zeros(4, dtype=np.int64)
-    trials = np.zeros(4, dtype=np.int64)
-    for ens in ensembles:
-        if ens.kmax < k + 1:
-            raise ValueError(f"need curves up to {k + 1}, have {ens.kmax}")
-        n = ens.n
-        s = math.log(n) ** 2
-        for i in range(1, k + 1):
-            cur = ens.curves[i - 1]
-            nxt = ens.curves[i]
-            p = np.arange(1, n - i + 1)
-            if p.size == 0:
-                continue
-            even = cur[2 * p - 1]           # H(i, 2p), 0-indexed storage
-            right = cur[2 * p]              # H(i, 2p+1)
-            left = cur[2 * p - 2]           # H(i, 2p-1)
-            below = nxt[2 * p - 1]          # H(i+1, 2p)
-            for t, bad in enumerate([right > even + s, left > even + s,
-                                     below > right + s, below > left + s]):
-                violations[t] += int(bad.sum())
-                trials[t] += bad.size
-    return OrderingReport(violations, trials)

@@ -85,45 +85,37 @@ def enumerate_quadrant_paths(start, end):
     return out
 
 
+def check_brute_size(m: int, n: int, r: int) -> None:
+    """Raise InstanceTooLarge unless `multilayer_brute` at (m, n) with
+    1 <= r <= n layers stays within the enumeration caps.
+
+    Every path family has C(m + n - r - 1, m - 1) paths, so the tuples are
+    counted without listing a path.
+    """
+    if r * (m + n - r) > MAX_BRUTE_CELLS:
+        raise InstanceTooLarge(f"{r} paths of {m + n - r} cells exceed the "
+                               f"enumeration cap of {MAX_BRUTE_CELLS} cells")
+    tuples = math.comb(m + n - r - 1, m - 1) ** r
+    if tuples > MAX_BRUTE_TUPLES:
+        raise InstanceTooLarge(f"{tuples} path tuples exceed the enumeration "
+                               f"cap of {MAX_BRUTE_TUPLES}")
+
+
 def multilayer_brute(senv: SymmetrizedEnvironment, m: int, n: int, r: int) -> Fraction:
     """Exact exhaustive sum over disjoint path tuples (verification oracle)."""
     if r == 0:
         return Fraction(1)
     if r < 0 or n - r + 1 < 1:
         raise ValueError("need 1 <= r <= n")
-    if r * (m + n - r) > MAX_BRUTE_CELLS:
-        raise InstanceTooLarge(f"{r} paths of {m + n - r} cells exceed the enumeration cap")
+    check_brute_size(m, n, r)
     families = [enumerate_quadrant_paths((1, r - a), (m, n - a)) for a in range(r)]
-    total_tuples = 1
-    for fam in families:
-        total_tuples *= max(len(fam), 1)
-    if total_tuples > MAX_BRUTE_TUPLES:
-        raise InstanceTooLarge("tuple count exceeds the enumeration cap")
-    wcache: dict[tuple[int, int], Fraction] = {}
-
-    def wf(site):
-        if site not in wcache:
-            wcache[site] = senv.weight_fraction(*site)
-        return wcache[site]
-
+    weight = {(i, j): senv.weight_fraction(i, j)
+              for i in range(1, m + 1) for j in range(1, n + 1)}
     total = Fraction(0)
     for combo in itertools.product(*families):
-        seen: set[tuple[int, int]] = set()
-        ok = True
-        for path in combo:
-            for site in path:
-                if site in seen:
-                    ok = False
-                    break
-                seen.add(site)
-            if not ok:
-                break
-        if not ok:
-            continue
-        prod = Fraction(1)
-        for site in seen:
-            prod *= wf(site)
-        total += prod
+        sites = [site for path in combo for site in path]
+        if len(set(sites)) == len(sites):
+            total += math.prod(weight[site] for site in sites)
     return total
 
 

@@ -110,7 +110,7 @@ class TestRefusedBeforeWork:
 
 class TestDegenerateInput:
     """Options that would make a check vacuous or crash exit 2 before any
-    environment is drawn."""
+    environment is drawn; a default that would do so is fitted instead."""
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "identity", "--envs", "0"], "--envs must be >= 1"),
@@ -132,6 +132,9 @@ class TestDegenerateInput:
          f"--envs must be >= {KS_MIN_SAMPLES}"),
         (["verify", "gibbs", "--significance", "0"], "--significance must lie"),
         (["verify", "gibbs", "--significance", "1"], "--significance must lie"),
+        (["verify", "lgv", "--n", "8", "--r", "3", "--envs", "1"],
+         "enumeration cap of 2000000"),
+        (["verify", "sbd", "--n", "2"], "--n must be >= 3"),
     ])
     def test_exit_status(self, argv, message, monkeypatch, capsys):
         def no_work(*args, **kwargs):
@@ -141,6 +144,11 @@ class TestDegenerateInput:
         monkeypatch.setattr(cli, "generate_dyadic_environment", no_work)
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_sbd_default_k_fits_n(self, capsys):
+        # without --k, sbd runs each k of (1, 2) with 2k <= n - 1
+        assert cli.main(["verify", "sbd", "--n", "4", "--envs", "5"]) == 0
+        assert "k in [1]," in capsys.readouterr().out
 
 
 U64 = 1 << 64

@@ -1,5 +1,5 @@
 """The diamond lattice, the single-site conditional laws of the line
-ensemble, `verify gibbs`, and the curve-ordering check.
+ensemble, and `verify gibbs`.
 
 The oracle for the site rule is `oracles.gibbs_log_density`, the literal sum
 of log edge weights; the oracles for the conditional CDF are scipy's
@@ -15,10 +15,9 @@ import scipy.stats
 from hslg_lab import cli, gibbs
 from hslg_lab.gibbs import (BLACK, BLUE, RED, colored_edges, conditional_cdf,
                             edge_shape, gibbs_region, lattice_sites,
-                            ordering_check, site_law, site_rule)
-from hslg_lab.environment import generate_environment, symmetrize
+                            site_law, site_rule)
 from hslg_lab.experiments import line_ensembles
-from hslg_lab.multilayer import LineEnsemble, curve_length, line_ensemble
+from hslg_lab.multilayer import LineEnsemble, curve_length
 from oracles import gibbs_log_density
 
 # every edge of the order-4 lattice, transcribed by hand from the three
@@ -200,11 +199,6 @@ class TestConditionalCdf:
 
 
 class TestVerifyGibbs:
-    def test_passes_at_the_defaults(self, capsys):
-        assert cli.main(["verify", "gibbs"]) == 0
-        out = capsys.readouterr().out
-        assert "27 sites" in out and "ordering violation rates" in out
-
     def test_swapped_colors_fail_at_a_row_start(self, monkeypatch, capsys):
         swap = {BLUE: RED, RED: BLUE, BLACK: BLACK}
         monkeypatch.setattr(gibbs, "edge_shape",
@@ -212,30 +206,3 @@ class TestVerifyGibbs:
         assert cli.main(["verify", "gibbs", "--envs", "100"]) == 1
         assert "FAIL: conditional PIT of H(1, 1)" in capsys.readouterr().out
 
-
-class TestOrdering:
-    def test_counts_breaks_beyond_the_slack(self):
-        # flat curves never break an inequality; lifting the odd positions
-        # of curve 1 past log(n)^2 breaks (1) and (2) at every trial
-        n = 8
-        flat = [np.zeros(curve_length(n, k)) for k in (1, 2)]
-        report = ordering_check([LineEnsemble(n, 2, flat)], k=1)
-        assert report.violations.tolist() == [0, 0, 0, 0]
-        assert report.trials.tolist() == [n - 1] * 4
-        flat[0][::2] = math.log(n) ** 2 + 1e-9
-        report = ordering_check([LineEnsemble(n, 2, flat)], k=1)
-        assert report.violations.tolist() == [n - 1, n - 1, 0, 0]
-
-    def test_log_squared_slack_rates_small(self, params):
-        report = ordering_check(line_ensembles(params, 16, 2, 0, 0, 120), k=1)
-        assert np.all(report.rates <= 0.10)
-
-    def test_needs_next_curve(self, params):
-        env = generate_environment(params, 5, seed=0)
-        ens = line_ensemble(symmetrize(env), kmax=1)
-        with pytest.raises(ValueError):
-            ordering_check([ens], k=1)
-
-    def test_needs_an_ensemble(self):
-        with pytest.raises(ValueError, match="no ensembles"):
-            ordering_check([], k=1)

@@ -49,6 +49,10 @@ class TestBruteForce:
         senv = senv_of(params, 30, seed=3)
         with pytest.raises(InstanceTooLarge):
             multilayer_brute(senv, 30, 25, 3)
+        # 39 cells pass the cell cap, but C(38, 19) ~ 3.5e10 single paths
+        # are refused by their count, before any is listed
+        with pytest.raises(InstanceTooLarge, match="path tuples"):
+            multilayer_brute(senv, 20, 20, 1)
 
 
 class TestLgv:

@@ -20,6 +20,9 @@ and three fluct figures moved in their last digits, by about 1e-16.
 lln's was recorded once more when its diagonal-avoiding rate rows went:
 they were computed under the alpha -> 0 diagonal law, so they read the
 same at every alpha; the rows that stay kept their bytes.
+`verify gibbs`'s digest was recorded after its line of curve-ordering
+rates was deleted; it also covers the exit code and the "27 sites" that
+a separate defaults test used to assert.
 The quenched case runs at --sizes 20; its digest was recorded at
 --sizes 10,20, of which quenched read only the largest.
 `.meta` files are not pinned: they carry the package version.
@@ -44,6 +47,7 @@ CASES = {
     "verify_identity": (["verify", "identity"], "stdout"),
     "verify_lgv": (["verify", "lgv"], "stdout"),
     "verify_sbd": (["verify", "sbd"], "stdout"),
+    "verify_gibbs": (["verify", "gibbs"], "stdout"),
     "experiment_pinning": (["experiment", "pinning"] + SMALL, "out.csv"),
     "experiment_walk": (["experiment", "walk"] + SMALL, "out.csv"),
     "experiment_lln": (["experiment", "lln", "--alpha", "-0.3"] + SMALL
@@ -68,6 +72,7 @@ DIGESTS = {
     "simulate_endpoint": "8f9b4021f63a5f8830200a96691f3889fda80749e5b739329f965a32d85bc1e2",
     "simulate_ensemble": "c3e87a11c0efe6c1d220a55450aa7fc64098001c2979ce663c9526c7cbddde1c",
     "simulate_path": "0f9835138ee859a48dff8a572786d95667aecf0da4dd7cbb7cbbd4139f45f6d8",
+    "verify_gibbs": "e7de75e095312b1e7baf46241364f7772da0ea7b4717c52487ebc935ab05ae52",
     "verify_identity": "51f54d9c406fbb2e43395f5480f3758cc60e71f99978fdd1b6e4edf6a6bff785",
     "verify_lgv": "fcc2dacc1f85e48f9dd79fc93cdaf7c107fbf29de188d0e210f96399f0f728ad",
     "verify_sbd": "28f6624800ab4b41d3367d53ae4b0061ab11b9e1a8dabe2aa7663f7ddd160597",
