@@ -44,12 +44,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betainc, digamma, expit, logsumexp
 
 from .environment import generate_environment, symmetrize
 from .multilayer import LineEnsemble, curve_length, line_ensemble
-from .polymer import batch_final_profiles
-from .special import ModelParams, constants, delta_k, k_star
+from .polymer import batch_final_profiles, logsumexp
+from .special import ModelParams, constants, delta_k, digamma, k_star
 from .stats import KS_MIN_SAMPLES, SIGNIFICANCE, TestResult, ks_test, normal_cdf
 from .walk import LimitingPmf, increment_cdf, limiting_endpoint_pmf
 # no caller here; bench/traced.py wraps these under this module
@@ -332,6 +331,8 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
                          float(pmf[:, r].var(ddof=1)),
                          float(wside.var(ddof=1))))
         rep.checks.append(_ks_check(f"marginal_ks_r{r}", res, sig))
+    # imported here so that the CLI starts without scipy, as in increment_cdf
+    from scipy.special import betainc, expit
     a, b = config.params.theta + config.params.alpha, -2.0 * config.params.alpha
     # I_{expit(v)}(a, b), and for v >= 0 its complement, whose argument
     # expit(-v) keeps the digits that expit(v) rounds away near 1
@@ -401,7 +402,7 @@ def run_gaussian_fluct(config: ExperimentConfig) -> StatReport:
         m2, m4 = float(d2.mean()), float((d2 * d2).mean())
         rep.checks.append(_z_check(
             f"diag_mean_exact_N{n}", float(stationary.mean()),
-            rate * n + float(digamma(config.params.shape_boundary)),
+            rate * n + digamma(config.params.shape_boundary),
             float(stationary.std(ddof=1)) / math.sqrt(stationary.size), sig))
         ptl = logsumexp(stat[:, 1:], axis=1) - stationary
         walk_ptl = logsumexp(-walks.s[:, 1:n], axis=1)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng
 from .environment import Environment, stream_log_weights
@@ -46,6 +45,24 @@ def _log_plus(a, b):
     np.log1p(t, out=t)
     t += hi
     return np.fmax(t, hi, out=t)
+
+
+def logsumexp(a, axis=None):
+    """log sum e^a over `axis` (all axes when None), bit for bit scipy 1.17's
+    logsumexp on real input: log1p(s / m) + log m + max, with m the count of
+    the maxima and s = sum e^{a - max} over the rest; log sum e^a where that
+    is not finite (all -inf, an inf or a nan)."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi = np.max(a, axis=axis, keepdims=True, initial=NEG_INF)
+        top = a == hi
+        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, NEG_INF, a) - hi), axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + hi
+        out = np.where(np.isfinite(out), out,
+                       np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)[()]
 
 
 # Semirings for `sweep`: (plus, times, zero, dtype).  LOG runs on log

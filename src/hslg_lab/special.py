@@ -1,17 +1,45 @@
 """Model parameters and the constants built from digamma and trigamma.
 
 The polymer's limit laws are governed by digamma/trigamma values at
-theta + alpha and theta - alpha.  They come from `scipy.special` and are
-returned as Python floats; the test suite checks them against a zeta
-series, recurrences and closed forms.
+theta + alpha and theta - alpha, computed here in 40-digit decimal: the
+recurrence moves x past `_SHIFT`, where the asymptotic series through B_20
+is off by under 1e-36, so the floats are correctly rounded even at psi's
+root near 1.4616.  Tests check them against scipy and independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
-from scipy.special import digamma, polygamma
+_SHIFT = 60
+# (numerator, denominator) of the Bernoulli numbers B_2, B_4, .., B_20
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330))
+
+
+def _polygamma(order: int, x: float) -> float:
+    """psi (order 0) or psi' (order 1) at x > 0, correctly rounded."""
+    with localcontext(Context(prec=40)):
+        y, shifted = Decimal(x), Decimal(0)
+        while y < _SHIFT:       # psi(y) = psi(y+1) - 1/y, psi'(y) = psi'(y+1) + 1/y^2
+            shifted += 1 / y ** (order + 1)
+            y += 1
+        b = enumerate((Decimal(p) / q for p, q in _BERNOULLI), 1)
+        if order == 0:
+            return float(y.ln() - 1 / (2 * y) - shifted
+                         - sum(t / (2 * k * y ** (2 * k)) for k, t in b))
+        return float(1 / y + 1 / (2 * y * y) + shifted
+                     + sum(t / y ** (2 * k + 1) for k, t in b))
+
+
+def digamma(x: float) -> float:
+    return _polygamma(0, x)
+
+
+def trigamma(x: float) -> float:
+    return _polygamma(1, x)
 
 
 @dataclass(frozen=True)
@@ -55,8 +83,8 @@ class Constants:
 
 def constants(params: ModelParams) -> Constants:
     a, b = params.theta + params.alpha, params.theta - params.alpha
-    psi_a, psi_b = float(digamma(a)), float(digamma(b))
-    tri_a, tri_b = float(polygamma(1, a)), float(polygamma(1, b))
+    psi_a, psi_b = digamma(a), digamma(b)
+    tri_a, tri_b = trigamma(a), trigamma(b)
     return Constants(
         free_energy_rate=-psi_a - psi_b,
         increment_drift=psi_b - psi_a,
@@ -66,8 +94,8 @@ def constants(params: ModelParams) -> Constants:
 
 def _psi_gap(params: ModelParams) -> float:
     """psi(theta) - (psi(theta + alpha) + psi(theta - alpha)) / 2."""
-    return float(digamma(params.theta) - 0.5 * (
-        digamma(params.theta + params.alpha) + digamma(params.theta - params.alpha)))
+    return digamma(params.theta) - 0.5 * (
+        digamma(params.theta + params.alpha) + digamma(params.theta - params.alpha))
 
 
 def delta_k(params: ModelParams, k: int) -> float:

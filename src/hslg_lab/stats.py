@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .rng import LANE_BOOTSTRAP, lane_keys, uniforms
 
@@ -89,6 +88,8 @@ def ks_test(samples, reference) -> TestResult:
 
 
 def normal_cdf(x):
+    # imported here, fluct's one use, so that the CLI starts without scipy
+    from scipy.special import erfc
     return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 

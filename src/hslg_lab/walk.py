@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, expit, logsumexp
 
+from .polymer import logsumexp
 from .rng import LANE_CHAIN, LANE_TAIL, lane_keys, log_gamma_draws
 from .special import ModelParams
 
@@ -79,6 +79,8 @@ def _cdf_table(theta: float, alpha: float) -> tuple[float, float]:
 
 def increment_cdf(params: ModelParams, x):
     """CDF of one walk increment, I_{sigma(x)}(theta - alpha, theta + alpha)."""
+    # imported here, at the first CDF, so that the CLI starts without scipy
+    from scipy.special import betainc, expit
     a, b = _cdf_table(params.theta, params.alpha)
     out = betainc(a, b, expit(np.asarray(x, dtype=float)))
     if np.ndim(x) == 0:

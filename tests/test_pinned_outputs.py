@@ -20,6 +20,10 @@ and three fluct figures moved in their last digits, by about 1e-16.
 lln's was recorded once more when its diagonal-avoiding rate rows went:
 they were computed under the alpha -> 0 diagonal law, so they read the
 same at every alpha; the rows that stay kept their bytes.
+fluct's was recorded once more when psi and psi' came to be computed in
+`special` in place of scipy's: psi'(1/2) is now pi^2/2 correctly rounded,
+1 ulp below scipy's, so the CLT variance at alpha -1/2 moved by 1 ulp and
+six variance and line-mean figures in their last digits.
 `verify gibbs`'s digest was recorded after its line of curve-ordering
 rates was deleted; it also covers the exit code and the "27 sites" that
 a separate defaults test used to assert.
@@ -63,7 +67,7 @@ DIGESTS = {
     "env_gen_exact": "c8b62887a8afd73a8c475659591e5e961395bd430b687c31aa2735aa454f4767",
     "env_gen_float": "88b75ff39352d68046b6b258babebcc3788b26d9d5356b188ab6dda8dd1d7dca",
     "experiment_lln": "12ddbd5494a74521ccee88ffa69bdfff561e6aef90850612cfc06ad134385bf1",
-    "experiment_fluct": "1f255a2163cc1a0067c5da53acb72b85102757c07a78d6ea4b6c50f444cb79fc",
+    "experiment_fluct": "34e9d71fa58a46f18f68d9a02d705f53a7668393f5f6df08987178913d31c5f5",
     "experiment_pinning": "902f084423bdf2de1b06d74967cffccc6aeb3b134c1a1214ec28dcf0263a7813",
     "experiment_quenched": "5d28ff560ef2056219e4a2f615f00d93e129587664a0b57da2705675cf4e08b8",
     "experiment_walk": "a2c54eb3f3b806d27f4bce25a0efa2142f26cd529eb5ececa3edc5ad1931f011",

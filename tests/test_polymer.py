@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
-from scipy.special import logsumexp
 
 import oracles
 from hslg_lab.environment import (generate_dyadic_environment,
                                   generate_environment)
 from hslg_lab.polymer import (LOG, batch_final_profiles, endpoint_pmf,
-                              exact_partition_table, partition_table,
+                              exact_partition_table, logsumexp, partition_table,
                               sample_path_codes, sweep)
 from oracles import path_code
 
@@ -50,6 +50,42 @@ class TestLogPlus:
         assert lo == 3
         np.testing.assert_array_equal(z[:, 0], w2[:, 0] + w1[:, 1])
         np.testing.assert_array_equal(z[:, 1], [-np.inf, -np.inf])
+
+
+class TestLogsumexp:
+    """`logsumexp` is scipy.special.logsumexp bit for bit, in value, type
+    and shape."""
+
+    @staticmethod
+    def assert_same(x, axis):
+        with np.errstate(under="ignore"):   # exp of terms far below the max
+            got, want = logsumexp(x, axis=axis), scipy.special.logsumexp(x, axis=axis)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_scipy(self, seed):
+        gen = np.random.default_rng(seed)
+        shape = ((7,), (5, 6), (3, 4, 5))[seed % 3]
+        x = gen.normal(0.0, (1.0, 40.0, 700.0)[seed % 3], shape)
+        if seed >= 3:
+            x = np.round(x)                     # ties at the maximum
+        x[gen.random(shape) < 0.25] = -np.inf
+        if x.ndim > 1:
+            x[0] = -np.inf                      # an all -inf row
+        for view in (x, x.T, x[..., ::2]):
+            for axis in (None, *range(x.ndim)):
+                self.assert_same(view, axis)
+
+    def test_edge_rows(self):
+        rows = np.array([[2.0, 2.0, 2.0], [1.0, 2.0, 2.0], [-np.inf] * 3,
+                         [np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [-745.0, 0.0, 709.0]])
+        for axis in (None, 0, 1):
+            with np.errstate(invalid="ignore"):     # inf - inf
+                self.assert_same(rows, axis)
+        self.assert_same(np.array([3.5]), None)
+        self.assert_same(np.zeros((3, 0)), 1)
 
 
 class TestExactTable:

@@ -27,6 +27,12 @@ The first three lists are empty, and new entries need a caller instead.
 The field list holds `Interval.lo` and `Interval.hi`: `stats.bootstrap_ci`
 builds intervals that only the benchmark's probe draws, so the two fields
 go with the bootstrap cut, which needs the next change to the benchmark.
+
+The scipy ratchet: `import hslg_lab.cli` loads no scipy module, nor do
+`experiment pinning` and `experiment lln` at the pinned small configs.
+scipy is imported only inside the functions that need it: the two Beta
+reference CDFs (`walk.increment_cdf`, quenched's `q_beta_law`) and
+`stats.normal_cdf`.
 """
 import ast
 import os
@@ -35,6 +41,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hslg_lab"
 
@@ -42,9 +50,6 @@ UNREACHED: dict[str, set[str]] = {}
 UNREACHED_METHODS: set[str] = set()
 UNSET_OPTIONS: set[str] = set()
 UNREAD_FIELDS = {"stats.Interval.lo", "stats.Interval.hi"}
-
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
-               "scipy.linalg")
 
 
 def _words(path: pathlib.Path) -> list[str]:
@@ -197,13 +202,32 @@ def test_unread_fields_match_the_allowlist():
     assert unread_fields() == UNREAD_FIELDS
 
 
-def test_cli_import_leaves_heavy_scipy_unloaded():
+def _run_leaves_scipy_unloaded(code: str) -> None:
+    """Run `code` in a fresh interpreter and assert it exits 0 with no
+    scipy module loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    probe = ("import sys, hslg_lab.cli; "
-             f"print(','.join(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+    env.pop("HSLG_LAB_SEED", None)
+    probe = (code + "; import sys; print('scipy modules:', "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == ""
+    assert res.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    _run_leaves_scipy_unloaded("import hslg_lab.cli")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "pinning", "--sizes", "10,20", "--samples", "40"],
+    ["experiment", "lln", "--alpha", "-0.3", "--sizes", "10,20", "--samples", "40",
+     "--small-sizes", "7,9", "--small-samples", "3"],
+])
+def test_pinning_and_lln_run_without_scipy(argv, tmp_path):
+    # the configs of tests/test_pinned_outputs.py
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    _run_leaves_scipy_unloaded(
+        f"import hslg_lab.cli; rc = hslg_lab.cli.main({argv!r}); assert rc == 0, rc")

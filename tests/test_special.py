@@ -1,18 +1,70 @@
 """Digamma/trigamma accuracy and the derived model constants.
 
-`hslg_lab.special` takes digamma and polygamma from scipy.special; the
-oracles here do not: a zeta series around z = 1 extended by the recurrence
-for digamma, a direct sum with an Euler-Maclaurin tail for trigamma, and
-hand-reduced closed forms at (theta, alpha) = (1, -1/2).
+`hslg_lab.special` computes digamma and trigamma itself, by the
+recurrence and the asymptotic series in 40-digit decimal.  At every theta
+and theta +- alpha that the calibration and benchmark configs evaluate,
+and at psi's positive root, they must equal `polygamma_reference`, the
+same route at twice the precision with its own Bernoulli numbers, and lie
+within 2 ulps of scipy.special (3 for trigamma: scipy's psi'(0.9) is 3
+ulps above the true value).  Oracles that use neither: a zeta series
+around z = 1 extended by the recurrence for digamma, a direct sum with an
+Euler-Maclaurin tail for trigamma, and hand-reduced closed forms at
+(theta, alpha) = (1, -1/2).
 """
 import math
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import zeta as hurwitz_zeta
 
+import calibrate_checks
 from hslg_lab.special import (Constants, ModelParams, constants, delta_k,
-                              digamma, k_star, polygamma)
+                              digamma, k_star, trigamma)
+
+# psi's positive root, where psi is about -9.2e-17: a truncation error of
+# the series far below an ulp of 1 is still many ulps of the value here
+PSI_ROOT = 1.4616321449683622
+
+
+def _grid() -> list[float]:
+    """theta and theta +- alpha of every calibration config (the benchmark's
+    configs are among them), of the shared test points, and psi's root."""
+    params = [p for _, p, _ in calibrate_checks.DRIVERS.values()]
+    params += [ModelParams(1.0, -0.5), ModelParams(0.7, -0.3),
+               ModelParams(2.0, -1.2), ModelParams(1.0, -0.1)]
+    xs = {x for p in params for x in (p.theta, p.theta + p.alpha, p.theta - p.alpha)}
+    return sorted(xs | {PSI_ROOT})
+
+
+def _ulps(a: float, b: float) -> int:
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def polygamma_reference(order: int, z: float) -> float:
+    """psi (order 0) or psi' (order 1) at z > 0 to about 65 digits, as a float.
+
+    In 80-digit decimal, 200 steps of the recurrence, then the asymptotic
+    series through B_30 at z + 200, whose first omitted term is under 1e-65.
+    The Bernoulli numbers come from sum_{k<=m} C(m+1, k) B_k = 0.
+    """
+    b = [Fraction(1)]
+    for m in range(1, 31):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    with localcontext(Context(prec=80)):
+        x = Decimal(z)
+        y = x + 200
+        shifted = sum(1 / (x + k) ** (order + 1) for k in range(200))
+        terms = [Decimal(b[2 * k].numerator) / b[2 * k].denominator for k in range(1, 16)]
+        if order == 0:
+            series = y.ln() - 1 / (2 * y) - sum(
+                t / (2 * k * y ** (2 * k)) for k, t in enumerate(terms, 1))
+            return float(series - shifted)
+        series = 1 / y + 1 / (2 * y * y) + sum(
+            t / y ** (2 * k + 1) for k, t in enumerate(terms, 1))
+        return float(series + shifted)
 
 EULER = 0.57721566490153286060651209
 
@@ -72,11 +124,13 @@ class TestDigamma:
         for z in (0.25, 1.1, 7.3):
             assert digamma(z + 1) == pytest.approx(digamma(z) + 1 / z, rel=1e-13)
 
-    def test_vectorized(self):
-        z = np.array([0.5, 1.0, 2.5])
-        out = digamma(z)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(-EULER, abs=1e-12)
+    @pytest.mark.parametrize("z", _grid())
+    def test_reference_and_scipy(self, z):
+        assert digamma(z) == polygamma_reference(0, z)
+        assert _ulps(digamma(z), scipy.special.digamma(z)) <= 2
+
+    def test_returns_a_float(self):
+        assert type(digamma(1.0)) is float and digamma(1.0) == pytest.approx(-EULER)
 
 
 class TestTrigamma:
@@ -84,16 +138,22 @@ class TestTrigamma:
     def test_hurwitz_oracle(self, z):
         # psi'(z) is the Hurwitz zeta(2, z), here summed directly; the
         # oracle is within a few ulps of it, see trigamma_sum
-        assert polygamma(1, z) == pytest.approx(trigamma_sum(z), rel=1e-14)
+        assert trigamma(z) == pytest.approx(trigamma_sum(z), rel=1e-14)
+
+    @pytest.mark.parametrize("z", _grid())
+    def test_reference_and_scipy(self, z):
+        assert trigamma(z) == polygamma_reference(1, z)
+        assert _ulps(trigamma(z), scipy.special.polygamma(1, z)) <= 3
 
     def test_half_closed_form(self):
-        assert polygamma(1, 0.5) == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
-        assert polygamma(1, 1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
+        # the float pi^2/2 is psi'(1/2) correctly rounded; scipy's is 1 ulp high
+        assert trigamma(0.5) == math.pi ** 2 / 2
+        assert trigamma(1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
 
     def test_recurrence(self):
         for z in (0.3, 1.7):
-            lhs = polygamma(1, z + 1)
-            assert lhs == pytest.approx(polygamma(1, z) - 1 / z ** 2, rel=1e-12)
+            lhs = trigamma(z + 1)
+            assert lhs == pytest.approx(trigamma(z) - 1 / z ** 2, rel=1e-12)
 
 
 class TestModelParams:
@@ -129,7 +189,7 @@ class TestConstants:
             2 * EULER + 4 * math.log(2) - 2, abs=1e-12)
         assert c.increment_drift == pytest.approx(2.0, abs=1e-12)
         assert c.clt_variance == pytest.approx(4.0, abs=1e-12)
-        assert polygamma(1, 0.5) + polygamma(1, 1.5) == pytest.approx(
+        assert trigamma(0.5) + trigamma(1.5) == pytest.approx(
             math.pi ** 2 - 4, abs=1e-12)
 
     def test_formulas_any_point(self, params_grid):
@@ -141,8 +201,8 @@ class TestConstants:
                 digamma(p.theta - p.alpha) - digamma(p.theta + p.alpha))
             assert c.increment_drift > 0  # binding means positive decay
             assert c.clt_variance > 0
-            increment_var = (polygamma(1, p.theta + p.alpha)
-                             + polygamma(1, p.theta - p.alpha))
+            increment_var = (trigamma(p.theta + p.alpha)
+                             + trigamma(p.theta - p.alpha))
             assert increment_var > c.clt_variance
 
 
