@@ -48,7 +48,7 @@ import numpy as np
 from .environment import generate_environment, symmetrize
 from .multilayer import LineEnsemble, curve_length, line_ensemble
 from .polymer import batch_final_profiles, logsumexp
-from .special import ModelParams, constants, delta_k, digamma, k_star
+from .special import ModelParams, beta_cdf_logit, constants, delta_k, digamma, k_star
 from .stats import KS_MIN_SAMPLES, SIGNIFICANCE, TestResult, ks_test, normal_cdf
 from .walk import LimitingPmf, increment_cdf, limiting_endpoint_pmf
 # no caller here; bench/traced.py wraps these under this module
@@ -331,14 +331,9 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
                          float(pmf[:, r].var(ddof=1)),
                          float(wside.var(ddof=1))))
         rep.checks.append(_ks_check(f"marginal_ks_r{r}", res, sig))
-    # imported here so that the CLI starts without scipy, as in increment_cdf
-    from scipy.special import betainc, expit
     a, b = config.params.theta + config.params.alpha, -2.0 * config.params.alpha
-    # I_{expit(v)}(a, b), and for v >= 0 its complement, whose argument
-    # expit(-v) keeps the digits that expit(v) rounds away near 1
-    cdf = lambda v: np.where(v < 0.0, betainc(a, b, expit(v)),
-                             1.0 - betainc(b, a, expit(-v)))
-    rep.checks.append(_ks_check("q_beta_law", ks_test(walk.log_q1, cdf), sig))
+    rep.checks.append(_ks_check("q_beta_law", ks_test(
+        walk.log_q1, lambda v: beta_cdf_logit(a, b, v)), sig))
     return rep
 
 

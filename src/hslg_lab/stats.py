@@ -88,9 +88,8 @@ def ks_test(samples, reference) -> TestResult:
 
 
 def normal_cdf(x):
-    # imported here, fluct's one use, so that the CLI starts without scipy
-    from scipy.special import erfc
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * np.vectorize(math.erfc, otypes=[float])(
+        -np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def bootstrap_ci(values, stat=np.median, *, seed: int = 0) -> Interval:

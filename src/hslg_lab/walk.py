@@ -25,7 +25,8 @@ log Q nor log q1 = log(Q - 1) underflows.
 
 Since e^X is a ratio of independent Gammas, sigma(X) (sigma the logistic
 function) is Beta(theta - alpha, theta + alpha).  The increment CDF is
-therefore the closed form I_{sigma(x)}(theta - alpha, theta + alpha).
+therefore the closed form I_{sigma(x)}(theta - alpha, theta + alpha),
+which `special.beta_cdf_logit` evaluates from the logit x itself.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .polymer import logsumexp
 from .rng import LANE_CHAIN, LANE_TAIL, lane_keys, log_gamma_draws
-from .special import ModelParams
+from .special import ModelParams, beta_cdf_logit
 
 _U64 = np.uint64
 _ROW_LANES = 1 << 18        # steps per row block of limiting_endpoint_pmf (memory only)
@@ -79,10 +80,8 @@ def _cdf_table(theta: float, alpha: float) -> tuple[float, float]:
 
 def increment_cdf(params: ModelParams, x):
     """CDF of one walk increment, I_{sigma(x)}(theta - alpha, theta + alpha)."""
-    # imported here, at the first CDF, so that the CLI starts without scipy
-    from scipy.special import betainc, expit
     a, b = _cdf_table(params.theta, params.alpha)
-    out = betainc(a, b, expit(np.asarray(x, dtype=float)))
+    out = beta_cdf_logit(a, b, x)
     if np.ndim(x) == 0:
         return float(out)
     return out

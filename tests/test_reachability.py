@@ -28,11 +28,11 @@ The field list holds `Interval.lo` and `Interval.hi`: `stats.bootstrap_ci`
 builds intervals that only the benchmark's probe draws, so the two fields
 go with the bootstrap cut, which needs the next change to the benchmark.
 
-The scipy ratchet: `import hslg_lab.cli` loads no scipy module, nor do
-`experiment pinning` and `experiment lln` at the pinned small configs.
-scipy is imported only inside the functions that need it: the two Beta
-reference CDFs (`walk.increment_cdf`, quenched's `q_beta_law`) and
-`stats.normal_cdf`.
+The scipy ratchet: no module of `src/hslg_lab` imports scipy, and neither
+`import hslg_lab.cli` nor any experiment (`pinning`, `walk` in both
+flavors, `quenched`, `fluct`, `lln`) at its config in
+tests/test_pinned_outputs.py loads a scipy module.  scipy stays a test
+dependency: the tests use it as an independent reference.
 """
 import ast
 import os
@@ -42,6 +42,9 @@ import subprocess
 import sys
 
 import pytest
+
+from hslg_lab.experiments import EXPERIMENTS
+from test_pinned_outputs import CASES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hslg_lab"
@@ -217,17 +220,34 @@ def _run_leaves_scipy_unloaded(code: str) -> None:
     assert res.stdout.splitlines()[-1] == "scipy modules: []"
 
 
+def test_no_module_imports_scipy():
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.add(path.stem)
+    assert importers == set()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     _run_leaves_scipy_unloaded("import hslg_lab.cli")
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "pinning", "--sizes", "10,20", "--samples", "40"],
-    ["experiment", "lln", "--alpha", "-0.3", "--sizes", "10,20", "--samples", "40",
-     "--small-sizes", "7,9", "--small-samples", "3"],
-])
-def test_pinning_and_lln_run_without_scipy(argv, tmp_path):
-    # the configs of tests/test_pinned_outputs.py
-    argv = argv + ["--out", str(tmp_path / "out.csv")]
+EXPERIMENT_CASES = sorted(n for n in CASES if n.startswith("experiment_"))
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CASES)
+def test_experiments_run_without_scipy(name, tmp_path):
+    argv = CASES[name][0] + ["--out", str(tmp_path / "out.csv")]
     _run_leaves_scipy_unloaded(
         f"import hslg_lab.cli; rc = hslg_lab.cli.main({argv!r}); assert rc == 0, rc")
+
+
+def test_every_experiment_is_run_without_scipy():
+    assert {CASES[n][0][1] for n in EXPERIMENT_CASES} == set(EXPERIMENTS)

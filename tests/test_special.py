@@ -10,6 +10,14 @@ ulps above the true value).  Oracles that use neither: a zeta series
 around z = 1 extended by the recurrence for digamma, a direct sum with an
 Euler-Maclaurin tail for trigamma, and hand-reduced closed forms at
 (theta, alpha) = (1, -1/2).
+
+`beta_cdf_logit` is checked against scipy.special.betainc at the Beta
+shapes of every calibration and benchmark (theta, alpha), to 1e-14 over
+logits in [-700, 700], and to 1e-12 for theta up to 100 (the prefactor's
+log B(a, b) loses digits to cancellation as the shapes grow); against the
+closed forms of I_x(a, 1), I_x(1, b) and I_x(1/2, 1/2), which use no scipy;
+against the symmetry I_x(a, b) + I_{1-x}(b, a) = 1; and it must raise, not
+return, where its continued fraction has not converged.
 """
 import math
 from decimal import Context, Decimal, localcontext
@@ -21,22 +29,48 @@ import scipy.special
 from scipy.special import zeta as hurwitz_zeta
 
 import calibrate_checks
-from hslg_lab.special import (Constants, ModelParams, constants, delta_k,
-                              digamma, k_star, trigamma)
+from hslg_lab.special import (Constants, ModelParams, beta_cdf_logit, constants,
+                              delta_k, digamma, k_star, trigamma)
 
 # psi's positive root, where psi is about -9.2e-17: a truncation error of
 # the series far below an ulp of 1 is still many ulps of the value here
 PSI_ROOT = 1.4616321449683622
 
 
+# every calibration config (the benchmark's configs are among them) and the
+# shared test points
+POINTS = sorted({p for _, p, _ in calibrate_checks.DRIVERS.values()}
+                | {ModelParams(1.0, -0.5), ModelParams(0.7, -0.3),
+                   ModelParams(2.0, -1.2), ModelParams(1.0, -0.1)},
+                key=lambda p: (p.theta, p.alpha))
+
+
 def _grid() -> list[float]:
-    """theta and theta +- alpha of every calibration config (the benchmark's
-    configs are among them), of the shared test points, and psi's root."""
-    params = [p for _, p, _ in calibrate_checks.DRIVERS.values()]
-    params += [ModelParams(1.0, -0.5), ModelParams(0.7, -0.3),
-               ModelParams(2.0, -1.2), ModelParams(1.0, -0.1)]
-    xs = {x for p in params for x in (p.theta, p.theta + p.alpha, p.theta - p.alpha)}
+    """theta and theta +- alpha of `POINTS`, and psi's root."""
+    xs = {x for p in POINTS for x in (p.theta, p.theta + p.alpha, p.theta - p.alpha)}
     return sorted(xs | {PSI_ROOT})
+
+
+def _beta_shapes(params) -> list[tuple[float, float]]:
+    """The shapes of the two Beta laws the checks read at each point: the
+    increment's (theta - alpha, theta + alpha) and (Q - 1)/Q's (theta +
+    alpha, -2 alpha)."""
+    return [(p.theta - p.alpha, p.theta + p.alpha) for p in params] + [
+        (p.theta + p.alpha, -2.0 * p.alpha) for p in params]
+
+
+CHECK_SHAPES = _beta_shapes(POINTS)
+LARGE_SHAPES = _beta_shapes([ModelParams(t, -f * t) for t in (2.0, 5.0, 10.0, 30.0, 100.0)
+                             for f in (0.999, 0.7, 0.3, 0.02)])
+LOGITS = np.concatenate([np.linspace(-700.0, 700.0, 14001), np.linspace(-40.0, 40.0, 8001)])
+
+
+def betainc_logit(a: float, b: float, v: np.ndarray) -> np.ndarray:
+    """scipy's I_{sigma(v)}(a, b), for v >= 0 as one minus I_{sigma(-v)}(b, a),
+    whose argument keeps the digits that sigma(v) rounds away near 1."""
+    with np.errstate(under="ignore"):
+        return np.where(v < 0.0, scipy.special.betainc(a, b, scipy.special.expit(v)),
+                        1.0 - scipy.special.betainc(b, a, scipy.special.expit(-v)))
 
 
 def _ulps(a: float, b: float) -> int:
@@ -154,6 +188,53 @@ class TestTrigamma:
         for z in (0.3, 1.7):
             lhs = trigamma(z + 1)
             assert lhs == pytest.approx(trigamma(z) - 1 / z ** 2, rel=1e-12)
+
+
+class TestBetaCdfLogit:
+    @pytest.mark.parametrize("a, b", CHECK_SHAPES)
+    def test_scipy_at_the_checks_shapes(self, a, b):
+        np.testing.assert_allclose(beta_cdf_logit(a, b, LOGITS),
+                                   betainc_logit(a, b, LOGITS), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("a, b", LARGE_SHAPES)
+    def test_scipy_up_to_theta_100(self, a, b):
+        np.testing.assert_allclose(beta_cdf_logit(a, b, LOGITS),
+                                   betainc_logit(a, b, LOGITS), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [0.01, 0.5, 1.0, 1.5, 1.99, 3.2])
+    def test_closed_forms(self, s):
+        # I_x(s, 1) = x^s and I_x(1, s) = 1 - (1 - x)^s, with log x and
+        # log(1 - x) from the logit
+        with np.errstate(under="ignore"):
+            log_x = -np.logaddexp(0.0, -LOGITS)
+            log_y = -np.logaddexp(0.0, LOGITS)
+            np.testing.assert_allclose(beta_cdf_logit(s, 1.0, LOGITS), np.exp(s * log_x),
+                                       rtol=0, atol=1e-14)
+        np.testing.assert_allclose(beta_cdf_logit(1.0, s, LOGITS), -np.expm1(s * log_y),
+                                   rtol=0, atol=1e-14)
+
+    def test_arcsine_law(self):
+        # I_x(1/2, 1/2) = (2/pi) arcsin sqrt(x) = (2/pi) arctan e^{v/2}, since
+        # x / (1 - x) = e^v; the arctan keeps its digits near x = 1
+        np.testing.assert_allclose(beta_cdf_logit(0.5, 0.5, LOGITS),
+                                   2.0 / math.pi * np.arctan(np.exp(LOGITS / 2.0)),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("a, b", CHECK_SHAPES + LARGE_SHAPES)
+    def test_symmetry(self, a, b):
+        total = beta_cdf_logit(a, b, LOGITS) + beta_cdf_logit(b, a, -LOGITS)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=4e-15)
+
+    def test_shapes_and_limits(self):
+        assert beta_cdf_logit(2.0, 3.0, 0.3).shape == ()
+        v = np.array([[-np.inf, -800.0], [800.0, np.inf]])
+        np.testing.assert_array_equal(beta_cdf_logit(2.0, 1.5, v), [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_unconverged_fraction_raises(self):
+        # at a = b = 1e8 and x = 1/2 the fraction needs about sqrt(a) = 1e4
+        # terms, past the bound
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            beta_cdf_logit(1e8, 1e8, np.array([-1.0, 0.0, 1.0]))
 
 
 class TestModelParams:

@@ -43,7 +43,7 @@ def quadrature_density(params, x):
 
 
 def integrated_cdf(params, x):
-    """CDF by quadrature of the library density, independent of betainc."""
+    """CDF by quadrature of the library density, independent of the library CDF."""
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
         out = [scipy.integrate.quad(lambda v: increment_density(params, v),
