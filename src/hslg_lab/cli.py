@@ -318,7 +318,7 @@ def _deliver(report: StatReport, out) -> None:
 
 def _env_gen(o) -> int:
     params = _params(o)
-    n = _require(o, "n", "--n")
+    n = _int_option(o, "n", _require(o, "n", "--n"), 1)
     out = _require(o, "out", "--out")
     if o["precision"] == "exact":
         if o["flavor"] != "standard":
@@ -351,12 +351,11 @@ def _env_check(o) -> int:
 
 def _simulate(o, action: str) -> int:
     params = _params(o)
-    n = _require(o, "n", "--n")
+    # an ensemble's kmax lies in [1, n - 1]
+    n = _int_option(o, "n", _require(o, "n", "--n"), 2 if action == "ensemble" else 1)
     if action == "path":
         count = _int_option(o, "count", 100, 1)
     elif action == "ensemble":
-        if n < 2:
-            raise UsageError("simulate ensemble needs --n >= 2")
         kmax = _int_option(o, "kmax", min(2, n - 1), 1, n - 1)
     env = generate_environment(params, n, o["flavor"], o["seed"], o["stream"])
     _, reads, _ = _LEAVES["simulate", action]

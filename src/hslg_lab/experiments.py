@@ -222,8 +222,13 @@ def run_pinning(config: ExperimentConfig) -> StatReport:
     -S_{N-1}) - log Q; log space keeps underflowing tails finite, and the
     sum of positive weights avoids the cancellation of 1 - (mass below k).
     The walks come from `_walks`, one per sample.  Rows give the median and
-    95% quantile of the mass at each k of `k_grid`.
+    95% quantile of the mass at each k of `k_grid`.  A run in which no such
+    k lies in (0, N) at any size would test nothing, and is refused.
     """
+    if not any(0 < k < n for n in config.sizes
+               for k in config.k_grid + (math.ceil(config.deep_m * math.sqrt(n)),)):
+        raise ConfigError("pinning needs a k of k_grid or ceil(deep_m sqrt(N)) with "
+                          f"0 < k < N, got none at sizes {list(config.sizes)}")
     rep = StatReport("pinning", _record(config, "pinning"),
                      ("N", "k", "median_tail", "upper_q95_tail"))
     sig = config.significance
@@ -304,10 +309,12 @@ def run_quenched_limit(config: ExperimentConfig) -> StatReport:
     law lies within an ulp of 1, where (Q - 1) / Q rounds to 1.0 and the
     KS would read the rounding; log q1 keeps those values apart, and KS is
     invariant under the logit.  More than one size is refused, since only
-    one would be read.
+    one would be read, and so is size 1, which has no mass beyond 0.
     """
     if len(config.sizes) > 1:
         raise ConfigError(f"quenched takes one size, got {list(config.sizes)}")
+    if config.sizes[0] < 2:
+        raise ConfigError(f"sizes must be >= 2 for a mass beyond 0, got {config.sizes[0]}")
     rep = StatReport("quenched_limit", _record(config, "quenched"),
                      ("r", "ks_distance", "ks_pvalue", "polymer_mean",
                       "walk_mean", "polymer_var", "walk_var"))

@@ -13,7 +13,9 @@ difference x between the tail and head values,
 
 with c = theta - alpha on blue edges, theta + alpha on red edges, and 0 on
 black edges.  The ensemble has the Gibbs property for these weights on
-`gibbs_region(n)` (Barraquand-Corwin-Dimitrov, CMP 2023).
+`gibbs_region(n)` (Barraquand-Corwin-Dimitrov, CMP 2023).  `site_rule` is
+the one home of these placement rules: it reads the edges meeting one site
+off them.
 
 Fix every value but u = H(i, j).  The edges meeting (i, j) leave the
 log-density a*u - b*exp(u) - c*exp(-u), where a sums the shapes of the
@@ -28,18 +30,12 @@ sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .multilayer import curve_length
 from .special import ModelParams
 
 Site = tuple[int, int]
-
-BLUE = "blue"
-RED = "red"
-BLACK = "black"
 
 _HALF_WIDTH = 40.0   # standardized half-width of the integration window
 _NODES = 1001        # Simpson nodes on each side of the evaluation point
@@ -48,53 +44,10 @@ _SIMPSON[1:-1:2], _SIMPSON[2:-1:2] = 4.0, 2.0
 _UNIT = np.linspace(0.0, 1.0, _NODES)
 
 
-def edge_shape(params: ModelParams, color: str) -> float:
-    """Linear coefficient of log W for one edge color."""
-    if color == BLUE:
-        return params.theta - params.alpha
-    if color == RED:
-        return params.theta + params.alpha
-    if color == BLACK:
-        return 0.0
-    raise ValueError(f"unknown edge color {color!r}")
-
-
-def lattice_sites(n: int) -> tuple[Site, ...]:
-    """All sites of the order-n diamond lattice, row-major."""
-    if n < 1:
-        raise ValueError("lattice order must be >= 1")
-    return tuple((i, j) for i in range(1, n + 1)
-                 for j in range(1, curve_length(n, i) + 1))
-
-
 def gibbs_region(n: int) -> frozenset[Site]:
     """Sites eligible as interior of a Gibbs domain: rows < n, j < row end."""
     return frozenset((i, j) for i in range(1, n)
                      for j in range(1, curve_length(n, i)))
-
-
-@dataclass(frozen=True)
-class ColoredEdge:
-    tail: Site
-    head: Site
-    color: str
-
-
-def colored_edges(n: int) -> tuple[ColoredEdge, ...]:
-    """Every directed colored edge of the order-n lattice."""
-    edges = []
-    for p, q in lattice_sites(n):
-        if q % 2 == 1:
-            if q + 1 <= curve_length(n, p):
-                edges.append(ColoredEdge((p, q), (p, q + 1),
-                                         BLUE if p % 2 == 1 else RED))
-            if q >= 3:
-                edges.append(ColoredEdge((p, q), (p, q - 1),
-                                         RED if p % 2 == 1 else BLUE))
-        elif p >= 2:
-            edges.append(ColoredEdge((p, q), (p - 1, q - 1), BLACK))
-            edges.append(ColoredEdge((p, q), (p - 1, q + 1), BLACK))
-    return tuple(edges)
 
 
 def site_rule(params: ModelParams, n: int,
@@ -104,15 +57,32 @@ def site_rule(params: ModelParams, n: int,
     a sums the shapes of the edges leaving `site` minus those entering it;
     `heads` are the far ends of the leaving edges (each adds exp(-H) to b)
     and `tails` the far ends of the entering ones (each adds exp(H) to c).
+    Both list the edges in the order of their tails, row-major, and a is
+    summed in that order; black edges have shape 0 and leave a unchanged.
     """
+    i, j = site
+    end = curve_length(n, i)
+    right, left = params.theta - params.alpha, params.theta + params.alpha
+    if i % 2 == 0:
+        right, left = left, right
     a, heads, tails = 0.0, [], []
-    for e in colored_edges(n):
-        if e.tail == site:
-            a += edge_shape(params, e.color)
-            heads.append(e.head)
-        elif e.head == site:
-            a -= edge_shape(params, e.color)
-            tails.append(e.tail)
+    if j % 2 == 1:      # sends right and left; row i + 1 sends it black pairs
+        if j < end:
+            a += right
+            heads.append((i, j + 1))
+        if j >= 3:
+            a += left
+            heads.append((i, j - 1))
+        tails = [(i + 1, q) for q in (j - 1, j + 1)
+                 if i < n and 2 <= q <= curve_length(n, i + 1)]
+    else:               # receives from j - 1 and j + 1; sends a black pair down
+        a -= right
+        tails.append((i, j - 1))
+        if i >= 2:
+            heads = [(i - 1, j - 1), (i - 1, j + 1)]
+        if j < end:
+            a -= left
+            tails.append((i, j + 1))
     return a, tuple(heads), tuple(tails)
 
 

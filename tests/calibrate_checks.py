@@ -18,8 +18,10 @@ at theta 1:
   (Q - 1)/Q rounds to 1.0 on about 2.5% of walks; at that size the polymer
   is far from its walk limit, so its `marginal_ks_r*` checks are expected
   to fail there, and only `q_beta_law` reads no polymer;
-- fluct at sizes 50,100,200 with 1000 samples, and at sizes 10,20 with 40
-  samples (alpha -0.5);
+- fluct at sizes 50,100,200 with 1000 samples, at sizes 10,20 with 40
+  samples, and at sizes 5,10 with 2000 samples (alpha -0.5); the last is
+  large enough to show `diag_variance_one_N{n}` failing healthy code at
+  small N, which 40 samples cannot;
 - lln at the benchmark's lattice config (alpha -0.3, sizes 25,50 with 200
   samples, small sizes 7,9,11 with 8 samples);
 - `verify gibbs` at its defaults, judged by its exit code; its one test is
@@ -99,6 +101,8 @@ DRIVERS = {
               dict(sizes=(50, 100, 200), samples=1000)),
     "fluct_small": (experiments.run_gaussian_fluct, PARAMS,
                     dict(sizes=(10, 20), samples=40)),
+    "fluct_small_n": (experiments.run_gaussian_fluct, PARAMS,
+                      dict(sizes=(5, 10), samples=2000)),
     "lln": (experiments.run_lln_profile, LATTICE,
             dict(sizes=(25, 50), samples=200, small_sizes=(7, 9, 11), small_samples=8)),
 }

@@ -4,7 +4,8 @@ Everything here is written from the definitions, not from the library
 internals: partition functions are literal sums over enumerated paths,
 determinants are signed sums over permutations, the walk increment
 density is the convolution integral of its two log-gamma terms, the
-Gibbs log-density is the literal sum of log edge weights, the gamma
+Gibbs log-density is the literal sum of log edge weights over the
+lattice's edge list, the single-site rule a scan of that list, the gamma
 sampler gathers the pending lanes and evaluates every test on each of
 them, round by round, and the series Q of one walk is summed term by term
 with its two tail gammas drawn one at a time, so they share no code with
@@ -143,6 +144,42 @@ def gibbs_log_density(params, edges, values) -> float:
         total += _edge_term(_SHAPE[color](params),
                             float(values[tail]) - float(values[head]))
     return total
+
+
+def lattice_sites(n: int) -> list[tuple[int, int]]:
+    """All sites of the order-n diamond lattice, row-major."""
+    return [(i, j) for i in range(1, n + 1) for j in range(1, curve_length(n, i) + 1)]
+
+
+def colored_edges(n: int) -> list:
+    """Every (tail, head, color) of the order-n lattice, by tail, row-major,
+    from the three placement rules: rightward from odd positions (blue from
+    odd rows, red from even rows), leftward from odd positions >= 3 with the
+    other color, and a black pair downward from even positions of rows >= 2."""
+    edges = []
+    for p, q in lattice_sites(n):
+        if q % 2 == 1:
+            if q < curve_length(n, p):
+                edges.append(((p, q), (p, q + 1), "blue" if p % 2 == 1 else "red"))
+            if q >= 3:
+                edges.append(((p, q), (p, q - 1), "red" if p % 2 == 1 else "blue"))
+        elif p >= 2:
+            edges += [((p, q), (p - 1, q - 1), "black"), ((p, q), (p - 1, q + 1), "black")]
+    return edges
+
+
+def site_rule_by_scan(params, edges, site):
+    """(a, heads, tails) at `site` by a scan of every edge: the shapes of the
+    edges leaving it minus those entering it, and their far ends."""
+    a, heads, tails = 0.0, [], []
+    for tail, head, color in edges:
+        if tail == site:
+            a += _SHAPE[color](params)
+            heads.append(head)
+        elif head == site:
+            a -= _SHAPE[color](params)
+            tails.append(tail)
+    return a, tuple(heads), tuple(tails)
 
 
 def gather_log_gamma_draws(shape, keys, q_base=0, max_rounds=128):

@@ -93,13 +93,19 @@ class TestRefusedBeforeWork:
         # a deep depth ceil(deep_m sqrt(N)) of 0 or less drops the deep check
         (["pinning", "--sizes", "10,20", "--samples", "40", "--deep-m", "-3"],
          "deep_m must be >= 1"),
+        # size 1 has no mass beyond 0, so log q1 is -inf
+        (["quenched", "--sizes", "1"], "sizes must be >= 2"),
+        # no tail offset k with 0 < k < N: a run that would test nothing
+        (["pinning", "--sizes", "1"], "0 < k < N"),
+        (["pinning", "--sizes", "3", "--k-grid", "0", "--deep-m", "5"], "0 < k < N"),
     ])
     def test_cli_exit_status(self, argv, message, tmp_path, capsys,
                              monkeypatch):
         def no_work(*args, **kwargs):
-            raise AssertionError("a profile was built before the refusal")
+            raise AssertionError("a profile or walk was drawn before the refusal")
 
         monkeypatch.setattr(experiments, "_profiles", no_work)
+        monkeypatch.setattr(experiments, "limiting_endpoint_pmf", no_work)
         out = tmp_path / "refused.csv"
         # a --sizes in the case overrides this default one
         argv = ["experiment", argv[0], "--sizes", "5"] + argv[1:] + ["--out", str(out)]
@@ -135,6 +141,13 @@ class TestDegenerateInput:
         (["verify", "lgv", "--n", "8", "--r", "3", "--envs", "1"],
          "enumeration cap of 2000000"),
         (["verify", "sbd", "--n", "2"], "--n must be >= 3"),
+        (["env", "gen", "--n", "0", "--out", "unwritten.env"], "--n must be >= 1"),
+        (["env", "gen", "--n", "-1", "--out", "unwritten.env"], "--n must be >= 1"),
+        (["simulate", "endpoint", "--n", "0"], "--n must be >= 1"),
+        (["simulate", "endpoint", "--n", "-1"], "--n must be >= 1"),
+        (["simulate", "path", "--n", "0"], "--n must be >= 1"),
+        (["simulate", "path", "--n", "-1"], "--n must be >= 1"),
+        (["simulate", "ensemble", "--n", "1"], "--n must be >= 2"),
     ])
     def test_exit_status(self, argv, message, monkeypatch, capsys):
         def no_work(*args, **kwargs):

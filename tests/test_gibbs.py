@@ -1,24 +1,26 @@
 """The diamond lattice, the single-site conditional laws of the line
 ensemble, and `verify gibbs`.
 
-The oracle for the site rule is `oracles.gibbs_log_density`, the literal sum
-of log edge weights; the oracles for the conditional CDF are scipy's
-generalized inverse Gaussian and gamma laws.
+The oracles for the site rule are `oracles.colored_edges`, the lattice's
+edge list built from the three placement rules and checked here against a
+hand transcription at order 4, the scan of that list and
+`oracles.gibbs_log_density`, the literal sum of log edge weights; the
+oracles for the conditional CDF are scipy's generalized inverse Gaussian
+and gamma laws.
 """
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from hslg_lab import cli, gibbs
-from hslg_lab.gibbs import (BLACK, BLUE, RED, colored_edges, conditional_cdf,
-                            edge_shape, gibbs_region, lattice_sites,
-                            site_law, site_rule)
+from hslg_lab.gibbs import conditional_cdf, gibbs_region, site_law, site_rule
 from hslg_lab.experiments import line_ensembles
 from hslg_lab.multilayer import LineEnsemble, curve_length
-from oracles import gibbs_log_density
+from oracles import colored_edges, gibbs_log_density, lattice_sites, site_rule_by_scan
+
+BLUE, RED, BLACK = "blue", "red", "black"
 
 # every edge of the order-4 lattice, transcribed by hand from the three
 # placement rules (rightward from odd positions, leftward from odd
@@ -45,10 +47,6 @@ K4_EDGES = {
 class TestLattice:
     def test_curve_lengths(self, params):
         assert [curve_length(4, i) for i in range(1, 5)] == [8, 6, 4, 2]
-        assert len(lattice_sites(4)) == 8 + 6 + 4 + 2
-        for n in (1, 4, 7):
-            assert Counter(i for i, _ in lattice_sites(n)) == \
-                {i: curve_length(n, i) for i in range(1, n + 1)}
         # every curve of a built ensemble, of every order and depth
         for n, kmax in ((2, 2), (4, 3), (6, 6)):
             for ens in line_ensembles(params, n, kmax, 5, 0, 2):
@@ -56,21 +54,14 @@ class TestLattice:
                     [curve_length(n, k) for k in range(1, kmax + 1)]
 
     def test_k4_edge_set_matches_transcription(self):
-        got = {(e.tail, e.head, e.color) for e in colored_edges(4)}
-        assert got == K4_EDGES
+        edges = colored_edges(4)
+        assert len(edges) == len(K4_EDGES) and set(edges) == K4_EDGES
 
     def test_gibbs_region_excludes_last_row_and_row_ends(self):
         region = gibbs_region(3)
         assert (3, 1) not in region and (1, 6) not in region
         assert region == {(i, j) for i in (1, 2)
                           for j in range(1, curve_length(3, i))}
-
-    def test_edge_shapes(self, params):
-        assert edge_shape(params, BLUE) == params.theta - params.alpha
-        assert edge_shape(params, RED) == params.theta + params.alpha
-        assert edge_shape(params, BLACK) == 0.0
-        with pytest.raises(ValueError):
-            edge_shape(params, "green")
 
 
 class TestLogDensity:
@@ -94,7 +85,7 @@ class TestLogDensity:
         sites = lattice_sites(3)
         values = {s: float(np.round(v / grid) * grid)
                   for s, v in zip(sites, rng.normal(size=len(sites)))}
-        edges = [(e.tail, e.head, e.color) for e in colored_edges(3)]
+        edges = colored_edges(3)
         base = gibbs_log_density(params, edges, values)
         for c in (1.0, -3.25, 0.125):
             shifted = gibbs_log_density(
@@ -115,12 +106,21 @@ def random_ensembles(n: int, count: int, seed: int) -> list[LineEnsemble]:
 
 
 class TestSiteRule:
+    def test_reads_the_edges_of_each_site(self, params_grid):
+        # bit for bit (repr keeps the sign of zero): the rule sums the
+        # nonzero terms of a in the scan's order
+        for n in range(1, 11):
+            edges = colored_edges(n)
+            for p in params_grid:
+                for site in lattice_sites(n):
+                    assert repr(site_rule(p, n, site)) == \
+                        repr(site_rule_by_scan(p, edges, site))
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_single_site_differences_of_the_density(self, n,
                                                             params_grid):
-        # order 4 uses the hand-transcribed edges, order 6 the library's
-        edges = (K4_EDGES if n == 4 else
-                 [(e.tail, e.head, e.color) for e in colored_edges(n)])
+        # order 4 uses the hand-transcribed edges, order 6 the built ones
+        edges = K4_EDGES if n == 4 else colored_edges(n)
         ensembles = random_ensembles(n, 3, seed=n)
         shifts = np.array([-2.5, -0.3, 0.4, 1.7])
         for p in params_grid:
@@ -200,9 +200,15 @@ class TestConditionalCdf:
 
 class TestVerifyGibbs:
     def test_swapped_colors_fail_at_a_row_start(self, monkeypatch, capsys):
-        swap = {BLUE: RED, RED: BLUE, BLACK: BLACK}
-        monkeypatch.setattr(gibbs, "edge_shape",
-                            lambda p, color: edge_shape(p, swap[color]))
+        # a row start sends only its rightward edge; swapping the colors
+        # there swaps theta - alpha and theta + alpha in its a
+        def swapped(p, n, site):
+            a, heads, tails = site_rule(p, n, site)
+            if site[1] == 1:
+                a = p.theta + p.alpha if a == p.theta - p.alpha else p.theta - p.alpha
+            return a, heads, tails
+
+        monkeypatch.setattr(gibbs, "site_rule", swapped)
         assert cli.main(["verify", "gibbs", "--envs", "100"]) == 1
         assert "FAIL: conditional PIT of H(1, 1)" in capsys.readouterr().out
 

@@ -1,10 +1,12 @@
 """Structure of the package: what the CLI loads, and what reaches each name.
 
 The name ratchet lists the top-level public functions and classes of
-`src/hslg_lab` that nothing in the package or the benchmark names.  A name
-counts as reached when it appears as a word in another package module, in
-`bench/*.py`, or anywhere in its own module beyond its definition.  A new
-API that only the tests call fails here.
+`src/hslg_lab` that no code in the package or the benchmark refers to.  A
+reference is an identifier, an attribute, an imported name or its alias,
+or a string constant equal to the name (the `getattr` route that
+`bench/traced.py` takes), in another package module, in `bench/*.py`, or
+in its own module outside its definition.  A word in a docstring or a
+comment is not one.  A new API that only the tests call fails here.
 
 The method ratchet lists the public methods and properties of the classes
 of `src/hslg_lab` whose name appears as a word nowhere in the package or
@@ -55,30 +57,63 @@ UNSET_OPTIONS: set[str] = set()
 UNREAD_FIELDS = {"stats.Interval.lo", "stats.Interval.hi"}
 
 
-def _words(path: pathlib.Path) -> list[str]:
-    return re.findall(r"[A-Za-z_]\w*", path.read_text(encoding="utf-8"))
+def _references(node: ast.AST) -> set[str]:
+    """Every name the code under `node` refers to: identifiers, attributes,
+    imported names and their aliases, and string constants."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(n for n in (sub.name, sub.asname) if n)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
 
 
-def unreached_names() -> dict[str, set[str]]:
-    modules = sorted(PACKAGE.glob("*.py"))
-    words = {p: _words(p) for p in modules + sorted((ROOT / "bench").glob("*.py"))}
+def unreached_names(package: pathlib.Path = PACKAGE,
+                    others: pathlib.Path = ROOT / "bench") -> dict[str, set[str]]:
+    """Module stem -> the public top-level functions and classes of the
+    modules in `package` that no code refers to outside their definitions;
+    the modules in `others` count as callers."""
+    modules = sorted(package.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in modules + sorted(others.glob("*.py"))}
+    refs = {p: _references(t) for p, t in trees.items()}
     out: dict[str, set[str]] = {}
     for path in modules:
-        elsewhere = {w for p, ws in words.items() if p != path for w in ws}
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        for node in trees[path].body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in elsewhere):
                 continue
-            name = node.name
-            if (name.startswith("_") or name in elsewhere
-                    or words[path].count(name) > 1):
-                continue
-            out.setdefault(path.stem, set()).add(name)
+            if not any(node.name in _references(other)
+                       for other in trees[path].body if other is not node):
+                out.setdefault(path.stem, set()).add(node.name)
     return out
 
 
 def test_unreached_names_match_the_allowlist():
     assert unreached_names() == UNREACHED
+
+
+def test_a_name_only_in_prose_is_unreached(tmp_path):
+    (tmp_path / "lonely.py").write_text(
+        '"""`orphan` is named in this docstring and the comment below."""\n'
+        "# orphan()\n"
+        "def orphan():\n    return 0\n\n\n"
+        "def by_string():\n    return 1\n\n\n"
+        "def used():\n    return 2\n", encoding="utf-8")
+    callers = tmp_path / "callers"
+    callers.mkdir()
+    (callers / "caller.py").write_text(
+        '"""Calls orphan."""\n'
+        "import lonely\n"
+        "from lonely import used as u\n"
+        "f = getattr(lonely, 'by_string')\n", encoding="utf-8")
+    assert unreached_names(tmp_path, callers) == {"lonely": {"orphan"}}
 
 
 def unreached_methods() -> set[str]:
