@@ -32,8 +32,9 @@ Experiments, and simulate actions given ``--out``, write plot-ready CSV plus
 a ``.meta`` companion; there is no embedded plotting.  The ``.meta`` names
 what the action read: theta, alpha and each option it reads, but
 ``--threads``, which never changes a number, and a simulate action's
-``--out``.  It adds the report name, the package version and the check
-tally, and for an experiment `theorem`, the action's name.
+``--out``.  It adds the report name, the package version, the sampler's
+algorithm id (``rng``, as an environment file's header has it) and the
+check tally, and for an experiment `theorem`, the action's name.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ from .gibbs import conditional_cdf, gibbs_region, site_law
 from .multilayer import (InstanceTooLarge, check_brute_size, curve_length, line_ensemble,
                          multilayer_brute, multilayer_lgv)
 from .polymer import endpoint_pmf, exact_partition_table, partition_table, sample_path_codes
-from .rng import in_u64
+from .rng import ALGORITHM_ID, in_u64
 from .special import ModelParams
 from .stats import KS_MIN_SAMPLES, SIGNIFICANCE, ks_test
 from .umap import check_sbd_inequality, enumerate_disjoint_pairs, property_violations
@@ -291,7 +292,7 @@ def _csv_text(report: StatReport) -> str:
 
 def emit_csv(report: StatReport, path) -> None:
     """Write the report rows as CSV plus a ``.meta`` provenance companion."""
-    meta = [f"name = {report.name}", f"version = {_version()}"]
+    meta = [f"name = {report.name}", f"version = {_version()}", f"rng = {ALGORITHM_ID}"]
     meta += [f"{key} = {report.config[key]}" for key in sorted(report.config)]
     npass = sum(c.passed for c in report.checks)
     meta.append(f"checks = {npass}/{len(report.checks)} passed")

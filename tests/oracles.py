@@ -34,7 +34,8 @@ from hslg_lab.environment import Environment, SymmetrizedEnvironment
 from hslg_lab.multilayer import (_diag_avoiding_table, curve_length, exact_det, lgv_matrix,
                                  log_det_scaled, quadrant_log_table, staircase_site)
 from hslg_lab.polymer import EXACT, LOG
-from hslg_lab.rng import LANE_CHAIN, LANE_TAIL, lane_keys, log_gamma_draws, uniforms
+from hslg_lab import rng
+from hslg_lab.rng import LANE_CHAIN, LANE_TAIL, lane_keys, log_gamma_draws, uniforms, words
 from hslg_lab.special import ModelParams
 from hslg_lab.umap import Path, apply_umap, enumerate_disjoint_pairs
 
@@ -186,9 +187,13 @@ def gather_log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     """Marsaglia-Tsang log-gamma draws, one pending-lane gather per round.
 
     Slot q_base holds the boost uniform and round r reads slots
-    q_base+1+3r .. q_base+3+3r, as in `rng.log_gamma_draws`; every lane
-    takes the squeeze ``u3 < 1 - 0.0331 z**4`` and the full log test.
+    q_base+1+4r .. q_base+4+4r, as in `rng.log_gamma_draws`.  Every pending
+    lane draws all four uniforms and takes every test: the ziggurat's
+    rectangle, wedge and tail tests on the boundaries `rng._ZIG.x`, the
+    squeeze ``u3 < 1 - 0.0331 (z*z)**2`` and the full log test.
     """
+    x_b = rng._ZIG.x
+    f_b = np.exp(-0.5 * x_b * x_b)
     keys = np.asarray(keys, dtype=np.uint64)
     shape_arr = np.broadcast_to(np.asarray(shape, dtype=float), keys.shape)
     boosted = shape_arr < 1.0
@@ -201,15 +206,28 @@ def gather_log_gamma_draws(shape, keys, q_base=0, max_rounds=128):
     pending = np.arange(flat_keys.size)
     for r in range(max_rounds):
         k = flat_keys[pending]
-        base = q0 + np.uint64(1 + 3 * r)
-        u1 = uniforms(k, base)
-        u2 = uniforms(k, base + np.uint64(1))
-        u3 = uniforms(k, base + np.uint64(2))
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        v = (1.0 + c[pending] * z) ** 3
-        ok = v > 0.0
+        base = q0 + np.uint64(1 + 4 * r)
+        word = words(k, base)
+        layer = (word & np.uint64(255)).astype(np.intp)
+        negative = (word >> np.uint64(8)) & np.uint64(1) == 1
+        u = uniforms(k, base)
+        ub = uniforms(k, base + np.uint64(1))
+        uc = uniforms(k, base + np.uint64(2))
+        u3 = uniforms(k, base + np.uint64(3))
+        width = x_b[layer]
+        a = u * width
+        rectangle = u < x_b[layer + 1] / width
+        wedge = f_b[layer] + ub * (f_b[layer + 1] - f_b[layer]) < np.exp(-0.5 * a * a)
+        e = -np.log(ub) / x_b[1]
+        in_tail = layer == 0
+        a = np.where(in_tail & ~rectangle, x_b[1] + e, a)
+        normal_ok = rectangle | np.where(in_tail, -2.0 * np.log(uc) > e * e, wedge)
+        z = np.where(negative, -a, a)
+        t = 1.0 + c[pending] * z
+        v = t * t * t
+        ok = normal_ok & (v > 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            squeeze = u3 < 1.0 - 0.0331 * z**4
+            squeeze = u3 < 1.0 - 0.0331 * ((z * z) * (z * z))
             full = np.log(u3) < 0.5 * z * z + d[pending] * (
                 1.0 - v + np.log(np.where(ok, v, 1.0)))
         accept = ok & (squeeze | full)

@@ -8,6 +8,7 @@ import pytest
 
 from hslg_lab import cli, experiments
 from hslg_lab.experiments import ExperimentConfig, StatReport
+from hslg_lab.rng import ALGORITHM_ID
 from hslg_lab.special import ModelParams
 from hslg_lab.stats import KS_MIN_SAMPLES
 
@@ -328,10 +329,10 @@ class TestOptionSurface:
         assert seen == [traced.driver_config(argv)]
 
 
-# The .meta keys of each experiment: the report name, the version and the
-# check tally, then theta, alpha, theorem and the options the action reads,
-# but --threads, which never changes a number.
-RECORD = {"name", "version", "checks", "theta", "alpha", "theorem",
+# The .meta keys of each experiment: the report name, the version, the
+# sampler's algorithm id and the check tally, then theta, alpha, theorem and
+# the options the action reads, but --threads, which never changes a number.
+RECORD = {"name", "version", "rng", "checks", "theta", "alpha", "theorem",
           "sizes", "samples", "seed", "stream", "out"}
 RECORDS = {
     "pinning": RECORD | {"significance", "k_grid", "deep_m"},
@@ -367,7 +368,7 @@ class TestRunRecord:
 # The .meta of a simulate action given --out: theta, alpha and the options
 # it reads but --out, with --count or --kmax at its resolved default.
 SIMULATED = {"checks": "0/0 passed", "theta": "1.0", "alpha": "-0.5", "n": "8",
-             "flavor": "standard", "seed": "0", "stream": "0"}
+             "flavor": "standard", "seed": "0", "stream": "0", "rng": ALGORITHM_ID}
 
 
 @pytest.mark.parametrize("action, resolved", [
@@ -381,3 +382,16 @@ def test_simulate_meta_names_what_the_action_read(action, resolved, tmp_path, ca
     assert len(meta) == len(lines)
     assert meta.pop("version")
     assert meta == {**SIMULATED, "name": f"simulate_{action}", **resolved}
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "pinning", "--sizes", "5", "--samples", str(KS_MIN_SAMPLES)],
+    ["simulate", "endpoint", "--n", "5"]], ids=["experiment", "simulate"])
+def test_meta_names_the_sampler_like_an_environment_file(argv, tmp_path, capsys):
+    # a CSV names the algorithm that drew it, as `env gen` files do
+    assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 1)
+    lines = Path(f"{tmp_path / 'out.csv'}.meta").read_text(encoding="utf-8").splitlines()
+    assert f"rng = {ALGORITHM_ID}" in lines
+    assert cli.main(["env", "gen", "--n", "3", "--out", str(tmp_path / "env.txt")]) == 0
+    header = (tmp_path / "env.txt").read_text(encoding="utf-8").splitlines()
+    assert f"rng={ALGORITHM_ID}" in header

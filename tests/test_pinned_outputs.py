@@ -33,6 +33,13 @@ most 7e-16; quenched's CSV, which holds no Beta CDF value, kept its bytes.
 `verify gibbs`'s digest was recorded after its line of curve-ordering
 rates was deleted; it also covers the exit code and the "27 sites" that
 a separate defaults test used to assert.
+Twelve digests were recorded again for rng algorithm sm64chain-2, when the
+gamma sampler's Box-Muller normal gave way to a ziggurat and each
+Marsaglia-Tsang round came to read four slots: every gamma-derived number
+moved.  They are env_gen_float, env_gen_exact (only its rng= header line
+changed), simulate_endpoint, simulate_path, simulate_ensemble,
+verify_gibbs and the six experiment cases.  verify identity, lgv and sbd
+read only dyadic words and kept their bytes.
 The quenched case runs at --sizes 20; its digest was recorded at
 --sizes 10,20, of which quenched read only the largest.
 `.meta` files are not pinned: they carry the package version.
@@ -70,19 +77,19 @@ CASES = {
 }
 
 DIGESTS = {
-    "env_gen_exact": "c8b62887a8afd73a8c475659591e5e961395bd430b687c31aa2735aa454f4767",
-    "env_gen_float": "88b75ff39352d68046b6b258babebcc3788b26d9d5356b188ab6dda8dd1d7dca",
-    "experiment_lln": "12ddbd5494a74521ccee88ffa69bdfff561e6aef90850612cfc06ad134385bf1",
-    "experiment_fluct": "e869ec41b90e450117a35e1d5bd722304321783ecd3e4c18f58c01da053e90d8",
-    "experiment_pinning": "902f084423bdf2de1b06d74967cffccc6aeb3b134c1a1214ec28dcf0263a7813",
-    "experiment_quenched": "5d28ff560ef2056219e4a2f615f00d93e129587664a0b57da2705675cf4e08b8",
-    "experiment_walk": "01cc033102749287e61ea36f1adf7d92069fd877937757468ad5ef2ec2076ca1",
+    "env_gen_exact": "02ea63f583c54027aa5d6fdb9a1b6e3c337ddd672ee5404a18d34d885de72426",
+    "env_gen_float": "1c01696aee54d6218c29206da8e5c0a6f829021a238b85e2bbf1b5a39f054392",
+    "experiment_lln": "57f01e57dac942c6e253c2e79c21a4d3ade44becd48da04f1b4da9693b079dca",
+    "experiment_fluct": "6c21816882ff4b916ad868454c3d3ce7b409eb016394c9e902c7c664708357fb",
+    "experiment_pinning": "830192eaec4c63ad8855ee8632f4b05f4bd52246684145df2003aeffa8fdcdbd",
+    "experiment_quenched": "7ac83ad4d5001c7177cdd917c77ecbb7021b00b6bef5666bcbdfec57c5a8c964",
+    "experiment_walk": "b611a1f85f30742214e17570d460e65ef212d4024512555a56c64eca0b09e3db",
     "experiment_walk_stationary":
-        "b1c037f69a359cb4eecb57ea1b16f7f517f1bf6b28df7a9662197fb81a8ae620",
-    "simulate_endpoint": "8f9b4021f63a5f8830200a96691f3889fda80749e5b739329f965a32d85bc1e2",
-    "simulate_ensemble": "c3e87a11c0efe6c1d220a55450aa7fc64098001c2979ce663c9526c7cbddde1c",
-    "simulate_path": "0f9835138ee859a48dff8a572786d95667aecf0da4dd7cbb7cbbd4139f45f6d8",
-    "verify_gibbs": "e7de75e095312b1e7baf46241364f7772da0ea7b4717c52487ebc935ab05ae52",
+        "f8c51c29f1dbe76b99ee5890acc4646c493e3c0ed24703cb03ac6753e2e246a0",
+    "simulate_endpoint": "cdc08db20d516b9860785c6861b0985a871c5e3d16cafb957f67b66fd12b47de",
+    "simulate_ensemble": "c6cd4839911bddddae76f8f56f3e8da03a5111105f0729790abb589f18d4a8a9",
+    "simulate_path": "740d6bd5421a995c2dcd6ecaec74ad8943af9e5950316e84fb5d610e8153ffd8",
+    "verify_gibbs": "2044e6490ee7083d4978ac1953c8070d5954422f855e09d32c5c61d34725bbb9",
     "verify_identity": "51f54d9c406fbb2e43395f5480f3758cc60e71f99978fdd1b6e4edf6a6bff785",
     "verify_lgv": "fcc2dacc1f85e48f9dd79fc93cdaf7c107fbf29de188d0e210f96399f0f728ad",
     "verify_sbd": "28f6624800ab4b41d3367d53ae4b0061ab11b9e1a8dabe2aa7663f7ddd160597",
