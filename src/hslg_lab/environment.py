@@ -208,16 +208,19 @@ def stream_log_weights(params: ModelParams, n: int, flavor: str,
     `logw` has shape (len(streams), s//2); column order follows j = 1..s//2.
     Weight values agree bitwise with `generate_environment` for each stream
     (same per-site subsequences), but nothing of size n^2 is materialized,
-    which is what makes the large batch experiments fit in memory.
+    which is what makes the large batch experiments fit in memory.  Each
+    diagonal's key array lives only through its draw, and the draws are
+    negated in place, so one diagonal holds one array of its size across
+    the yield.
     """
     streams = np.asarray(streams, dtype=np.uint64)
     for s in range(2, 2 * n + 1):
         i, j = diag_sites(s)
         shapes = site_shapes(params, flavor, i, j)
         lanes = site_code(i, j).astype(np.uint64)
-        keys = rng.lane_keys(seed, streams[:, None], lanes[None, :])
-        logw = -rng.log_gamma_draws(shapes[None, :], keys)
-        yield s, j, logw
+        logw = rng.log_gamma_draws(shapes[None, :],
+                                   rng.lane_keys(seed, streams[:, None], lanes[None, :]))
+        yield s, j, np.negative(logw, out=logw)
 
 
 class EnvFormatError(ValueError):

@@ -1,11 +1,12 @@
 """Statistical experiment drivers over batches of polymer environments.
 
 Each driver consumes an ExperimentConfig, fans the environment batch out
-over a worker pool in fixed-size stream blocks (block boundaries depend
-only on the sample count, so the thread count never changes a single
-number), sweeps each flavor once per block to the largest size, reads
-every size's profile off that sweep, and returns a StatReport carrying
-CSV-ready rows, named pass/fail checks, and its run record.
+over a worker pool in contiguous stream blocks (`_stream_blocks`), sweeps
+each flavor once per block to the largest size, reads every size's profile
+off that sweep, and returns a StatReport carrying CSV-ready rows, named
+pass/fail checks, and its run record.  Every number is a function of its
+own stream's lanes and of row-wise operations, so no block boundary, and
+hence neither the block size nor the thread count, changes a single one.
 `EXPERIMENTS` says, once per experiment, which driver runs it and which
 ExperimentConfig fields that driver reads; the record names theta, alpha,
 `theorem` and exactly those fields (`threads` left out, since it never
@@ -58,7 +59,7 @@ from .rng import lane_keys, log_gamma_draws
 from .stats import bootstrap_ci
 from .walk import walk_increment_matrix
 
-STREAM_BLOCK = 256          # environments per work item
+BLOCK_SITES = 1 << 17       # sites on the widest anti-diagonal of one work item
 
 
 class ConfigError(ValueError):
@@ -163,9 +164,15 @@ def _map_blocks(fn, blocks, threads: int):
         return list(pool.map(fn, blocks))
 
 
-def _stream_blocks(config: ExperimentConfig, total: int):
-    return [(config.stream + lo, min(STREAM_BLOCK, total - lo))
-            for lo in range(0, total, STREAM_BLOCK)]
+def _stream_blocks(config: ExperimentConfig, total: int, n: int):
+    """(first stream, count) of each work item of a sweep of `total` streams
+    to size n: max(threads, ceil(total n / BLOCK_SITES)) contiguous blocks
+    (but no empty one) whose counts differ by at most 1.  A block's widest
+    diagonal, n sites per stream, then holds about BLOCK_SITES sites or
+    fewer, and every thread gets a block."""
+    count = min(total, max(config.threads, -(-total * n // BLOCK_SITES)))
+    cuts = [total * b // count for b in range(count + 1)]
+    return [(config.stream + lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _profiles(config: ExperimentConfig, flavor: str,
@@ -173,8 +180,10 @@ def _profiles(config: ExperimentConfig, flavor: str,
     """The (samples, N) profile at each N of the increasing `sizes`, one
     row per environment stream, from `batch_final_profiles`.
 
-    Each stream block makes one call, a sweep to n = max(sizes), and every
-    size's profile is read off that sweep.  The call goes through this
+    Each stream block of `_stream_blocks` makes one call, a sweep to n =
+    max(sizes), and every size's profile is read off that sweep.  Wider
+    blocks mean fewer, wider draw calls per anti-diagonal; a row's values
+    do not depend on the block it is in.  The call goes through this
     module's attribute, so a wrapper put there sees every stream block.
     """
     n = sizes[-1]
@@ -184,7 +193,7 @@ def _profiles(config: ExperimentConfig, flavor: str,
         streams = np.arange(start, start + cnt, dtype=np.uint64)
         return batch_final_profiles(config.params, n, flavor, config.seed, streams, sizes)
 
-    prof = np.vstack(_map_blocks(work, _stream_blocks(config, config.samples),
+    prof = np.vstack(_map_blocks(work, _stream_blocks(config, config.samples, n),
                                  config.threads))
     ends = np.cumsum(sizes)
     return np.split(prof, ends[:-1], axis=1)

@@ -58,10 +58,14 @@ def logsumexp(a, axis=None):
         hi = np.max(a, axis=axis, keepdims=True, initial=NEG_INF)
         top = a == hi
         m = np.sum(top, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(top, NEG_INF, a) - hi), axis=axis, keepdims=True)
+        # e^{a - max} off the maxima, in one buffer
+        t = np.where(top, NEG_INF, a)
+        t -= hi
+        s = np.sum(np.exp(t, out=t), axis=axis, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + hi
-        out = np.where(np.isfinite(out), out,
-                       np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
     return np.squeeze(out, axis=axis)[()]
 
 
@@ -104,7 +108,10 @@ def sweep(diagonals, ring):
             # a far-smaller term adds 0; a cell with neither neighbour
             # forms -inf - -inf in the log plus
             with np.errstate(under="ignore", invalid="ignore"):
-                z = times(w, plus(ext[..., 1:], ext[..., :-1]))
+                z = plus(ext[..., 1:], ext[..., :-1])
+                # neither is read again, and ext would outlive the yield
+                prev = ext = None
+                z = times(w, z, out=z)
         yield lo, z
         prev, prev_lo = z, lo
 

@@ -59,11 +59,12 @@ def walk_increment_matrix(params: ModelParams, samples: int, n: int,
     elif streams.shape != (samples,):
         raise ValueError("need one stream per row")
     base = _U64(LANE_CHAIN) + _U64(2) * np.arange(n, dtype=np.uint64)
-    k1 = lane_keys(seed, streams[:, None], base[None, :])
-    k2 = lane_keys(seed, streams[:, None], base[None, :] + _U64(1))
-    y1 = log_gamma_draws(params.theta + params.alpha, k1)
-    y2 = log_gamma_draws(params.theta - params.alpha, k2)
-    return y2 - y1
+    # each key array lives only through its own draw
+    y1 = log_gamma_draws(params.theta + params.alpha,
+                         lane_keys(seed, streams[:, None], base[None, :]))
+    y2 = log_gamma_draws(params.theta - params.alpha,
+                         lane_keys(seed, streams[:, None], base[None, :] + _U64(1)))
+    return np.subtract(y2, y1, out=y2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Experiment drivers: rows do not depend on threads or stream blocking."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.special import digamma
 
 from hslg_lab import cli, environment, experiments, walk
-from hslg_lab.experiments import STREAM_BLOCK, ExperimentConfig
+from hslg_lab.experiments import ExperimentConfig
 from hslg_lab.polymer import batch_final_profiles
 from hslg_lab.rng import LANE_BOOTSTRAP, LANE_CHAIN, LANE_TAIL
 from hslg_lab.special import ModelParams
@@ -23,9 +24,10 @@ FINAL, BELOW = "batch_final_profiles", "batch_diag_avoiding_profiles"
                                     experiments.run_gaussian_fluct,
                                     experiments.run_lln_profile])
 def test_rows_identical_across_threads(driver):
-    # 300 samples make two stream blocks (256 + 44), so with 2 threads the
-    # blocks run concurrently and are stacked back in order
-    assert CONFIG.samples > STREAM_BLOCK
+    # 2 threads make two stream blocks (150 + 150), which run concurrently
+    # and are stacked back in order
+    assert len(experiments._stream_blocks(replace(CONFIG, threads=2), CONFIG.samples,
+                                          CONFIG.sizes[-1])) == 2
     # quenched takes one size
     config = (replace(CONFIG, sizes=CONFIG.sizes[-1:])
               if driver is experiments.run_quenched_limit else CONFIG)
@@ -43,12 +45,48 @@ def test_profiles_do_not_depend_on_stream_blocks():
     np.testing.assert_array_equal(blocked, whole)
 
 
+@pytest.mark.parametrize("samples, n, threads, blocks", [
+    (1000, 100, 1, 1),          # walklaw's walk and quenched
+    (1000, 200, 1, 2),          # the sweep workload: 500 + 500
+    (200, 50, 1, 1),            # lln
+    (1000, 100, 2, 2),
+    (300, 8, 3, 3),
+    (1001, 400, 1, 4),          # 250 + 250 + 250 + 251
+    (9, 8, 16, 9),              # more threads than streams: no empty block
+])
+def test_stream_blocks_split_by_sites(samples, n, threads, blocks):
+    config = replace(CONFIG, samples=samples, threads=threads, stream=7)
+    got = experiments._stream_blocks(config, samples, n)
+    assert len(got) == blocks == min(samples, max(
+        threads, math.ceil(samples * n / experiments.BLOCK_SITES)))
+    starts = [start for start, _ in got]
+    counts = [cnt for _, cnt in got]
+    # every stream once, in order, in contiguous blocks
+    assert starts == [7 + sum(counts[:b]) for b in range(blocks)]
+    assert sum(counts) == samples
+    assert min(counts) >= 1 and max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_profiles_do_not_depend_on_block_size(threads, monkeypatch):
+    # 300 streams to size 8 take 2400 sites on the widest diagonal, so a
+    # budget of 700 makes four blocks even at one thread
+    sizes = (6, 8)
+    whole = batch_final_profiles(CONFIG.params, 8, "standard", CONFIG.seed,
+                                 np.arange(CONFIG.samples, dtype=np.uint64), sizes)
+    monkeypatch.setattr(experiments, "BLOCK_SITES", 700)
+    config = replace(CONFIG, threads=threads)
+    assert len(experiments._stream_blocks(config, config.samples, 8)) == 4
+    blocked = experiments._profiles(config, "standard", sizes)
+    np.testing.assert_array_equal(np.hstack(blocked), whole)
+
+
 class TestOneSweep:
     """Each driver sweeps each flavor once per stream block, to the largest
     size, and reads every size's profile off that sweep's diagonal 2N."""
 
     SIZES = (2, 3, 10, 17)
-    STREAMS = np.arange(STREAM_BLOCK + 44, dtype=np.uint64)   # two blocks' worth
+    STREAMS = np.arange(300, dtype=np.uint64)
 
     @pytest.mark.parametrize("flavor", environment.FLAVORS)
     @pytest.mark.parametrize("batch, short", [(batch_final_profiles, 0)])
@@ -90,10 +128,12 @@ class TestOneSweep:
                 calls.append(((name, args[2]), args[1], int(args[4][0]), args[4].size))
                 return fn(*args, **kwargs)
             monkeypatch.setattr(experiments, name, counted)
+        # half the widest diagonal's sites per block: two stream blocks
+        n = max(CONFIG.sizes)
+        monkeypatch.setattr(experiments, "BLOCK_SITES", CONFIG.samples * n // 2)
         config = replace(CONFIG, flavor=flavor)
         driver(config)
-        n = max(config.sizes)
-        blocks = experiments._stream_blocks(config, config.samples)
+        blocks = experiments._stream_blocks(config, config.samples, n)
         assert len(blocks) == 2
         assert {key for key, *_ in calls} == swept
         for key in swept:

@@ -1,5 +1,6 @@
 """Partition recurrences, endpoint law, and quenched path sampling."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hslg_lab.environment import (generate_dyadic_environment,
 from hslg_lab.polymer import (LOG, batch_final_profiles, endpoint_pmf,
                               exact_partition_table, logsumexp, partition_table,
                               sample_path_codes, sweep)
+from hslg_lab.special import ModelParams
 from oracles import path_code
 
 
@@ -237,3 +239,28 @@ class TestBatchProfiles:
             np.testing.assert_allclose(batch[b],
                                        partition_table(env).final_profile(),
                                        rtol=0, atol=1e-10)
+
+    def test_peak_memory_of_one_stream_block(self):
+        # a 500-stream block to N = 200, as the sweep workload runs it; D is
+        # one diagonal-sized array, 500 x 200 doubles, and the output is 1 D.
+        # The traced peak, 6.7 D, comes while the last diagonal is drawn:
+        # its keys and draws (2 D), the draws' row-block scratch (about
+        # 2 D), the previous diagonal's weights and values (2 D) and the
+        # draws' gathers of rejected lanes.  A step that keeps the plus's
+        # padded copy alive across the yield reads 7.7 D.
+        rows, n = 500, 200
+        params, streams = ModelParams(1.0, -0.5), np.arange(rows, dtype=np.uint64)
+        batch_final_profiles(params, 4, "standard", 0, streams[:2])
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = batch_final_profiles(params, n, "standard", 0, streams)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert out.shape == (rows, n)
+        assert peak <= 6.2 * rows * n * 8 + out.nbytes
